@@ -69,6 +69,9 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1 or self.eval_points < 1:
             raise ValueError("replicates and eval_points must be at least 1")
+        # the Philox key is an unsigned 128-bit integer
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
 
 @lru_cache(maxsize=None)

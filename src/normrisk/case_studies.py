@@ -35,8 +35,10 @@ class LognormalParams:
     log_sd: float
 
     def __post_init__(self) -> None:
-        if not self.log_sd > 0:
-            raise ValueError(f"log_sd must be positive, got {self.log_sd!r}")
+        if not math.isfinite(self.log_mean):
+            raise ValueError(f"log_mean must be finite, got {self.log_mean!r}")
+        if not 0 < self.log_sd < math.inf:
+            raise ValueError(f"log_sd must be positive and finite, got {self.log_sd!r}")
 
     @property
     def mean(self) -> float:
@@ -60,7 +62,7 @@ def lognormal_mse_nonparametric(p: LognormalParams, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     b2 = p.log_sd**2
-    return math.exp(2.0 * p.log_mean + b2) * (math.exp(b2) - 1.0) / n
+    return math.exp(2.0 * p.log_mean + b2) * math.expm1(b2) / n
 
 
 def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
@@ -69,16 +71,23 @@ def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
     Finite only when the squared log-spread is below (n-1)/2; below that
     sample size the estimator has no second moment and the MSE is infinite
     (returned as a value, not an error).
+
+    With m = n - 1 and x = b^2/m the MSE is exp(2a + b^2/n) (A - B), where
+    A = exp(b^2/n) (1 - 2x)^(-m/2) and B = (1 - x)^(-m).  For small spreads
+    A and B nearly coincide, so the difference is formed as
+    B expm1(log A - log B).  Since (1 - x)^2 / (1 - 2x) = 1 + x^2 / (1 - 2x),
+    log A - log B = b^2/n + (m/2) log1p(x^2 / (1 - 2x)), free of cancellation.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     b2 = p.log_sd**2
     if b2 >= 0.5 * (n - 1):
         return math.inf
-    lead = math.exp(2.0 * p.log_mean + b2 / n)
-    return lead * (
-        math.exp(b2 / n) * (1.0 - 2.0 * b2 / (n - 1)) ** (-0.5 * (n - 1))
-        - (1.0 - b2 / (n - 1)) ** (-(n - 1.0))
+    m = n - 1.0
+    x = b2 / m
+    log_b = -m * math.log1p(-x)
+    return math.exp(2.0 * p.log_mean + b2 / n + log_b) * math.expm1(
+        b2 / n + 0.5 * m * math.log1p(x * x / (1.0 - 2.0 * x))
     )
 
 
@@ -165,8 +174,8 @@ def skew_normal_asymptotic_mise(
     Roughly 0.342/sigma: about 1.386 times the two-parameter normal value,
     the price of estimating the extra shape parameter.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     theta = (0.0, sigma, 1.0)
     span = 12.0 * sigma
     return asymptotic_mise_general(

@@ -14,23 +14,24 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bandwidth import (
-    BandwidthRule,
     McConfig,
     optimal_bandwidth_constant,
     real_mise_exact,
     real_mise_mc,
+    rule_of_thumb,
 )
 from .case_studies import lognormal_crossover, skew_normal_asymptotic_mise
 from .kernels import (
     EPANECHNIKOV_KERNEL,
     KERNELS,
     NORMAL_KERNEL,
+    Kernel,
     exact_mse_kernel,
     mise_closed_epan_kernel,
     mise_closed_normal_kernel,
@@ -84,29 +85,18 @@ def comparison_row(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Compar
     if n < 3:
         raise ValueError(f"table rows require n >= 3, got {n}")
     bench = exact_mise_plugin(STD_NORMAL, n, cfg).value
-    umvu_ratio = exact_mise_umvu(STD_NORMAL, n).value / bench
-    scale = n ** (-0.2)
-
-    b_n = optimal_bandwidth_constant(NORMAL_KERNEL, n)
-    c_n = optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n)
-    normal_ratio1 = mise_closed_normal_kernel(n, b_n * scale) / bench
-    epan_ratio1 = mise_closed_epan_kernel(n, c_n * scale) / bench
-    normal_ratio2 = (
-        real_mise_exact(BandwidthRule(NORMAL_KERNEL, b_n * scale), n).value / bench
-    )
-    epan_ratio2 = (
-        real_mise_exact(BandwidthRule(EPANECHNIKOV_KERNEL, c_n * scale), n).value / bench
-    )
+    normal = rule_of_thumb(NORMAL_KERNEL, n)
+    epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n)
     return ComparisonRow(
         n=n,
         plugin_mise=bench,
-        umvu_ratio=umvu_ratio,
-        b_n=b_n,
-        normal_ratio1=normal_ratio1,
-        normal_ratio2=normal_ratio2,
-        c_n=c_n,
-        epan_ratio1=epan_ratio1,
-        epan_ratio2=epan_ratio2,
+        umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / bench,
+        b_n=optimal_bandwidth_constant(NORMAL_KERNEL, n),
+        normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / bench,
+        normal_ratio2=real_mise_exact(normal, n).value / bench,
+        c_n=optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
+        epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / bench,
+        epan_ratio2=real_mise_exact(epan, n).value / bench,
     )
 
 
@@ -151,101 +141,64 @@ def figure_curves(
     if n < 3:
         raise ValueError(f"figures require n >= 3, got {n}")
     p = NormalParams(0.0, sigma)
-    scale = n ** (-0.2)
-    h_epan = optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n) * scale * sigma
+    h_epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier * sigma
     epan = kernel_risk_curve(EPANECHNIKOV_KERNEL, n, h_epan, xs, p)
     if which == 1:
         return [parametric_risk_curve(n, xs, p, cfg), epan]
-    h_norm = optimal_bandwidth_constant(NORMAL_KERNEL, n) * scale * sigma
+    h_norm = rule_of_thumb(NORMAL_KERNEL, n).multiplier * sigma
     return [kernel_risk_curve(NORMAL_KERNEL, n, h_norm, xs, p), epan]
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 # ---------------------------------------------------------------------------
 
-
-def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
-    if out is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+# column -> format spec of each output (see _emit)
+_TABLE_COLUMNS = {"n": "d", "plugin_mise": ".5f"} | dict.fromkeys(
+    ("umvu_ratio", "b_n", "normal_ratio1", "normal_ratio2", "c_n", "epan_ratio1", "epan_ratio2"), ".4f"
+)
+_CURVE_COLUMNS = {"estimator": "", "x": ".6g", "bias": ".12g", "sd": ".12g", "rmse": ".12g"}
 
 
-def _fmt_ratio(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.4f}"
+def _json_value(value, spec: str):
+    if isinstance(value, float):
+        if math.isinf(value):
+            return None
+        if spec.endswith("f"):
+            return round(value, int(spec[1:-1]))
+    return value
 
 
-def _table_csv(rows: Sequence[ComparisonRow]) -> list[str]:
-    lines = ["n,plugin_mise,umvu_ratio,b_n,normal_ratio1,normal_ratio2,c_n,epan_ratio1,epan_ratio2"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.plugin_mise:.5f},{_fmt_ratio(r.umvu_ratio)},{r.b_n:.4f},"
-            f"{r.normal_ratio1:.4f},{r.normal_ratio2:.4f},{r.c_n:.4f},"
-            f"{r.epan_ratio1:.4f},{r.epan_ratio2:.4f}"
-        )
-    return lines
+def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[dict]) -> None:
+    """Write records as CSV or line-delimited JSON, to --out or stdout.
+
+    CSV prints the mapped columns, each value as format(value, spec), and
+    None as an empty cell.  JSON prints every key of each record; a
+    fixed-point spec rounds the number there too, any other spec keeps full
+    precision.  Infinity prints as inf in CSV and as null in JSON.
+    """
+    if args.format == "csv":
+        lines = [",".join(columns)] + [
+            ",".join("" if r[k] is None else format(r[k], spec) for k, spec in columns.items())
+            for r in records
+        ]
+    else:
+        lines = [
+            json.dumps({k: _json_value(v, columns.get(k, "")) for k, v in r.items()})
+            for r in records
+        ]
+    text = "".join(line + "\n" for line in lines)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
-def _table_json(rows: Sequence[ComparisonRow]) -> list[str]:
-    lines = []
-    for r in rows:
-        obj = {
-            "n": r.n,
-            "plugin_mise": round(r.plugin_mise, 5),
-            "umvu_ratio": None if math.isinf(r.umvu_ratio) else round(r.umvu_ratio, 4),
-            "b_n": round(r.b_n, 4),
-            "normal_ratio1": round(r.normal_ratio1, 4),
-            "normal_ratio2": round(r.normal_ratio2, 4),
-            "c_n": round(r.c_n, 4),
-            "epan_ratio1": round(r.epan_ratio1, 4),
-            "epan_ratio2": round(r.epan_ratio2, 4),
-        }
-        if math.isinf(r.umvu_ratio):
-            obj["umvu_ratio_infinite"] = True
-        lines.append(json.dumps(obj))
-    return lines
-
-
-def _curves_csv(curves: Sequence[RiskCurve]) -> list[str]:
-    lines = ["estimator,x,bias,sd,rmse"]
+def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
     for c in curves:
         for x, bias, sd, rmse in c.points:
-            lines.append(f"{c.estimator_label},{x:.6g},{bias:.12g},{sd:.12g},{rmse:.12g}")
-    return lines
-
-
-def _curves_json(curves: Sequence[RiskCurve]) -> list[str]:
-    lines = []
-    for c in curves:
-        for x, bias, sd, rmse in c.points:
-            lines.append(
-                json.dumps(
-                    {"estimator": c.estimator_label, "x": x, "bias": bias, "sd": sd, "rmse": rmse}
-                )
-            )
-    return lines
-
-
-def _report_json(report: MiseReport, extra: dict | None = None) -> str:
-    obj = dict(extra or {})
-    obj["value"] = None if math.isinf(report.value) else report.value
-    obj["infinite"] = math.isinf(report.value)
-    obj["method"] = report.method
-    obj["std_error"] = report.std_error
-    return json.dumps(obj)
-
-
-def _report_csv(report: MiseReport, extra: dict | None = None) -> list[str]:
-    extra = extra or {}
-    header = ",".join([*extra.keys(), "value", "method", "std_error"])
-    value = "inf" if math.isinf(report.value) else f"{report.value:.10g}"
-    std_error = "" if report.std_error is None else f"{report.std_error:.6g}"
-    row = ",".join([*(str(v) for v in extra.values()), value, report.method, std_error])
-    return [header, row]
+            yield {"estimator": c.estimator_label, "x": x, "bias": bias, "sd": sd, "rmse": rmse}
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +227,11 @@ def _cmd_table(args: argparse.Namespace) -> None:
             rows = list(pool.map(_row_worker, [(n, args.tol) for n in ns]))
     else:
         rows = [comparison_row(n, _quad_config(args.tol)) for n in ns]
-    lines = _table_csv(rows) if args.format == "csv" else _table_json(rows)
-    _write_lines(lines, args.out)
+    records = [asdict(r) for r in rows]
+    for record in records:
+        if math.isinf(record["umvu_ratio"]):
+            record["umvu_ratio_infinite"] = True
+    _emit(args, _TABLE_COLUMNS, records)
 
 
 def _x_grid(args: argparse.Namespace) -> np.ndarray:
@@ -289,131 +245,109 @@ def _x_grid(args: argparse.Namespace) -> np.ndarray:
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     curves = figure_curves(args.which, args.n, _x_grid(args), args.sigma, _quad_config(args.tol))
-    lines = _curves_csv(curves) if args.format == "csv" else _curves_json(curves)
-    _write_lines(lines, args.out)
+    _emit(args, _CURVE_COLUMNS, _curve_records(curves))
+
+
+def _reject_kernel_flags(args: argparse.Namespace) -> None:
+    if args.kernel or args.h is not None or args.rule:
+        raise ValueError(f"the {args.estimator} estimator is exact-only and takes no kernel flags")
+
+
+def _kernel(args: argparse.Namespace) -> Kernel:
+    """--kernel, checked to come with exactly one of a fixed --h and the --rule of thumb."""
+    if not args.kernel:
+        raise ValueError("kernel estimators require --kernel")
+    if (args.h is None) == (not args.rule):
+        raise ValueError("specify exactly one of --h and --rule")
+    if args.h is not None and args.h <= 0:
+        raise ValueError("--h must be positive")
+    return KERNELS[args.kernel]
 
 
 def _cmd_mse_curve(args: argparse.Namespace) -> None:
     xs = _x_grid(args)
     p = NormalParams(0.0, args.sigma)
     if args.estimator == "plugin":
-        if args.kernel or args.h is not None or args.rule:
-            raise ValueError("plugin curves accept no kernel/bandwidth flags")
+        _reject_kernel_flags(args)
         curve = parametric_risk_curve(args.n, xs, p, _quad_config(args.tol))
     else:
-        kernel = _resolve_kernel(args)
-        h = _resolve_fixed_bandwidth(args, kernel) * args.sigma
-        curve = kernel_risk_curve(kernel, args.n, h, xs, p)
-    lines = _curves_csv([curve]) if args.format == "csv" else _curves_json([curve])
-    _write_lines(lines, args.out)
-
-
-def _resolve_kernel(args: argparse.Namespace):
-    if not args.kernel:
-        raise ValueError("kernel estimators require --kernel")
-    return KERNELS[args.kernel]
-
-
-def _resolve_fixed_bandwidth(args: argparse.Namespace, kernel) -> float:
-    if (args.h is None) == (not args.rule):
-        raise ValueError("specify exactly one of --h and --rule")
-    if args.h is not None:
-        if args.h <= 0:
-            raise ValueError("--h must be positive")
-        return args.h
-    return optimal_bandwidth_constant(kernel, args.n) * args.n ** (-0.2)
+        kernel = _kernel(args)
+        h = rule_of_thumb(kernel, args.n).multiplier if args.rule else args.h
+        curve = kernel_risk_curve(kernel, args.n, h * args.sigma, xs, p)
+    _emit(args, _CURVE_COLUMNS, _curve_records([curve]))
 
 
 def _cmd_mise(args: argparse.Namespace) -> None:
     p = NormalParams(0.0, args.sigma)
-    extra = {"estimator": args.estimator, "n": args.n}
+    columns = {"estimator": "", "n": "d"}
+    record = {"estimator": args.estimator, "n": args.n}
+    if args.estimator != "kernel" and args.method == "mc":
+        raise ValueError(f"the {args.estimator} estimator is exact-only; --method mc needs a kernel")
     if args.estimator == "plugin":
-        if args.kernel or args.h is not None or args.rule or args.method == "mc":
-            raise ValueError("plugin MISE is exact-only and accepts no kernel flags")
+        _reject_kernel_flags(args)
         report = exact_mise_plugin(p, args.n, _quad_config(args.tol))
     elif args.estimator == "umvu":
-        if args.kernel or args.h is not None or args.rule or args.method == "mc":
-            raise ValueError("umvu MISE is exact-only and accepts no kernel flags")
+        _reject_kernel_flags(args)
         report = exact_mise_umvu(p, args.n)
     else:
-        kernel = _resolve_kernel(args)
-        extra["kernel"] = kernel.name
-        if args.h is not None:
-            if args.rule or args.method == "mc":
+        kernel = _kernel(args)
+        columns["kernel"] = ""
+        record["kernel"] = kernel.name
+        if not args.rule:
+            if args.method == "mc":
                 raise ValueError("fixed --h is exact-only; use --rule for mc")
             report = mise_fixed_bandwidth(kernel, p, args.n, args.h)
         else:
-            if not args.rule:
-                raise ValueError("kernel MISE needs --h or --rule")
-            rule = BandwidthRule(
-                kernel, optimal_bandwidth_constant(kernel, args.n) * args.n ** (-0.2)
-            )
+            rule = rule_of_thumb(kernel, args.n)
             if args.method == "mc":
                 mc = McConfig(replicates=args.replicates, eval_points=args.eval_points, seed=args.seed)
-                std_report = real_mise_mc(rule, args.n, mc)
-                report = MiseReport(
-                    value=std_report.value / args.sigma,
-                    method=std_report.method,
-                    std_error=std_report.std_error / args.sigma,
-                )
+                std = real_mise_mc(rule, args.n, mc)
             else:
-                std_report = real_mise_exact(rule, args.n, _quad_config(args.tol) if args.tol else None)
-                report = MiseReport(value=std_report.value / args.sigma, method=std_report.method)
-    if args.format == "csv":
-        _write_lines(_report_csv(report, extra), args.out)
-    else:
-        _write_lines([_report_json(report, extra)], args.out)
+                cfg = None if args.tol is None else _quad_config(args.tol)
+                std = real_mise_exact(rule, args.n, cfg)
+            # the risk of the rule at a normal of scale sigma is the standard one over sigma
+            std_error = None if std.std_error is None else std.std_error / args.sigma
+            report = MiseReport(value=std.value / args.sigma, method=std.method, std_error=std_error)
+    columns.update(value=".10g", method="", std_error=".6g")
+    record.update(
+        value=report.value,
+        infinite=math.isinf(report.value),
+        method=report.method,
+        std_error=report.std_error,
+    )
+    _emit(args, columns, [record])
 
 
 def _cmd_bandwidth_constants(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
-    rows = []
-    for n in ns:
-        if n < 2:
-            raise ValueError(f"bandwidth constants require n >= 2, got {n}")
-        rows.append(
-            (
-                n,
-                optimal_bandwidth_constant(NORMAL_KERNEL, n),
-                optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
-            )
-        )
-    if args.format == "csv":
-        lines = ["n,b_n,c_n"] + [f"{n},{b:.6f},{c:.6f}" for n, b, c in rows]
-    else:
-        lines = [json.dumps({"n": n, "b_n": round(b, 6), "c_n": round(c, 6)}) for n, b, c in rows]
-    _write_lines(lines, args.out)
+    records = [
+        {
+            "n": n,
+            "b_n": optimal_bandwidth_constant(NORMAL_KERNEL, n),
+            "c_n": optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
+        }
+        for n in ns
+    ]
+    _emit(args, {"n": "d", "b_n": ".6f", "c_n": ".6f"}, records)
 
 
 def _cmd_lognormal(args: argparse.Namespace) -> None:
     spreads = args.b if args.b is not None else list(LOGNORMAL_DEFAULT_SPREADS)
     for b in spreads:
-        if b <= 0:
+        if not b > 0:
             raise ValueError(f"log-scale spreads must be positive, got {b}")
-    results = [lognormal_crossover(b) for b in spreads]
-    if args.format == "csv":
-        lines = ["b,n0"] + [f"{r.log_sd:g},{r.n_crossover}" for r in results]
-    else:
-        lines = [json.dumps({"b": r.log_sd, "n0": r.n_crossover}) for r in results]
-    _write_lines(lines, args.out)
+    records = [{"b": r.log_sd, "n0": r.n_crossover} for r in map(lognormal_crossover, spreads)]
+    _emit(args, {"b": "g", "n0": "d"}, records)
 
 
 def _cmd_skew_mise(args: argparse.Namespace) -> None:
     value = skew_normal_asymptotic_mise(args.sigma, _quad_config(args.tol))
-    ratio = value * args.sigma / PLUGIN_AMISE_CONSTANT
-    if args.format == "csv":
-        lines = ["sigma,n_mise_limit,ratio_to_normal_family", f"{args.sigma:g},{value:.6f},{ratio:.6f}"]
-    else:
-        lines = [
-            json.dumps(
-                {
-                    "sigma": args.sigma,
-                    "n_mise_limit": round(value, 6),
-                    "ratio_to_normal_family": round(ratio, 6),
-                }
-            )
-        ]
-    _write_lines(lines, args.out)
+    record = {
+        "sigma": args.sigma,
+        "n_mise_limit": value,
+        "ratio_to_normal_family": value * args.sigma / PLUGIN_AMISE_CONSTANT,
+    }
+    _emit(args, {"sigma": "g", "n_mise_limit": ".6f", "ratio_to_normal_family": ".6f"}, [record])
 
 
 # ---------------------------------------------------------------------------

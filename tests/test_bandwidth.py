@@ -233,3 +233,8 @@ class TestRealMiseMc:
             McConfig(replicates=0, eval_points=1, seed=0)
         with pytest.raises(ValueError):
             McConfig(replicates=1, eval_points=0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            McConfig(replicates=1, eval_points=1, seed=seed)

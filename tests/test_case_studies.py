@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -28,6 +29,9 @@ def phi(x):
 
 
 CROSSOVERS = {0.2: 312, 0.4: 87, 0.6: 45, 0.8: 31, 1.0: 25, 1.2: 22}
+# small spreads, beyond the published ones: crossovers of the exact MSE
+# formulas evaluated at 50 digits with mpmath
+SMALL_SPREAD_CROSSOVERS = {0.01: 120012, 0.05: 4812, 0.1: 1212}
 
 
 class TestLognormalMse:
@@ -51,6 +55,11 @@ class TestLognormalMse:
         err2 = (draws.mean(axis=1) - p.mean) ** 2
         se = err2.std(ddof=1) / math.sqrt(B)
         assert abs(err2.mean() - lognormal_mse_nonparametric(p, n)) < 3.0 * se
+
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)])
+    def test_params_reject_non_finite(self, a, b):
+        with pytest.raises(ValueError):
+            LognormalParams(a, b)
 
     def test_parametric_blows_up_below_threshold(self):
         assert lognormal_mse_parametric(LognormalParams(0.0, 1.0), 2) == math.inf
@@ -109,9 +118,38 @@ class TestCrossover:
         ]
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
 
+    @pytest.mark.parametrize("b,n0", sorted(SMALL_SPREAD_CROSSOVERS.items()))
+    def test_small_spreads(self, b, n0):
+        assert lognormal_crossover(b).n_crossover == n0
+
     def test_result_invariants(self):
         with pytest.raises(ValueError):
             CrossoverResult(log_sd=0.5, n_crossover=0)
+
+
+class TestLognormalAgainstMpmath:
+    """Both exact MSE formulas at 50 digits, where the spread is small and
+    the float forms used to cancel."""
+
+    @staticmethod
+    def reference(b, n):
+        with mpmath.workdps(50):
+            b2 = mpmath.mpf(b) ** 2
+            m = mpmath.mpf(n - 1)
+            nonparametric = mpmath.exp(b2) * mpmath.expm1(b2) / n
+            parametric = mpmath.exp(b2 / n) * (
+                mpmath.exp(b2 / n) * (1 - 2 * b2 / m) ** (-m / 2) - (1 - b2 / m) ** (-m)
+            )
+            return float(nonparametric), float(parametric)
+
+    @pytest.mark.parametrize(
+        "b,n", [(0.01, 120012), (0.05, 4812), (0.1, 1212), (0.2, 30), (1.0, 4), (1.2, 1000)]
+    )
+    def test_relative_error(self, b, n):
+        p = LognormalParams(0.0, b)
+        nonparametric, parametric = self.reference(b, n)
+        assert lognormal_mse_nonparametric(p, n) == pytest.approx(nonparametric, rel=1e-13)
+        assert lognormal_mse_parametric(p, n) == pytest.approx(parametric, rel=1e-13)
 
 
 class TestSkewFamily:
@@ -200,3 +238,5 @@ class TestSkewFamily:
             skew_normal_density(0.0, (0.0, -1.0, 1.0))
         with pytest.raises(ValueError):
             skew_normal_asymptotic_mise(0.0)
+        with pytest.raises(ValueError, match="finite"):
+            skew_normal_asymptotic_mise(math.inf)

@@ -138,10 +138,28 @@ class TestMiseCommand:
             ["mise", "--estimator", "plugin", "--n", "5", "--kernel", "normal"],
             ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "5",
              "--h", "0.5", "--method", "mc"],
+            # a zero tolerance is rejected on the rule path as on every other
+            ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "5",
+             "--rule", "thumb", "--tol", "0"],
         ],
     )
     def test_invalid_combinations(self, args):
         assert main(args) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mise", "--estimator", "plugin", "--n", "5", "--sigma", "inf"],
+            ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "5",
+             "--rule", "thumb", "--method", "mc", "--seed", "-1"],
+            ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "5",
+             "--rule", "thumb", "--method", "mc", "--seed", str(2**128)],
+            ["skew-mise", "--sigma", "inf"],
+        ],
+    )
+    def test_out_of_domain_inputs(self, args, capsys):
+        assert main(args) == 2
+        assert "normrisk: usage error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, capsys):
         # a tolerance below machine resolution cannot converge
@@ -231,3 +249,95 @@ class TestOtherCommands:
         assert main(["bandwidth-constants", "--n", "5"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("n,b_n,c_n")
+
+
+# Stdout bytes of the parent emitters.  Only outputs printed far coarser
+# than the 1e-10 quadrature tolerance are pinned digit for digit.
+GOLDEN = {
+    ("table", "--n", "3", "4"): (
+        "n,plugin_mise,umvu_ratio,b_n,normal_ratio1,normal_ratio2,c_n,epan_ratio1,epan_ratio2\n"
+        "3,0.23234,inf,1.2871,0.2080,0.6993,5.2821,0.2088,0.7273\n"
+        "4,0.11830,1.5095,1.2628,0.3498,0.7271,5.2177,0.3485,0.7474\n",
+        '{"n": 3, "plugin_mise": 0.23234, "umvu_ratio": null, "b_n": 1.2871, "normal_ratio1": 0.208, '
+        '"normal_ratio2": 0.6993, "c_n": 5.2821, "epan_ratio1": 0.2088, "epan_ratio2": 0.7273, '
+        '"umvu_ratio_infinite": true}\n'
+        '{"n": 4, "plugin_mise": 0.1183, "umvu_ratio": 1.5095, "b_n": 1.2628, "normal_ratio1": 0.3498, '
+        '"normal_ratio2": 0.7271, "c_n": 5.2177, "epan_ratio1": 0.3485, "epan_ratio2": 0.7474}\n',
+    ),
+    ("bandwidth-constants", "--n", "2", "10", "1000"): (
+        "n,b_n,c_n\n2,1.326978,5.391587\n10,1.202079,5.062829\n1000,1.084210,4.761694\n",
+        '{"n": 2, "b_n": 1.326978, "c_n": 5.391587}\n'
+        '{"n": 10, "b_n": 1.202079, "c_n": 5.062829}\n'
+        '{"n": 1000, "b_n": 1.08421, "c_n": 4.761694}\n',
+    ),
+    ("lognormal", "--b", "0.2", "1.0"): (
+        "b,n0\n0.2,312\n1,25\n",
+        '{"b": 0.2, "n0": 312}\n{"b": 1.0, "n0": 25}\n',
+    ),
+    ("skew-mise",): (
+        "sigma,n_mise_limit,ratio_to_normal_family\n1,0.342101,1.385961\n",
+        '{"sigma": 1.0, "n_mise_limit": 0.342101, "ratio_to_normal_family": 1.385961}\n',
+    ),
+    ("mise", "--estimator", "umvu", "--n", "3"): (
+        "estimator,n,value,method,std_error\numvu,3,inf,closed_form,\n",
+        '{"estimator": "umvu", "n": 3, "value": null, "infinite": true, "method": "closed_form", '
+        '"std_error": null}\n',
+    ),
+}
+
+
+class TestEmitter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", sorted(GOLDEN))
+    def test_golden_bytes(self, args, fmt, capsys):
+        assert main([*args, "--format", fmt]) == 0
+        assert capsys.readouterr().out == GOLDEN[args][fmt == "json"]
+
+    @pytest.mark.parametrize(
+        "args,kernel",
+        [
+            (["--estimator", "kernel", "--kernel", "epan", "--n", "5", "--h", "1.2"], True),
+            (["--estimator", "plugin", "--n", "6"], False),
+        ],
+    )
+    def test_mise_layout(self, args, kernel, tmp_path):
+        _, csv_text = run_cli(["mise", *args], tmp_path, "m.csv")
+        header, row = csv_text.splitlines()
+        columns = ["estimator", "n", *(["kernel"] if kernel else []), "value", "method", "std_error"]
+        assert header.split(",") == columns
+        # exact methods have no standard error: an empty last cell
+        assert row.endswith(",")
+        _, json_text = run_cli(["mise", *args, "--format", "json"], tmp_path, "m.json")
+        obj = json.loads(json_text)
+        keys = ["estimator", "n", *(["kernel"] if kernel else []), "value", "infinite", "method", "std_error"]
+        assert list(obj) == keys
+        assert obj["std_error"] is None and obj["infinite"] is False
+        # a general-format column keeps full precision in JSON
+        assert float(row.split(",")[len(columns) - 3]) == pytest.approx(obj["value"], rel=1e-9)
+
+    def test_curve_layout(self, tmp_path):
+        args = ["mse-curve", "--estimator", "kernel", "--kernel", "normal", "--n", "7",
+                "--h", "0.6", "--x-step", "1.5"]
+        _, csv_text = run_cli(args, tmp_path, "c.csv")
+        _, json_text = run_cli([*args, "--format", "json"], tmp_path, "c.json")
+        csv_lines = csv_text.splitlines()
+        objs = [json.loads(line) for line in json_text.splitlines()]
+        assert csv_lines[0] == "estimator,x,bias,sd,rmse"
+        assert len(csv_lines) == 1 + len(objs) == 1 + 5
+        for line, obj in zip(csv_lines[1:], objs):
+            assert list(obj) == ["estimator", "x", "bias", "sd", "rmse"]
+            cells = line.split(",")
+            assert cells[0] == obj["estimator"] == "normal_kernel"
+            assert cells[1] == format(obj["x"], ".6g")
+            assert cells[2:] == [format(obj[k], ".12g") for k in ("bias", "sd", "rmse")]
+
+    def test_infinite_std_error_is_null(self, tmp_path):
+        # one replicate has no spread estimate: std_error is inf, which has no flag
+        # of its own and prints as null in JSON, like a missing standard error
+        args = ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "5", "--rule", "thumb",
+                "--method", "mc", "--seed", "3", "--replicates", "1", "--eval-points", "3"]
+        _, csv_text = run_cli(args, tmp_path, "m.csv")
+        assert csv_text.splitlines()[1].endswith(",monte_carlo,inf")
+        _, json_text = run_cli([*args, "--format", "json"], tmp_path, "m.json")
+        obj = json.loads(json_text)
+        assert obj["std_error"] is None and obj["infinite"] is False

@@ -354,3 +354,13 @@ class TestMiseReportType:
             MiseReport(value=0.1, method="guesswork")
         with pytest.raises(ValueError):
             MiseReport(value=0.1, method="monte_carlo", std_error=-1.0)
+
+
+class TestNormalParams:
+    @pytest.mark.parametrize(
+        "mu,sigma",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)],
+    )
+    def test_rejects_non_finite_and_nonpositive(self, mu, sigma):
+        with pytest.raises(ValueError):
+            NormalParams(mu, sigma)
