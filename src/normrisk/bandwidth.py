@@ -3,15 +3,20 @@
 The practical bandwidth rule is h = a * sigma_hat with a deterministic
 multiplier a.  Because the multiplier couples the bandwidth to the scale
 estimate, the MISE actually incurred differs from the fixed-bandwidth
-curve: it is computed here exactly, by integrating against the parameter-
-free densities of the standardized residual (X1 - mean_hat)/sigma_hat and
-the standardized pair difference (X1 - X2)/sigma_hat, and independently by
-seeded Monte Carlo.
+curve.  It is computed here exactly, from the parameter-free laws of the
+standardized residual R = (X1 - mean_hat)/sigma_hat and the standardized
+pair difference (X1 - X2)/sigma_hat, both independent of sigma_hat, and
+independently by seeded Monte Carlo.
 
-Both ancillary densities are polynomial on a bounded support; substituting
-t = edge * sin(theta) turns them into smooth trigonometric integrands that
-adaptive quadrature resolves quickly even for large n, where they
-concentrate sharply.
+For the normal kernel both expectations over these laws are Kummer
+functions M(1/2, (n-1)/2, -x): the pair term is closed, and the
+estimate-truth term is one integral over the scaled-chi law of sigma_hat
+(the fixed-bandwidth analogue is Marron & Wand 1992).  For other kernels,
+and as the cross-check of that route, `real_mise_nested` integrates against
+the two ancillary densities directly.  Both are polynomial on a bounded
+support; substituting t = edge * sin(theta) turns them into smooth
+trigonometric integrands that adaptive quadrature resolves quickly even
+for large n, where they concentrate sharply.
 """
 
 from __future__ import annotations
@@ -32,9 +37,14 @@ from .kernels import (
 )
 from .numerics import (
     QuadratureConfig,
+    _check_sample_size,
     integrate,
+    kummer_m_half,
     minimize_scalar,
+    scaled_chi_interval,
     scaled_chi_inverse_mean,
+    scaled_chi_mode,
+    scaled_chi_pdf,
     substream,
     std_normal_pdf,
 )
@@ -91,8 +101,7 @@ def optimal_bandwidth_constant(kernel: Kernel, n: int, tol: float = 1e-8) -> flo
     """
     if kernel.name not in CONSTANT_BRACKETS:
         raise ValueError(f"unknown kernel {kernel.name!r}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     return _optimal_constant(kernel.name, n, tol)
 
 
@@ -161,8 +170,7 @@ def _support_expectation(
 
 def ancillary_densities(n: int, cfg: QuadratureConfig = _REAL_MISE_CFG) -> AncillaryDensities:
     """Construct both standardized-statistic densities for sample size n."""
-    if n < 3:
-        raise ValueError(f"ancillary densities require n >= 3, got {n}")
+    _check_sample_size(n, 3)
     k_const = math.exp(_log_support_const(n))
     lam_const = k_const * math.sqrt(n - 1) / math.sqrt(2.0 * n)
     r_edge = (n - 1) / math.sqrt(n)
@@ -192,8 +200,7 @@ def expected_density_at(n: int, w):
     grows.  Not a probability density: its integral over w equals the mean
     inverse scale estimate.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     w = np.asarray(w, dtype=float)
     ratio = n / (n + 1.0)
     out = (
@@ -204,20 +211,69 @@ def expected_density_at(n: int, w):
     return float(out) if out.ndim == 0 else out
 
 
+def _real_mise(
+    rule: BandwidthRule, n: int, pair_overlap: float, truth_overlap: float
+) -> MiseReport:
+    """Assemble the real MISE from the two overlap expectations.
+
+    E int f_hat^2 is the roughness term plus (1 - 1/n) E(1/Z) times the
+    pair overlap; the estimate-truth overlap enters twice; the truth adds
+    its own roughness.
+    """
+    mean_inv_scale = scaled_chi_inverse_mean(n)
+    term_rough = rule.kernel.roughness / (n * rule.multiplier) * mean_inv_scale
+    term_pair = (1.0 - 1.0 / n) * mean_inv_scale * pair_overlap
+    value = term_rough + term_pair - 2.0 * truth_overlap + NORMAL_ROUGHNESS
+    return MiseReport(value=value, method="quadrature")
+
+
 def real_mise_exact(
     rule: BandwidthRule, n: int, cfg: QuadratureConfig | None = None
 ) -> MiseReport:
     """Exact MISE actually incurred by the bandwidth rule h = a * sigma_hat.
 
-    Standard normal estimand.  Decomposes into a roughness term, a pair
-    overlap term (one-dimensional integral), the estimate-truth overlap
-    (nested two-dimensional integral), and the constant roughness of the
-    truth.  Defined from n = 3 on: the ancillary densities are then edge-
-    singular but integrable, and the sine substitution absorbs the
-    singularity exactly.
+    Standard normal estimand, defined from n = 3 on.  For the normal kernel,
+    with b = (n-1)/2 and e^2 = (n-1)^2/n:
+
+    * the pair overlap is M(1/2, b, -(n-1)/(2a^2)) / (2a sqrt(pi)), because
+      the squared pair difference over 2(n-1) sigma_hat^2 is Beta(1/2, b - 1/2);
+    * the estimate-truth overlap is the integral over the scaled-chi law of
+      Z = sigma_hat of M(1/2, b, -z^2 e^2/(2 s^2)) / sqrt(2 pi s^2), with
+      s^2 = 1 + 1/n + a^2 z^2, because R^2/e^2 is Beta(1/2, b - 1/2) too.
+
+    Other kernels take the nested route of `real_mise_nested`.
     """
-    if n < 3:
-        raise ValueError(f"real MISE requires n >= 3, got {n}")
+    _check_sample_size(n, 3)
+    if rule.kernel.name != "normal":
+        return real_mise_nested(rule, n, cfg)
+    a = rule.multiplier
+    b = 0.5 * (n - 1)
+    e2 = (n - 1) ** 2 / n
+    pair_overlap = kummer_m_half(b, (n - 1) / (2.0 * a * a)) / (2.0 * a * math.sqrt(math.pi))
+
+    def truth_overlap(z):
+        s2 = 1.0 + 1.0 / n + (a * z) ** 2
+        residual_mean = kummer_m_half(b, z * z * e2 / (2.0 * s2))
+        return scaled_chi_pdf(n, z) * residual_mean / np.sqrt(2.0 * math.pi * s2)
+
+    z_lo, z_hi = scaled_chi_interval(n)
+    cfg = cfg if cfg is not None else _REAL_MISE_CFG
+    truth = integrate(truth_overlap, z_lo, z_hi, cfg, points=(scaled_chi_mode(n),))
+    return _real_mise(rule, n, pair_overlap, truth)
+
+
+def real_mise_nested(
+    rule: BandwidthRule, n: int, cfg: QuadratureConfig | None = None
+) -> MiseReport:
+    """The real MISE of any kernel by quadrature against the ancillary densities.
+
+    The pair overlap is a one-dimensional integral over the pair-difference
+    density, the estimate-truth overlap a nested two-dimensional integral.
+    Defined from n = 3 on: the ancillary densities are then edge-singular
+    but integrable, and the sine substitution absorbs the singularity
+    exactly.  The normal kernel's `real_mise_exact` is checked against it.
+    """
+    _check_sample_size(n, 3)
     outer_cfg = cfg if cfg is not None else _REAL_MISE_CFG
     inner_cfg = QuadratureConfig(
         abs_tol=outer_cfg.abs_tol / 10.0,
@@ -227,9 +283,6 @@ def real_mise_exact(
     kernel = rule.kernel
     a = rule.multiplier
     dens = ancillary_densities(n, inner_cfg)
-    mean_inv_scale = scaled_chi_inverse_mean(n)
-
-    term_rough = kernel.roughness / (n * a) * mean_inv_scale
 
     if kernel.name == "epan":
         # the pair-difference argument s/a must land inside [-1, 1]
@@ -245,7 +298,6 @@ def real_mise_exact(
         theta_limit=theta_limit,
         points=(0.0,),
     )
-    term_pair = (1.0 - 1.0 / n) * mean_inv_scale * pair_overlap
 
     def truth_overlap(u):
         u = float(u)
@@ -258,10 +310,8 @@ def real_mise_exact(
         )
 
     u_span = 8.5 if kernel.name == "normal" else kernel.halfwidth
-    term_truth = integrate(truth_overlap, -u_span, u_span, outer_cfg)
-
-    value = term_rough + term_pair - 2.0 * term_truth + NORMAL_ROUGHNESS
-    return MiseReport(value=value, method="quadrature")
+    truth = integrate(truth_overlap, -u_span, u_span, outer_cfg)
+    return _real_mise(rule, n, pair_overlap, truth)
 
 
 def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
@@ -272,8 +322,7 @@ def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
     replicate scores the estimator at `eval_points` fresh observations
     through the importance-weighted squared-error average.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     m = mc.eval_points
     scores = np.empty(mc.replicates)
     for i in range(mc.replicates):

@@ -22,6 +22,7 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     NumericsError,
     QuadratureConfig,
+    _check_sample_size,
     std_normal_logcdf,
 )
 from .parametric import asymptotic_mise_general
@@ -59,8 +60,7 @@ class CrossoverResult:
 
 def lognormal_mse_nonparametric(p: LognormalParams, n: int) -> float:
     """Exact MSE of the sample mean (it is unbiased, so this is its variance)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_sample_size(n, 1)
     b2 = p.log_sd**2
     return math.exp(2.0 * p.log_mean + b2) * math.expm1(b2) / n
 
@@ -78,8 +78,7 @@ def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
     B expm1(log A - log B).  Since (1 - x)^2 / (1 - 2x) = 1 + x^2 / (1 - 2x),
     log A - log B = b^2/n + (m/2) log1p(x^2 / (1 - 2x)), free of cancellation.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     b2 = p.log_sd**2
     if b2 >= 0.5 * (n - 1):
         return math.inf

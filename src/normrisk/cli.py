@@ -37,7 +37,7 @@ from .kernels import (
     mise_closed_normal_kernel,
     mise_fixed_bandwidth,
 )
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureConfig
+from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureConfig, _check_sample_size
 from .parametric import (
     MiseReport,
     NormalParams,
@@ -82,8 +82,7 @@ class RiskCurve:
 
 def comparison_row(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ComparisonRow:
     """Compute one table row from scratch."""
-    if n < 3:
-        raise ValueError(f"table rows require n >= 3, got {n}")
+    _check_sample_size(n, 3)
     bench = exact_mise_plugin(STD_NORMAL, n, cfg).value
     normal = rule_of_thumb(NORMAL_KERNEL, n)
     epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n)
@@ -138,8 +137,7 @@ def figure_curves(
     """
     if which not in (1, 2):
         raise ValueError("figure number must be 1 or 2")
-    if n < 3:
-        raise ValueError(f"figures require n >= 3, got {n}")
+    _check_sample_size(n, 3)
     p = NormalParams(0.0, sigma)
     h_epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier * sigma
     epan = kernel_risk_curve(EPANECHNIKOV_KERNEL, n, h_epan, xs, p)
@@ -220,8 +218,7 @@ def _row_worker(args: tuple[int, Optional[float]]) -> ComparisonRow:
 def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
     for n in ns:
-        if n < 3:
-            raise ValueError(f"table rows require n >= 3, got {n}")
+        _check_sample_size(n, 3)
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_row_worker, [(n, args.tol) for n in ns]))
@@ -272,8 +269,9 @@ def _cmd_mse_curve(args: argparse.Namespace) -> None:
         curve = parametric_risk_curve(args.n, xs, p, _quad_config(args.tol))
     else:
         kernel = _kernel(args)
-        h = rule_of_thumb(kernel, args.n).multiplier if args.rule else args.h
-        curve = kernel_risk_curve(kernel, args.n, h * args.sigma, xs, p)
+        # --h is the bandwidth itself, as in `mise`; the rule scales with sigma
+        h = rule_of_thumb(kernel, args.n).multiplier * args.sigma if args.rule else args.h
+        curve = kernel_risk_curve(kernel, args.n, h, xs, p)
     _emit(args, _CURVE_COLUMNS, _curve_records([curve]))
 
 
@@ -355,10 +353,20 @@ def _cmd_skew_mise(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    sp.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
+    sp.add_argument("--tol", type=_tolerance, default=None, help="quadrature tolerance override")
 
 
 def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
@@ -433,7 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
+        return exc.code
     try:
         args.handler(args)
     except ValueError as exc:

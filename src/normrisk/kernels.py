@@ -23,6 +23,7 @@ import numpy as np
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
+    _check_sample_size,
     integrate,
     normal_mass,
     std_normal_pdf,
@@ -184,8 +185,7 @@ def exact_moments(kernel: Kernel, x: float, p: NormalParams, n: int, h: float) -
     pdf/cdf evaluations in standardized coordinates.
     """
     _check_kernel(kernel)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_sample_size(n, 1)
     if not h > 0:
         raise ValueError(f"h must be positive, got {h!r}")
     y = (x - p.mu) / p.sigma
@@ -253,8 +253,9 @@ def _pair_term(h: float) -> float:
 
 def mise_closed_normal_kernel(n: int, h: float) -> float:
     """Closed-form exact MISE, normal kernel, standard normal estimand."""
-    if n < 1 or not h > 0:
-        raise ValueError("require n >= 1 and h > 0")
+    _check_sample_size(n, 1)
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h!r}")
     return NORMAL_ROUGHNESS * (
         1.0 / (n * h)
         + (1.0 - 1.0 / n) / math.sqrt(1.0 + h * h)
@@ -265,8 +266,9 @@ def mise_closed_normal_kernel(n: int, h: float) -> float:
 
 def mise_closed_epan_kernel(n: int, h: float) -> float:
     """Closed-form exact MISE, parabolic kernel, standard normal estimand."""
-    if n < 1 or not h > 0:
-        raise ValueError("require n >= 1 and h > 0")
+    _check_sample_size(n, 1)
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h!r}")
     return (
         1.2 / (n * h)
         + (1.0 - 1.0 / n) * _pair_term(h)
@@ -300,8 +302,9 @@ def mise_exact_generic(
     difference.  Used as a cross-check of the closed-form route.
     """
     _check_kernel(kernel)
-    if n < 1 or not h > 0:
-        raise ValueError("require n >= 1 and h > 0")
+    _check_sample_size(n, 1)
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h!r}")
     sd_diff = p.sigma * math.sqrt(2.0)
 
     def g_diff(y):
@@ -344,8 +347,7 @@ def asymptotic_kernel_risk(kernel: Kernel, p: NormalParams, n: int) -> KernelAsy
     1.0592 (normal kernel) and 4.6898 (parabolic kernel).
     """
     _check_kernel(kernel)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_sample_size(n, 1)
     curvature_roughness = 3.0 / (8.0 * math.sqrt(math.pi) * p.sigma**5)
     rk, k2 = kernel.roughness, kernel.second_moment
     h_a = (rk / (k2 * k2)) ** 0.2 * curvature_roughness ** (-0.2) * n ** (-0.2)

@@ -2,8 +2,9 @@
 
 Provides adaptive Gauss-Kronrod quadrature over finite and infinite
 intervals, Brent-style scalar minimization, standard-normal special
-functions, the sampling density of the scaled sample standard deviation,
-and seeded normal sampling with reproducible substreams.
+functions, the gamma-function ratio and the Kummer function the risk
+formulas need, the sampling density of the scaled sample standard
+deviation, and seeded normal sampling with reproducible substreams.
 
 All routines are pure functions of their arguments and safe to call from
 any number of concurrent workers.
@@ -14,10 +15,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from numpy.polynomial.hermite import hermgauss
+from scipy.special import i0e, log_ndtr, ndtr
 
 
 class NumericsError(Exception):
@@ -326,26 +329,129 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma in 1/x
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _lgamma_correction(x: float) -> float:
+    """log Gamma(x) minus Stirling's (x - 1/2) log x - x + log sqrt(2 pi).
+
+    From x = 10 on this is the asymptotic series, whose first omitted term
+    is below 1e-16 there; below 10 every term of the difference is small,
+    so it is formed directly.
+    """
+    if x < 10.0:
+        return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI)
+    r = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * r + c
+    return series / x
+
+
+def gamma_half_ratio(x: float) -> float:
+    """Gamma(x + 1/2) / Gamma(x) for x > 0, to within 1e-15 relative.
+
+    Formed as sqrt(x) exp(x log1p(1/(2x)) - 1/2 + c(x + 1/2) - c(x)) with c
+    the Stirling series, so no two large log-gamma values are subtracted:
+    that difference loses about log10(x) digits (1.5e-10 relative at
+    x = 5e5).  Below x = 10 the recurrence R(x) = R(x + 1) x / (x + 1/2)
+    first steps up to where the series holds.
+    """
+    if not x > 0:
+        raise ValueError(f"gamma_half_ratio requires x > 0, got {x!r}")
+    scale = 1.0
+    while x < 10.0:
+        scale *= x / (x + 0.5)
+        x += 1.0
+    return scale * math.sqrt(x) * math.exp(
+        x * math.log1p(0.5 / x) - 0.5 + _lgamma_correction(x + 0.5) - _lgamma_correction(x)
+    )
+
+
+#: positive nodes of the Gauss-Hermite rule behind kummer_m_half
+_KUMMER_NODES = 80
+
+
+@lru_cache(maxsize=None)
+def _kummer_rule() -> tuple[np.ndarray, np.ndarray]:
+    # squared positive nodes and doubled weights of the 160-point
+    # Gauss-Hermite rule: the Gauss-Laguerre rule for weight v^(-1/2) e^(-v)
+    u, w = hermgauss(2 * _KUMMER_NODES)
+    return u[_KUMMER_NODES:] ** 2, 2.0 * w[_KUMMER_NODES:]
+
+
+def kummer_m_half(b: float, x):
+    """Kummer's function M(1/2, b, -x) for b >= 1 and x >= 0, elementwise in x.
+
+    It is E exp(-x B) for B ~ Beta(1/2, b - 1/2).  Under t = 1 - e^(-v) the
+    beta integral becomes a Gauss-Laguerre integral with weight
+    v^(-1/2) e^(-lam v), lam = b - 1/2 + x, and a smooth factor
+    g(v) = sqrt(v / (1 - e^(-v))) exp(x (v - 1 + e^(-v))), so that
+
+        M = Gamma(b) / (Gamma(b - 1/2) sqrt(pi)) lam^(-1/2) sum_i w_i g(u_i^2 / lam)
+
+    over the positive nodes u_i of an 80-point half Gauss-Hermite rule
+    (weights doubled).  Against 30-digit mpmath the relative error is below
+    1e-14 for b = 3/2, 2, 5/2, ... at every x tried (up to 1e7).  At b = 1
+    the rule would miss the slowly decaying e^(-v/2) tail, so the closed
+    form e^(-x/2) I0(x/2) is used instead.
+    """
+    if not b >= 1.0:
+        raise ValueError(f"kummer_m_half requires b >= 1, got {b!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):
+        raise ValueError("kummer_m_half requires x >= 0")
+    if b == 1.0:
+        out = i0e(0.5 * x)
+    else:
+        u2, w = _kummer_rule()
+        lam = b - 0.5 + x
+        v = u2 / lam[..., None]
+        one_minus_t = -np.expm1(-v)
+        g = np.sqrt(v / one_minus_t) * np.exp(x[..., None] * (v - one_minus_t))
+        out = gamma_half_ratio(b - 0.5) / math.sqrt(math.pi) * (g @ w) / np.sqrt(lam)
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_sample_size(n, minimum: int) -> None:
+    """Raise ValueError unless n is an integer of at least `minimum`."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"sample size n must be an integer, got {n!r}")
+    if n < minimum:
+        raise ValueError(f"sample size n must be at least {minimum}, got {n}")
+
+
+@lru_cache(maxsize=None)
+def _scaled_chi_centered_log_const(n: int) -> float:
+    # log normalizing constant minus (n-1)/2: with the Stirling form of
+    # log Gamma((n-1)/2) the O(n) parts cancel analytically
+    y = 0.5 * (n - 1)
+    return 0.5 * math.log(2.0 * y / math.pi) - _lgamma_correction(y)
+
+
 def scaled_chi_log_const(n: int) -> float:
     """Log normalizing constant of the scaled-chi density for sample size n."""
-    nu = n - 1
-    return math.log(2.0) + 0.5 * nu * math.log(0.5 * nu) - math.lgamma(0.5 * nu)
+    _check_sample_size(n, 2)
+    return _scaled_chi_centered_log_const(n) + 0.5 * (n - 1)
 
 
 def scaled_chi_pdf(n: int, z):
     """Density of Z = sigma_hat/sigma for a normal sample of size n.
 
     Z^2 follows chi-square with n-1 degrees of freedom divided by n-1; the
-    density concentrates at 1 as n grows.  Zero for z <= 0.
+    density concentrates at 1 as n grows.  Zero for z <= 0.  The exponent
+    is summed as c + (n-2) log z - (n-1)/2 (z-1)(z+1) with the O(n) part of
+    the constant already cancelled, so its rounding error grows like
+    sqrt(n) ulps rather than like n log n.
     """
-    if n < 2:
-        raise ValueError(f"scaled_chi_pdf requires n >= 2, got {n}")
+    _check_sample_size(n, 2)
     z = np.asarray(z, dtype=float)
-    c = scaled_chi_log_const(n)
+    c = _scaled_chi_centered_log_const(n)
     safe = np.where(z > 0, z, 1.0)
     out = np.where(
         z > 0,
-        np.exp(c + (n - 2) * np.log(safe) - 0.5 * (n - 1) * safe * safe),
+        np.exp(c + (n - 2) * np.log(safe) - 0.5 * (n - 1) * (safe - 1.0) * (safe + 1.0)),
         0.0,
     )
     return float(out) if out.ndim == 0 else out
@@ -358,8 +464,7 @@ def scaled_chi_interval(n: int, log_drop: float = 40.0) -> tuple[float, float]:
     times its peak; the discarded probability is far below quadrature
     tolerances for log_drop around 40.
     """
-    if n < 2:
-        raise ValueError(f"scaled_chi_interval requires n >= 2, got {n}")
+    _check_sample_size(n, 2)
 
     def logpdf(z):
         return (n - 2) * math.log(z) - 0.5 * (n - 1) * z * z
@@ -395,18 +500,14 @@ def scaled_chi_interval(n: int, log_drop: float = 40.0) -> tuple[float, float]:
 
 
 def scaled_chi_inverse_mean(n: int) -> float:
-    """E(1/Z) for the scaled-chi variable: exact gamma-function ratio."""
-    if n < 3:
-        raise ValueError(f"scaled_chi_inverse_mean requires n >= 3, got {n}")
-    return math.sqrt(0.5 * (n - 1)) * math.exp(
-        math.lgamma(0.5 * (n - 2)) - math.lgamma(0.5 * (n - 1))
-    )
+    """E(1/Z) for the scaled-chi variable: sqrt((n-1)/2) Gamma((n-2)/2) / Gamma((n-1)/2)."""
+    _check_sample_size(n, 3)
+    return math.sqrt(0.5 * (n - 1)) / gamma_half_ratio(0.5 * (n - 2))
 
 
 def scaled_chi_mode(n: int) -> float:
     """Mode of the scaled-chi density (0 for n = 2)."""
-    if n < 2:
-        raise ValueError(f"scaled_chi_mode requires n >= 2, got {n}")
+    _check_sample_size(n, 2)
     if n == 2:
         return 0.0
     return math.sqrt((n - 2) / (n - 1))

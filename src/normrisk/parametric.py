@@ -23,8 +23,9 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     NumericsError,
     QuadratureConfig,
+    _check_sample_size,
+    gamma_half_ratio,
     integrate,
-    log_gamma,
     scaled_chi_interval,
     scaled_chi_inverse_mean,
     scaled_chi_log_const,
@@ -106,8 +107,7 @@ def asymptotic_mse_plugin(x: float, p: NormalParams, n: int) -> float:
     The two parts of the formula reflect the noise in the estimated mean
     and in the estimated standard deviation.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     y = (x - p.mu) / p.sigma
     phi = std_normal_pdf(y)
     return phi * phi * (y * y + 0.5 * (y * y - 1.0) ** 2) / (n * p.sigma * p.sigma)
@@ -115,8 +115,7 @@ def asymptotic_mse_plugin(x: float, p: NormalParams, n: int) -> float:
 
 def asymptotic_mise_plugin(p: NormalParams, n: int) -> float:
     """Leading-order MISE of the plug-in estimator."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     return PLUGIN_AMISE_CONSTANT / (n * p.sigma)
 
 
@@ -126,8 +125,7 @@ def conditional_moments(x, n: int, z):
 
     Standard normal estimand; elementwise over arrays of x or z.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _check_sample_size(n, 2)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
@@ -176,8 +174,7 @@ def exact_mse_plugin(
     scale estimate.  Requires n >= 3: below that the second moment is not
     integrable.
     """
-    if n < 3:
-        raise ValueError(f"exact plug-in risk requires n >= 3, got {n}")
+    _check_sample_size(n, 3)
     y = (x - p.mu) / p.sigma
     z_lo, z_hi = scaled_chi_interval(n)
     mode = scaled_chi_mode(n)
@@ -204,8 +201,7 @@ def plugin_mise_coefficient(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) 
 
     Decreases slowly and monotonically to 7/8 as n grows.
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    _check_sample_size(n, 3)
     return _mise_coefficient(n, cfg)
 
 
@@ -220,8 +216,7 @@ def exact_mise_plugin(
 def plugin_mise_expansion_residual(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Scaled gap between the MISE coefficient and its two-term expansion
     7/8 + (271/96)/n, multiplied by n^2."""
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    _check_sample_size(n, 3)
     coeff = plugin_mise_coefficient(n, cfg)
     return n * n * abs(coeff - 7.0 / 8.0 - (271.0 / 96.0) / n)
 
@@ -230,9 +225,8 @@ def _log_support_const(n: int) -> float:
     # normalizing constant of the standardized-residual density; shared by
     # the unbiased density estimator and the ancillary-density module
     return (
-        log_gamma(0.5 * (n - 1))
+        math.log(gamma_half_ratio(0.5 * (n - 2)))
         - 0.5 * math.log(math.pi)
-        - log_gamma(0.5 * (n - 2))
         + 0.5 * math.log(n)
         - math.log(n - 1)
     )
@@ -246,8 +240,7 @@ def umvu_density(x, est: PluginEstimate, n: int):
     For n = 4 the exponent vanishes and the estimate is a rescaled
     indicator of that interval; n < 4 is rejected.
     """
-    if n < 4:
-        raise ValueError(f"unbiased density estimator requires n >= 4, got {n}")
+    _check_sample_size(n, 4)
     x = np.asarray(x, dtype=float)
     r = (x - est.mu_hat) / est.sigma_hat
     edge = (n - 1) / math.sqrt(n)
@@ -263,8 +256,7 @@ def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
     At n = 3 the value is infinite (reported as such, not an error);
     the estimator requires n >= 3 to be defined at all.
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    _check_sample_size(n, 3)
     if n == 3:
         return MiseReport(value=math.inf, method="closed_form")
     log_first = (
@@ -272,9 +264,8 @@ def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
         + 2.0 * _log_support_const(n)
         + math.log(n - 1)
         - 0.5 * math.log(n)
-        + log_gamma(n - 3)
         + 0.5 * math.log(math.pi)
-        - log_gamma(n - 2.5)
+        - math.log(gamma_half_ratio(n - 3))
     )
     value = (math.exp(log_first) - NORMAL_ROUGHNESS) / p.sigma
     return MiseReport(value=value, method="closed_form")

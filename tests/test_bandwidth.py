@@ -14,6 +14,7 @@ from normrisk.bandwidth import (
     expected_density_at,
     real_mise_exact,
     real_mise_mc,
+    real_mise_nested,
     rule_of_thumb,
 )
 from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL
@@ -26,6 +27,52 @@ REAL_RATIO_EXACT = {
     ("normal", 10): 1.01008,
     ("epan", 10): 0.99968,
     ("normal", 50): 1.82437,
+}
+
+# Real MISE of the normal-kernel rule h = a * sigma_hat (a: the rule-of-thumb
+# multiplier rounded to five digits), at 30 digits.  Each expectation over
+# the Beta law of a squared standardized statistic, and the one over the
+# scaled-chi law of sigma_hat, is a direct mpmath quadrature; no Kummer
+# function is evaluated.  Generated with mpmath 1.3.0 by:
+#
+#   import mpmath as mp
+#   mp.mp.dps = 30
+#
+#   def beta_mgf(b, x):  # E exp(-x B), B ~ Beta(1/2, b - 1/2), by quadrature in s = sqrt(B)
+#       w = 1 / mp.sqrt(b + x)
+#       cuts = sorted({mp.mpf(0), mp.mpf(1), *(k * w for k in (0.5, 1, 2, 4, 8, 16, 32) if k * w < 1)})
+#       return 2 / mp.beta(0.5, b - 0.5) * mp.quad(lambda s: mp.exp(-x * s * s) * (1 - s * s) ** (b - 1.5), cuts)
+#
+#   def real_mise(n, a):
+#       n, a = mp.mpf(n), mp.mpf(a)
+#       nu = n - 1
+#       b = nu / 2
+#       inv_scale = mp.sqrt(b) * mp.gamma(b - 0.5) / mp.gamma(b)
+#       rough = inv_scale / (2 * mp.sqrt(mp.pi) * n * a)
+#       pair = (1 - 1 / n) * inv_scale * beta_mgf(b, nu / (2 * a * a)) / (2 * a * mp.sqrt(mp.pi))
+#       log_c = mp.log(2) + b * mp.log(b) - mp.loggamma(b)
+#       sd = 1 / mp.sqrt(2 * nu)
+#       cuts = sorted({mp.mpf(0), *(1 + k * sd for k in (-14, -7, -3, 0, 3, 7, 14) if 1 + k * sd > 0)})
+#
+#       def truth(z):  # E over the residual of the truth at the estimate's kernel, given sigma_hat = z
+#           s2 = 1 + 1 / n + a * a * z * z
+#           chi = mp.exp(log_c + (nu - 1) * mp.log(z) - b * z * z)
+#           return chi * beta_mgf(b, z * z * nu * nu / (2 * n * s2)) / mp.sqrt(2 * mp.pi * s2)
+#
+#       return rough + pair - 2 * mp.quad(truth, cuts + [mp.inf]) + 1 / (2 * mp.sqrt(mp.pi))
+#
+#   for n, a in ((10, 0.75846), (1000, 0.27234), (10**4, 0.16951), (10**5, 0.10635), (10**6, 0.06694)):
+#       print(n, mp.nstr(real_mise(n, a), 30))
+#
+# It takes about a minute per sample size.  The bound on each relative
+# error grows with n because the MISE there is a small difference of terms
+# near 1/(2 sqrt(pi)): at n = 10^6 it is 2e-5 of them.
+REAL_MISE_MPMATH = {
+    10: (0.75846, "0.0307456622004733136067010553395", 1e-11),
+    1000: (0.27234, "0.00104267686028007456319333246916", 1e-11),
+    10**4: (0.16951, "0.000181317218591790896654990677715", 1e-11),
+    10**5: (0.10635, "0.0000304149258048189887612285805178", 1e-9),
+    10**6: (0.06694, "0.00000498973076511265317467223634291", 1e-8),
 }
 
 
@@ -157,6 +204,26 @@ class TestRealMiseExact:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             real_mise_exact(BandwidthRule(NORMAL_KERNEL, 0.7), 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 14, 20, 50, 100])
+    def test_kummer_route_matches_nested(self, n):
+        # two independent exact routes for the normal kernel: Kummer functions
+        # with one integral over sigma_hat, and the nested ancillary quadrature
+        for a in (0.3, rule_of_thumb(NORMAL_KERNEL, n).multiplier, 2.0):
+            rule = BandwidthRule(NORMAL_KERNEL, a)
+            closed = real_mise_exact(rule, n).value
+            nested = real_mise_nested(rule, n).value
+            assert abs(closed / nested - 1) <= 1e-11, a
+
+    @pytest.mark.parametrize("n", sorted(REAL_MISE_MPMATH))
+    def test_against_mpmath(self, n):
+        a, reference, bound = REAL_MISE_MPMATH[n]
+        value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), n).value
+        assert abs(value / float(reference) - 1) <= bound
+
+    def test_other_kernels_take_the_nested_route(self):
+        rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 7)
+        assert real_mise_exact(rule, 7) == real_mise_nested(rule, 7)
 
     def test_report_method(self):
         report = real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 6), 6)

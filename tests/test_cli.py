@@ -6,7 +6,36 @@ import math
 import pytest
 
 from normrisk.cli import main
+from normrisk.kernels import KERNELS, exact_mse_kernel
+from normrisk.parametric import NormalParams
 from tests.conftest import PUBLISHED_TABLE
+
+# the full comparison table as printed before the normal-kernel real MISE
+# moved from nested quadrature to Kummer functions, byte for byte
+TABLE_CSV = (
+    "n,plugin_mise,umvu_ratio,b_n,normal_ratio1,normal_ratio2,c_n,epan_ratio1,epan_ratio2\n"
+    "3,0.23234,inf,1.2871,0.2080,0.6993,5.2821,0.2088,0.7273\n"
+    "4,0.11830,1.5095,1.2628,0.3498,0.7271,5.2177,0.3485,0.7474\n"
+    "5,0.07969,1.2110,1.2458,0.4586,0.7730,5.1737,0.4545,0.7856\n"
+    "6,0.06016,1.1223,1.2331,0.5475,0.8236,5.1411,0.5406,0.8295\n"
+    "7,0.04835,1.0822,1.2230,0.6232,0.8738,5.1156,0.6135,0.8743\n"
+    "8,0.04042,1.0602,1.2148,0.6891,0.9219,5.0949,0.6768,0.9182\n"
+    "9,0.03472,1.0466,1.2080,0.7478,0.9674,5.0776,0.7330,0.9601\n"
+    "10,0.03044,1.0375,1.2021,0.8007,1.0101,5.0628,0.7836,0.9997\n"
+    "11,0.02710,1.0311,1.1970,0.8490,1.0502,5.0500,0.8297,1.0370\n"
+    "12,0.02441,1.0264,1.1925,0.8935,1.0880,5.0388,0.8720,1.0723\n"
+    "13,0.02222,1.0228,1.1885,0.9347,1.1236,5.0288,0.9113,1.1055\n"
+    "14,0.02038,1.0200,1.1849,0.9732,1.1573,5.0198,0.9479,1.1370\n"
+    "15,0.01883,1.0178,1.1816,1.0093,1.1893,5.0117,0.9822,1.1669\n"
+    "16,0.01749,1.0160,1.1786,1.0433,1.2196,5.0043,1.0145,1.1953\n"
+    "17,0.01633,1.0144,1.1759,1.0754,1.2485,4.9975,1.0450,1.2224\n"
+    "18,0.01532,1.0132,1.1734,1.1060,1.2762,4.9913,1.0740,1.2483\n"
+    "19,0.01443,1.0121,1.1711,1.1351,1.3026,4.9855,1.1016,1.2731\n"
+    "20,0.01363,1.0112,1.1689,1.1628,1.3280,4.9801,1.1280,1.2969\n"
+    "50,0.00513,1.0031,1.1368,1.6939,1.8244,4.8996,1.6313,1.7636\n"
+    "100,0.00252,1.0014,1.1190,2.1503,2.2593,4.8540,2.0644,2.1741\n"
+    "1000,0.00025,1.0001,1.0842,4.1631,4.2162,4.7617,3.9827,4.0355\n"
+)
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -36,6 +65,10 @@ class TestTableCommand:
             assert c_n == pytest.approx(published[5], abs=1e-4)
             for got, printed in ((r1n, published[3]), (r2n, published[4]), (r1e, published[6]), (r2e, published[7])):
                 assert got == pytest.approx(printed, abs=6e-4)
+
+    def test_full_table_golden_bytes(self, capsys):
+        assert main(["table"]) == 0
+        assert capsys.readouterr().out == TABLE_CSV
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_cli(["table", "--n", "4", "7"], tmp_path, "a.csv")
@@ -161,6 +194,25 @@ class TestMiseCommand:
         assert main(args) == 2
         assert "normrisk: usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "x"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--n", "5"],
+            ["figure", "--which", "1"],
+            ["mise", "--estimator", "umvu", "--n", "5"],
+            ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "5", "--h", "0.5"],
+            ["mse-curve", "--estimator", "kernel", "--kernel", "epan", "--n", "5", "--h", "1.0"],
+            ["bandwidth-constants"],
+            ["lognormal"],
+            ["skew-mise"],
+        ],
+    )
+    def test_tolerance_checked_at_parse_time(self, args, tol, capsys):
+        # on every subcommand, whether or not it runs a quadrature
+        assert main([*args, f"--tol={tol}"]) == 2
+        assert "--tol: must be a positive finite number" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, capsys):
         # a tolerance below machine resolution cannot converge
         code = main(["mise", "--estimator", "plugin", "--n", "5", "--tol", "1e-300"])
@@ -205,6 +257,20 @@ class TestCurveCommands:
         )
         assert code == 0
         assert len(text.strip().splitlines()) == 1 + 5
+
+    @pytest.mark.parametrize("kernel", ["normal", "epan"])
+    def test_mse_curve_h_is_the_bandwidth(self, kernel, tmp_path):
+        # --h is absolute, as in `mise`: it is not rescaled by --sigma
+        code, text = run_cli(
+            ["mse-curve", "--estimator", "kernel", "--kernel", kernel, "--n", "7", "--h", "0.6",
+             "--sigma", "1.5", "--x-step", "1.5", "--format", "json"],
+            tmp_path,
+        )
+        assert code == 0
+        for line in text.splitlines():
+            obj = json.loads(line)
+            want = exact_mse_kernel(KERNELS[kernel], obj["x"], NormalParams(0.0, 1.5), 7, 0.6)
+            assert obj["bias"] == want.bias and obj["sd"] == want.sd
 
     def test_mse_curve_plugin_rejects_kernel_flags(self):
         assert main(

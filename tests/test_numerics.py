@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,10 @@ from normrisk.numerics import (
     MinimizationError,
     QuadratureConfig,
     QuadratureError,
+    _check_sample_size,
+    gamma_half_ratio,
     integrate,
+    kummer_m_half,
     log_gamma,
     minimize_scalar,
     normal_mass,
@@ -166,6 +170,53 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             log_gamma(-1.5)
 
+    @pytest.mark.parametrize(
+        "x", [0.5, 1.0, 2.0, 4.5, 9.75, 10.0, 10.5, 499.5, 4999.5, 499999.5, 5e6]
+    )
+    def test_gamma_half_ratio_against_mpmath(self, x):
+        # both sides of the series switch at x = 10, and the large x where a
+        # difference of two log-gamma values loses up to 1e-9
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpf(x) + 0.5) / mpmath.gamma(mpmath.mpf(x))
+            assert abs(gamma_half_ratio(x) / ref - 1) < 1e-15
+
+    def test_gamma_half_ratio_domain(self):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                gamma_half_ratio(bad)
+
+    # b = (n-1)/2 for n = 3, 4, 5, 10, 100, 10^4, 10^6, and one b between
+    @pytest.mark.parametrize("b", [1.0, 1.5, 2.0, 4.5, 7.25, 49.5, 4999.5, 499999.5])
+    def test_kummer_against_mpmath(self, b):
+        # x spans the n = 3 case with x >> b, where the quadrature rule alone
+        # would miss the slow tail, up to arguments far beyond b
+        xs = np.array([0.0, 1e-3, 0.3, 1.0, 3.0, 7.0, 11.0, 15.0, 20.0, 40.0, 80.0, 1e3, 1e5, 1e7])
+        got = kummer_m_half(b, xs)
+        with mpmath.workdps(30):
+            for x, value in zip(xs, got):
+                ref = mpmath.hyp1f1(0.5, b, -mpmath.mpf(x))
+                assert abs(value / ref - 1) < 1e-14, x
+
+    def test_kummer_scalar_and_domain(self):
+        assert kummer_m_half(3.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert isinstance(kummer_m_half(3.0, 2.0), float)
+        with pytest.raises(ValueError):
+            kummer_m_half(0.75, 1.0)
+        with pytest.raises(ValueError):
+            kummer_m_half(2.0, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            kummer_m_half(2.0, math.nan)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", None])
+    def test_sample_size_must_be_integer(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _check_sample_size(n, 3)
+
+    def test_sample_size_minimum(self):
+        _check_sample_size(np.int64(3), 3)
+        with pytest.raises(ValueError, match="at least 3"):
+            _check_sample_size(2, 3)
+
 
 class TestScaledChi:
     @pytest.mark.parametrize("n", [2, 5, 10, 30])
@@ -185,6 +236,29 @@ class TestScaledChi:
         by_quad, _ = scipy_quad(lambda z: scaled_chi_pdf(5, z) / z, 0.0, np.inf, epsabs=1e-12)
         assert by_quad == pytest.approx(closed, abs=1e-9)
         assert closed == pytest.approx(1.2533141, abs=5e-8)
+
+    @pytest.mark.parametrize("n", [3, 4, 25, 1000, 10**4, 10**6, 10**7])
+    def test_inverse_mean_against_mpmath(self, n):
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(n - 1)
+            ref = mpmath.sqrt(nu / 2) * mpmath.gamma((nu - 1) / 2) / mpmath.gamma(nu / 2)
+            assert abs(scaled_chi_inverse_mean(n) / ref - 1) < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**4, 10**6])
+    def test_pdf_against_mpmath(self, n):
+        # the exponent's O(n) parts cancel before rounding; what remains
+        # grows like sqrt(n) ulps, from log z against (z^2 - 1)/2
+        if n <= 10:
+            zs = [0.05, 0.5, 1.0, 2.0]
+        else:  # -5 to 5 standard deviations
+            zs = [1.0 + k / math.sqrt(2.0 * (n - 1)) for k in (-5, -1, 0, 2, 5)]
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(n - 1)
+            log_c = mpmath.log(2) + nu / 2 * mpmath.log(nu / 2) - mpmath.loggamma(nu / 2)
+            for z in zs:
+                zm = mpmath.mpf(z)
+                ref = mpmath.exp(log_c + (nu - 1) * mpmath.log(zm) - nu * zm * zm / 2)
+                assert abs(scaled_chi_pdf(n, z) / ref - 1) < 1e-15 * (10 + math.sqrt(n)), z
 
     # at exactly n = 30 the mass is 0.978741 (chi-square cdf oracle); the
     # 0.98 threshold holds from n = 31 on

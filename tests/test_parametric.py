@@ -7,7 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from normrisk.numerics import NumericsError, integrate, substream
+from normrisk.bandwidth import (
+    optimal_bandwidth_constant,
+    real_mise_exact,
+    real_mise_nested,
+    rule_of_thumb,
+)
+from normrisk.case_studies import LognormalParams, lognormal_mse_parametric
+from normrisk.kernels import (
+    EPANECHNIKOV_KERNEL,
+    NORMAL_KERNEL,
+    exact_mse_kernel,
+    mise_closed_epan_kernel,
+)
+from normrisk.numerics import NumericsError, integrate, scaled_chi_pdf, substream
 from normrisk.parametric import (
     MiseReport,
     NormalParams,
@@ -364,3 +377,31 @@ class TestNormalParams:
     def test_rejects_non_finite_and_nonpositive(self, mu, sigma):
         with pytest.raises(ValueError):
             NormalParams(mu, sigma)
+
+
+class TestSampleSizeBoundary:
+    # one shared check rejects a non-integer n in every module
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: exact_mise_plugin(STD_NORMAL, n),
+            lambda n: exact_mise_umvu(STD_NORMAL, n),
+            lambda n: exact_mse_plugin(0.5, STD_NORMAL, n),
+            lambda n: asymptotic_mise_plugin(STD_NORMAL, n),
+            lambda n: umvu_density(0.0, PluginEstimate(0.0, 1.0), n),
+            lambda n: real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 10), n),
+            lambda n: real_mise_nested(rule_of_thumb(EPANECHNIKOV_KERNEL, 10), n),
+            lambda n: optimal_bandwidth_constant(NORMAL_KERNEL, n),
+            lambda n: mise_closed_epan_kernel(n, 1.0),
+            lambda n: exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, n, 0.5),
+            lambda n: lognormal_mse_parametric(LognormalParams(0.0, 0.5), n),
+            lambda n: scaled_chi_pdf(n, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("n", [10.5, 10.0, math.nan])
+    def test_non_integer_rejected(self, call, n):
+        with pytest.raises(ValueError, match="sample size n must be an integer"):
+            call(n)
+
+    def test_numpy_integer_accepted(self):
+        assert exact_mise_plugin(STD_NORMAL, np.int64(10)) == exact_mise_plugin(STD_NORMAL, 10)
