@@ -13,10 +13,10 @@ functions M(1/2, (n-1)/2, -x): the pair term is closed, and the
 estimate-truth term is one integral over the scaled-chi law of sigma_hat
 (the fixed-bandwidth analogue is Marron & Wand 1992).  For other kernels,
 and as the cross-check of that route, `real_mise_nested` integrates against
-the two ancillary densities directly.  Both are polynomial on a bounded
-support; substituting t = edge * sin(theta) turns them into smooth
-trigonometric integrands that adaptive quadrature resolves quickly even
-for large n, where they concentrate sharply.
+the two ancillary densities directly, one adaptive integral per term.  Both
+are polynomial on a bounded support; substituting t = edge * sin(theta)
+turns them into smooth trigonometric integrands that adaptive quadrature
+resolves quickly even for large n, where they concentrate sharply.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .kernels import (
     Kernel,
@@ -54,6 +55,12 @@ from .parametric import MiseReport, NORMAL_ROUGHNESS, _log_support_const
 CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
 
 _REAL_MISE_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=2048)
+
+
+@lru_cache(maxsize=None)
+def _kernel_rule() -> tuple[np.ndarray, np.ndarray]:
+    # the Gauss-Legendre rule over the kernel's support in real_mise_nested
+    return leggauss(200)
 
 
 @dataclass(frozen=True)
@@ -267,22 +274,20 @@ def real_mise_nested(
 ) -> MiseReport:
     """The real MISE of any kernel by quadrature against the ancillary densities.
 
-    The pair overlap is a one-dimensional integral over the pair-difference
-    density, the estimate-truth overlap a nested two-dimensional integral.
-    Defined from n = 3 on: the ancillary densities are then edge-singular
-    but integrable, and the sine substitution absorbs the singularity
-    exactly.  The normal kernel's `real_mise_exact` is checked against it.
+    The pair overlap is one integral over the pair-difference density, the
+    estimate-truth overlap E_R int K(u) f(R + a u) du (f: `expected_density_at`)
+    one integral over the residual density, its inner integral over u a fixed
+    200-point Gauss-Legendre sum on the kernel's support (|u| <= 8.5 for the
+    normal kernel).  Defined from n = 3 on: the ancillary densities are then
+    edge-singular but integrable, and the sine substitution absorbs the
+    singularity exactly.  The normal kernel's `real_mise_exact` is checked
+    against it.
     """
     _check_sample_size(n, 3)
-    outer_cfg = cfg if cfg is not None else _REAL_MISE_CFG
-    inner_cfg = QuadratureConfig(
-        abs_tol=outer_cfg.abs_tol / 10.0,
-        rel_tol=outer_cfg.rel_tol / 10.0,
-        max_subdivisions=outer_cfg.max_subdivisions,
-    )
+    cfg = cfg if cfg is not None else _REAL_MISE_CFG
     kernel = rule.kernel
     a = rule.multiplier
-    dens = ancillary_densities(n, inner_cfg)
+    dens = ancillary_densities(n, cfg)
 
     if kernel.name == "epan":
         # the pair-difference argument s/a must land inside [-1, 1]
@@ -294,23 +299,22 @@ def real_mise_nested(
         dens.pair_diff_const,
         dens.pair_diff_edge,
         n,
-        inner_cfg,
+        cfg,
         theta_limit=theta_limit,
         points=(0.0,),
     )
 
-    def truth_overlap(u):
-        u = float(u)
-        return kernel_eval(kernel, u) * _support_expectation(
-            lambda r: expected_density_at(n, r + a * u),
-            dens.residual_const,
-            dens.residual_edge,
-            n,
-            inner_cfg,
-        )
-
-    u_span = 8.5 if kernel.name == "normal" else kernel.halfwidth
-    truth = integrate(truth_overlap, -u_span, u_span, outer_cfg)
+    span = 8.5 if kernel.name == "normal" else kernel.halfwidth
+    x, w = _kernel_rule()
+    u = span * x
+    wk = span * w * kernel_eval(kernel, u)
+    truth = _support_expectation(
+        lambda r: expected_density_at(n, r[..., None] + a * u) @ wk,
+        dens.residual_const,
+        dens.residual_edge,
+        n,
+        cfg,
+    )
     return _real_mise(rule, n, pair_overlap, truth)
 
 

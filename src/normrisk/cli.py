@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -210,21 +209,12 @@ def _quad_config(tol: Optional[float]) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=4096)
 
 
-def _row_worker(args: tuple[int, Optional[float]]) -> ComparisonRow:
-    n, tol = args
-    return comparison_row(n, _quad_config(tol))
-
-
 def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
     for n in ns:
         _check_sample_size(n, 3)
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_row_worker, [(n, args.tol) for n in ns]))
-    else:
-        rows = [comparison_row(n, _quad_config(args.tol)) for n in ns]
-    records = [asdict(r) for r in rows]
+    cfg = _quad_config(args.tol)
+    records = [asdict(comparison_row(n, cfg)) for n in ns]
     for record in records:
         if math.isinf(record["umvu_ratio"]):
             record["umvu_ratio_infinite"] = True
@@ -232,6 +222,8 @@ def _cmd_table(args: argparse.Namespace) -> None:
 
 
 def _x_grid(args: argparse.Namespace) -> np.ndarray:
+    if not all(map(math.isfinite, (args.x_min, args.x_max, args.x_step))):
+        raise ValueError("--x-min, --x-max and --x-step must be finite")
     if args.x_max <= args.x_min:
         raise ValueError("x-max must exceed x-min")
     if args.x_step <= 0:
@@ -384,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="estimator comparison table")
     sp.add_argument("--n", type=int, nargs="*", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_table)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from normrisk import bandwidth
 from normrisk.bandwidth import (
     BandwidthRule,
     McConfig,
@@ -18,7 +19,7 @@ from normrisk.bandwidth import (
     rule_of_thumb,
 )
 from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL
-from normrisk.numerics import scaled_chi_inverse_mean, substream, std_normal_pdf
+from normrisk.numerics import integrate, scaled_chi_inverse_mean, substream, std_normal_pdf
 from normrisk.parametric import STD_NORMAL, exact_mise_plugin
 
 # real-MISE ratios frozen from an independent high-precision evaluation of
@@ -73,6 +74,52 @@ REAL_MISE_MPMATH = {
     10**4: (0.16951, "0.000181317218591790896654990677715", 1e-11),
     10**5: (0.10635, "0.0000304149258048189887612285805178", 1e-9),
     10**6: (0.06694, "0.00000498973076511265317467223634291", 1e-8),
+}
+
+
+# Real MISE of the parabolic-kernel rule h = a * sigma_hat (a: the
+# rule-of-thumb multiplier rounded to five digits), at 30 digits.  The pair
+# term and the estimate-truth term, in the order E_R int K(u) f(R + a u) du,
+# are direct mpmath quadratures over the sine map of the ancillary
+# densities.  Generated with mpmath 1.3.0 by:
+#
+#   import mpmath as mp
+#   mp.mp.dps = 30
+#
+#   def real_mise(n, a):
+#       n, a = mp.mpf(n), mp.mpf(a)
+#       b = (n - 1) / 2
+#       inv_scale = mp.sqrt(b) * mp.gamma(b - 0.5) / mp.gamma(b)
+#       rough = mp.mpf(6) / 5 * inv_scale / (n * a)
+#       beta = mp.beta(0.5, (n - 2) / 2)  # R^2/e^2 and S^2/(2(n-1)) are Beta(1/2, (n-2)/2)
+#       width = 1 / mp.sqrt(n)  # the sine-map weight cos^(n-3) has this width near 0
+#
+#       def sine_mean(fn, edge, top):  # E fn(T) for T = edge sin(theta), theta in (-top, top)
+#           cuts = sorted({mp.mpf(0), top, *(k * width for k in (1, 3, 7, 14) if k * width < top)})
+#           return 2 * mp.quad(lambda t: fn(edge * mp.sin(t)) * mp.cos(t) ** (n - 3), cuts) / beta
+#
+#       def g(u):  # self-convolution of K(u) = 3/2 (1 - 4u^2) on [-1/2, 1/2]
+#           u = abs(u)
+#           return mp.mpf(6) / 5 * (1 - 5 * u**2 + 5 * u**3 - u**5) if u < 1 else mp.mpf(0)
+#
+#       def f(w):  # E phi(mean_hat + w sigma_hat)
+#           return mp.sqrt(n / (n + 1) / (2 * mp.pi)) * (1 + n / (n + 1) * w * w / (n - 1)) ** (-(n - 1) / 2)
+#
+#       s_edge = mp.sqrt(2 * (n - 1))
+#       pair = (1 - 1 / n) * inv_scale * sine_mean(lambda s: g(s / a) / a, s_edge, mp.asin(min(1, a / s_edge)))
+#       inner = lambda r: mp.quad(lambda u: mp.mpf(3) / 2 * (1 - 4 * u * u) * f(r + a * u), [-0.5, 0, 0.5])
+#       truth = sine_mean(inner, (n - 1) / mp.sqrt(n), mp.pi / 2)
+#       return rough + pair - 2 * truth + 1 / (2 * mp.sqrt(mp.pi))
+#
+#   for n, a in ((10, 3.1944), (100, 1.9324), (1000, 1.1961)):
+#       print(n, mp.nstr(real_mise(n, a), 30))
+#
+# It takes about 10 s per sample size; at 40 digits the n = 1000 value
+# agrees to 29 digits.
+EPAN_REAL_MISE_MPMATH = {
+    10: (3.1944, "0.03042872677585011274783021241"),
+    100: (1.9324, "0.00546966065183985620832831727405"),
+    1000: (1.1961, "0.000997967983525208416121575913354"),
 }
 
 
@@ -220,6 +267,30 @@ class TestRealMiseExact:
         a, reference, bound = REAL_MISE_MPMATH[n]
         value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), n).value
         assert abs(value / float(reference) - 1) <= bound
+
+    @pytest.mark.parametrize("n", sorted(EPAN_REAL_MISE_MPMATH))
+    def test_parabolic_kernel_against_mpmath(self, n):
+        a, reference = EPAN_REAL_MISE_MPMATH[n]
+        value = real_mise_exact(BandwidthRule(EPANECHNIKOV_KERNEL, a), n).value
+        assert abs(value / float(reference) - 1) <= 1e-11
+
+    def test_integrands_take_arrays(self, monkeypatch):
+        # every integrand of both routes is evaluated on whole node arrays,
+        # never through the per-point fallback of `integrate`
+        ndims = []
+
+        def recording_integrate(f, *args, **kwargs):
+            def g(x):
+                ndims.append(np.ndim(x))
+                return f(x)
+
+            return integrate(g, *args, **kwargs)
+
+        monkeypatch.setattr(bandwidth, "integrate", recording_integrate)
+        for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL):
+            for n in (3, 20, 1000):
+                real_mise_exact(rule_of_thumb(kernel, n), n)
+        assert ndims and 0 not in ndims
 
     def test_other_kernels_take_the_nested_route(self):
         rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 7)

@@ -75,11 +75,6 @@ class TestTableCommand:
         _, second = run_cli(["table", "--n", "4", "7"], tmp_path, "b.csv")
         assert first == second
 
-    def test_worker_pool_preserves_output(self, tmp_path):
-        _, serial = run_cli(["table", "--n", "5", "8"], tmp_path, "serial.csv")
-        _, pooled = run_cli(["table", "--n", "5", "8", "--threads", "2"], tmp_path, "pool.csv")
-        assert serial == pooled
-
     def test_infinite_ratio_formats(self, tmp_path):
         _, csv_text = run_cli(["table", "--n", "3"], tmp_path, "t.csv")
         row = csv_text.strip().splitlines()[1].split(",")
@@ -188,6 +183,9 @@ class TestMiseCommand:
             ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "5",
              "--rule", "thumb", "--method", "mc", "--seed", str(2**128)],
             ["skew-mise", "--sigma", "inf"],
+            ["figure", "--which", "1", "--x-max", "inf"],
+            ["figure", "--which", "1", "--x-min", "nan"],
+            ["figure", "--which", "1", "--x-step", "nan"],
         ],
     )
     def test_out_of_domain_inputs(self, args, capsys):
@@ -212,6 +210,14 @@ class TestMiseCommand:
         # on every subcommand, whether or not it runs a quadrature
         assert main([*args, f"--tol={tol}"]) == 2
         assert "--tol: must be a positive finite number" in capsys.readouterr().err
+
+    def test_tight_tolerance_on_the_nested_route(self, capsys):
+        # the ancillary normalization check once ran at a tenth of --tol,
+        # below what double precision can resolve, and failed with exit 3
+        args = ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10",
+                "--rule", "thumb", "--tol", "1e-13"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "kernel,10,epan,0.03042866462,quadrature,"
 
     def test_numerical_failure_exit_code(self, capsys):
         # a tolerance below machine resolution cannot converge
