@@ -39,6 +39,7 @@ from .kernels import (
 from .numerics import (
     QuadratureConfig,
     _check_sample_size,
+    _philox_counter,
     integrate,
     kummer_m_half,
     minimize_scalar,
@@ -46,7 +47,6 @@ from .numerics import (
     scaled_chi_inverse_mean,
     scaled_chi_mode,
     scaled_chi_pdf,
-    substream,
     std_normal_pdf,
 )
 from .parametric import MiseReport, NORMAL_ROUGHNESS, _log_support_const
@@ -84,6 +84,10 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "eval_points", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1 or self.eval_points < 1:
             raise ValueError("replicates and eval_points must be at least 1")
         # the Philox key is an unsigned 128-bit integer
@@ -321,23 +325,35 @@ def real_mise_nested(
 def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
     """Monte Carlo estimate of the same real MISE, with standard error.
 
-    Each replicate draws its own substream, so results are bit-identical
-    for a fixed seed no matter how replicates are scheduled.  Every
-    replicate scores the estimator at `eval_points` fresh observations
-    through the importance-weighted squared-error average.
+    Replicate i draws n + m standard normals (m = `eval_points`) from the
+    Philox stream with key `seed` and counter [0, 0, i, 0], which is
+    `substream(seed, i)`, so its draws depend only on (seed, i) and results
+    are bit-identical however replicates are grouped.  It scores the
+    estimator at its m fresh observations through the importance-weighted
+    squared-error average.  Replicates are drawn and scored in blocks of
+    about 2**14 / (m n), each block as one (block, m, n) array, so scratch
+    memory stays flat in the replicate count and the sample size.
     """
     _check_sample_size(n, 2)
     m = mc.eval_points
+    block = max(1, 2**14 // (m * n))
+    bits = np.random.Philox(key=mc.seed)
+    rng = np.random.Generator(bits)
+    state = bits.state  # a fresh buffer: nothing drawn yet
+    draws = np.empty((min(block, mc.replicates), n + m))
     scores = np.empty(mc.replicates)
-    for i in range(mc.replicates):
-        rng = substream(mc.seed, i)
-        draws = rng.standard_normal(n + m)
-        sample, fresh = draws[:n], draws[n:]
-        h = rule.multiplier * sample.std(ddof=1)
-        u = (sample[None, :] - fresh[:, None]) / h
-        estimate = kernel_eval(rule.kernel, u).sum(axis=1) / (n * h)
+    for start in range(0, mc.replicates, block):
+        rows = draws[: min(block, mc.replicates - start)]
+        for i, row in enumerate(rows, start):
+            state["state"]["counter"] = _philox_counter(i)
+            bits.state = state
+            rng.standard_normal(out=row)
+        sample, fresh = rows[:, :n], rows[:, n:]
+        h = rule.multiplier * sample.std(axis=1, ddof=1)
+        u = (sample[:, None, :] - fresh[:, :, None]) / h[:, None, None]
+        estimate = kernel_eval(rule.kernel, u).sum(axis=2) / (n * h)[:, None]
         root_truth = np.sqrt(std_normal_pdf(fresh))
-        scores[i] = np.mean((estimate / root_truth - root_truth) ** 2)
+        scores[start : start + len(rows)] = np.mean((estimate / root_truth - root_truth) ** 2, axis=1)
     value = float(scores.mean())
     std_error = float(scores.std(ddof=1) / math.sqrt(mc.replicates)) if mc.replicates > 1 else math.inf
     return MiseReport(value=value, method="monte_carlo", std_error=std_error)

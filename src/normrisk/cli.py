@@ -367,6 +367,34 @@ def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x-step", type=float, default=0.02)
 
 
+#: the one-value float flags, whose values may be negative
+_FLOAT_FLAGS = frozenset({"--x-min", "--x-max", "--x-step", "--sigma", "--h", "--tol"})
+
+
+def _attach_float_values(argv: Sequence[str]) -> list[str]:
+    """Join each float flag to a following negative number, as in --x-min=-1e0.
+
+    argparse takes a separate value such as -1e0 or -inf for an option (it
+    knows only plain negatives like -1.0), and --x-min -1e0 would then fail
+    with "expected one argument".
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normrisk",
@@ -433,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code
     try:

@@ -513,15 +513,23 @@ def scaled_chi_mode(n: int) -> float:
     return math.sqrt((n - 2) / (n - 1))
 
 
+def _philox_counter(index: int) -> np.ndarray:
+    # the Philox counter at which Philox(key=seed).jumped(index) starts: a
+    # jump adds 2**128 to the 256-bit counter, so index fills words 2 and 3
+    return np.array([0, 0, index % 2**64, index >> 64], dtype=np.uint64)
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible generator for one replicate index.
 
-    Streams with distinct indices never overlap; results are therefore
-    independent of how replicates are scheduled across workers.
+    It draws what `Philox(key=seed).jumped(index)` draws, but starts the
+    counter at [0, 0, index, 0] directly instead of jumping there.  Streams
+    with distinct indices never overlap; results are therefore independent
+    of how replicates are scheduled across workers.
     """
     if index < 0:
         raise ValueError("substream index must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    return np.random.Generator(np.random.Philox(key=seed, counter=_philox_counter(index)))
 
 
 def sample_standard_normals(seed: int, count: int) -> np.ndarray:

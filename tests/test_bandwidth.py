@@ -1,6 +1,7 @@
 """Bandwidth constants, ancillary densities, real MISE exact and MC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from normrisk.bandwidth import (
     real_mise_nested,
     rule_of_thumb,
 )
-from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL
+from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval
 from normrisk.numerics import integrate, scaled_chi_inverse_mean, substream, std_normal_pdf
 from normrisk.parametric import STD_NORMAL, exact_mise_plugin
 
@@ -365,6 +366,41 @@ class TestRealMiseMc:
             large = real_mise_mc(rule, 6, McConfig(replicates=4000, eval_points=5, seed=seed))
             ratios.append(large.std_error / small.std_error)
         assert np.median(ratios) == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
+
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
+    def test_blocks_match_one_replicate_at_a_time(self, kernel):
+        # n = 50, m = 3 gives blocks of 109 replicates, so the last of 300 is partial
+        n, mc = 50, McConfig(replicates=300, eval_points=3, seed=2**64 + 9)
+        rule = rule_of_thumb(kernel, n)
+        scores = []
+        for i in range(mc.replicates):
+            draws = substream(mc.seed, i).standard_normal(n + mc.eval_points)
+            sample, fresh = draws[:n], draws[n:]
+            h = rule.multiplier * sample.std(ddof=1)
+            estimate = kernel_eval(kernel, (sample[None, :] - fresh[:, None]) / h).sum(axis=1) / (n * h)
+            root_truth = np.sqrt(std_normal_pdf(fresh))
+            scores.append(np.mean((estimate / root_truth - root_truth) ** 2))
+        scores = np.array(scores)
+        report = real_mise_mc(rule, n, mc)
+        assert report.value == scores.mean()
+        assert report.std_error == scores.std(ddof=1) / math.sqrt(mc.replicates)
+
+    def test_scratch_memory_is_flat_in_replicates(self):
+        # one unblocked (replicates, eval_points, n) array would be 24 MB here
+        rule = rule_of_thumb(NORMAL_KERNEL, 1000)
+        tracemalloc.start()
+        try:
+            real_mise_mc(rule, 1000, McConfig(replicates=300, eval_points=10, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("field", ["replicates", "eval_points", "seed"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, True])
+    def test_config_rejects_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McConfig(**{"replicates": 10, "eval_points": 10, "seed": 10, field: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

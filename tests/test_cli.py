@@ -192,6 +192,20 @@ class TestMiseCommand:
         assert main(args) == 2
         assert "normrisk: usage error" in capsys.readouterr().err
 
+    def test_negative_infinite_grid_bound_is_not_finite(self, capsys):
+        # read as a value, not an option, and then rejected
+        assert main(["figure", "--which", "1", "--x-min", "-inf"]) == 2
+        assert "--x-min, --x-max and --x-step must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,value", [("-1e0", "-1.0"), ("-2.5e-1", "-0.25")])
+    def test_negative_exponent_grid_bound_is_a_value(self, text, value, capsys):
+        # argparse would take -1e0 for an option and exit with "expected one argument"
+        grid = ["figure", "--which", "1", "--n", "5", "--x-step", "0.25"]
+        assert main([*grid, "--x-min", text]) == 0
+        spaced = capsys.readouterr().out
+        assert main([*grid, f"--x-min={value}"]) == 0
+        assert spaced == capsys.readouterr().out
+
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "x"])
     @pytest.mark.parametrize(
         "args",
@@ -358,12 +372,56 @@ GOLDEN = {
 }
 
 
+# Full-precision JSON of `mise --estimator kernel --rule thumb --method mc --seed 7`,
+# as printed when every replicate was drawn and scored on its own; the blocked
+# replicate loop must reproduce it bit for bit, std_error included.  The 1001
+# replicates at n = 50 and 3 evaluation points end in a partial block.
+MC_GOLDEN = {
+    ("normal", "10"): (
+        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.031007113669616518, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00033541536591900586}\n'
+    ),
+    ("normal", "50"): (
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.00925418595863558, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 7.826873174675477e-05}\n'
+    ),
+    ("epan", "10"): (
+        '{"estimator": "kernel", "n": 10, "kernel": "epan", "value": 0.030648527393028167, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.0003382606310051115}\n'
+    ),
+    ("epan", "50"): (
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.008945143974079684, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 7.765167083338338e-05}\n'
+    ),
+    ("normal", "50", "--replicates", "1001", "--eval-points", "3"): (
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.00942085742229364, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.0003308737730027466}\n'
+    ),
+    ("epan", "50", "--replicates", "1001", "--eval-points", "3"): (
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009132151564540308, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00032227029135689536}\n'
+    ),
+    ("normal", "10", "--replicates", "1"): (
+        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.006519409908852301, "infinite": false, '
+        '"method": "monte_carlo", "std_error": null}\n'
+    ),
+}
+
+
 class TestEmitter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("args", sorted(GOLDEN))
     def test_golden_bytes(self, args, fmt, capsys):
         assert main([*args, "--format", fmt]) == 0
         assert capsys.readouterr().out == GOLDEN[args][fmt == "json"]
+
+    @pytest.mark.parametrize("case", sorted(MC_GOLDEN))
+    def test_monte_carlo_golden_bytes(self, case, capsys):
+        kernel, n, *extra = case
+        args = ["mise", "--estimator", "kernel", "--kernel", kernel, "--n", n, "--rule", "thumb",
+                "--method", "mc", "--seed", "7", *extra, "--format", "json"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == MC_GOLDEN[case]
 
     @pytest.mark.parametrize(
         "args,kernel",

@@ -313,3 +313,11 @@ class TestSampling:
         assert np.array_equal(a0, substream(9, 0).standard_normal(8))
         with pytest.raises(ValueError):
             substream(9, -1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**128 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 9999, 2**64 - 1, 2**64 + 2])
+    def test_substream_is_the_jumped_stream(self, seed, index):
+        # starting at counter [0, 0, index, 0] is jumping index times from zero;
+        # nine draws cross the four-word Philox buffer twice
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        assert np.array_equal(substream(seed, index).standard_normal(9), jumped.standard_normal(9))
