@@ -134,9 +134,11 @@ def skew_normal_density(x, theta) -> float:
         raise ValueError("scale and shape must be positive")
     x = np.asarray(x, dtype=float)
     y = (x - loc) / scale
+    # the skew factor Phi(y)^(shape - 1) is 1 at shape 1, the normal family
+    skew = (shape - 1.0) * std_normal_logcdf(y) if shape != 1.0 else 0.0
     log_val = (
         math.log(shape)
-        + (shape - 1.0) * std_normal_logcdf(y)
+        + skew
         - 0.5 * y * y
         - 0.5 * math.log(2.0 * math.pi)
         - math.log(scale)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401 -- argparse's gettext imports it for the first parser built
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -369,6 +370,8 @@ def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
 
 #: the one-value float flags, whose values may be negative
 _FLOAT_FLAGS = frozenset({"--x-min", "--x-max", "--x-step", "--sigma", "--h", "--tol"})
+#: the list-valued float flags, which take every float that follows as a value
+_FLOAT_LIST_FLAGS = frozenset({"--b"})
 
 
 def _attach_float_values(argv: Sequence[str]) -> list[str]:
@@ -376,10 +379,17 @@ def _attach_float_values(argv: Sequence[str]) -> list[str]:
 
     argparse takes a separate value such as -1e0 or -inf for an option (it
     knows only plain negatives like -1.0), and --x-min -1e0 would then fail
-    with "expected one argument".
+    with "expected one argument".  A list flag is joined to each float of
+    the run that follows it, --b 0.2 -1e0 becoming --b --b=0.2 --b=-1e0,
+    which its "extend" action collects into one list.
     """
     out: list[str] = []
+    list_flag = None
     for arg in argv:
+        if list_flag is not None and _is_float(arg):
+            out.append(f"{list_flag}={arg}")
+            continue
+        list_flag = arg if arg in _FLOAT_LIST_FLAGS else None
         if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-") and _is_float(arg):
             out[-1] += "=" + arg
         else:
@@ -446,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_bandwidth_constants)
 
     sp = sub.add_parser("lognormal", help="lognormal-mean crossover sample sizes")
-    sp.add_argument("--b", type=float, nargs="*", default=None, help="log-scale spreads")
+    sp.add_argument(
+        "--b", type=float, nargs="*", action="extend", default=None, help="log-scale spreads"
+    )
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_lognormal)
 

@@ -6,6 +6,12 @@ functions, the gamma-function ratio and the Kummer function the risk
 formulas need, the sampling density of the scaled sample standard
 deviation, and seeded normal sampling with reproducible substreams.
 
+Everything is built on `math` and numpy alone; scipy is not needed at run
+time.  The normal cdf, its log and exp(-x) I0(x) match 40-digit mpmath to
+within 6e-16 relative over their whole double range, closer than scipy's
+`ndtr` (2.4e-13 at x = -37) and `log_ndtr` (1.3e-14); plain floats take a
+scalar `math` path, arrays are mapped through it entry by entry.
+
 All routines are pure functions of their arguments and safe to call from
 any number of concurrent workers.
 """
@@ -19,8 +25,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401 -- loaded with the package, not lazily on the first draw
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import i0e, log_ndtr, ndtr
 
 
 class NumericsError(Exception):
@@ -305,16 +311,79 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _elementwise(f: Callable[[float], float], x):
+    """f on a float, or f mapped over every entry of an array (0-d gives a float)."""
+    if type(x) is float:
+        return f(x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return f(float(x))
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+# 1/sqrt(2) as a double plus the residual of that rounding, and the double's
+# Dekker split into two 26-bit halves
+_SQRT_HALF = 0.7071067811865476
+_SQRT_HALF_LO = -4.833646656726457e-17
+_DEKKER = 134217729.0  # 2**27 + 1
+_SQRT_HALF_HI_PART = _DEKKER * _SQRT_HALF - (_DEKKER * _SQRT_HALF - _SQRT_HALF)
+_SQRT_HALF_LO_PART = _SQRT_HALF - _SQRT_HALF_HI_PART
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _ndtr(x: float) -> float:
+    # Phi(x) = erfc(-t)/2 with t = x/sqrt(2).  Rounding t costs up to x^2 ulp
+    # in the left tail, so its residual t_lo (a Dekker two-product plus the
+    # low part of 1/sqrt(2)) is added to first order, times dPhi/dt =
+    # exp(-t^2)/sqrt(pi)
+    if not -40.0 < x < 40.0:  # Phi is 0 or 1 here, to double precision; or x is NaN
+        return 0.5 * math.erfc(-x * _SQRT_HALF)
+    t = x * _SQRT_HALF
+    c = _DEKKER * x
+    hi = c - (c - x)
+    lo = x - hi
+    t_lo = (
+        ((hi * _SQRT_HALF_HI_PART - t) + hi * _SQRT_HALF_LO_PART + lo * _SQRT_HALF_HI_PART)
+        + lo * _SQRT_HALF_LO_PART
+        + x * _SQRT_HALF_LO
+    )
+    return 0.5 * math.erfc(-t) + t_lo * math.exp(-t * t) * _INV_SQRT_PI
+
+
+#: below this the log cdf is summed from its asymptotic series
+_LOG_NDTR_TAIL = -20.0
+
+
+def _log_ndtr(x: float) -> float:
+    if x > 0.0:
+        return math.log1p(-_ndtr(-x))
+    if x >= _LOG_NDTR_TAIL:
+        return math.log(_ndtr(x))
+    # Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...); twelve terms
+    # reach 1e-19 at x = -20, and every omitted term is smaller further out
+    r = 1.0 / (x * x)
+    series = 0.0
+    for odd in range(23, 0, -2):
+        series = -odd * r * (1.0 + series)
+    return -0.5 * x * x - _LOG_SQRT_2PI - math.log(-x) + math.log1p(series)
+
+
 def std_normal_cdf(x):
-    """Standard normal distribution function, elementwise on arrays."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    """Standard normal distribution function, elementwise on arrays.
+
+    Within 4e-16 relative of 40-digit mpmath on [-37.5, 9], the whole range
+    where Phi is a normal double.
+    """
+    return _elementwise(_ndtr, x)
 
 
 def std_normal_logcdf(x):
-    """log of the standard normal cdf, accurate far into the left tail."""
-    out = log_ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    """log of the standard normal cdf, accurate far into the left tail.
+
+    log1p(-Phi(-x)) for x > 0, log Phi(x) down to x = -20, the asymptotic
+    series below; within 5e-16 relative of 40-digit mpmath down to x = -1e5.
+    """
+    return _elementwise(_log_ndtr, x)
 
 
 def normal_mass(a, b):
@@ -369,6 +438,42 @@ def gamma_half_ratio(x: float) -> float:
     )
 
 
+#: above this exp(-x) I0(x) is summed from its large-x series
+_I0E_SERIES_FROM = 700.0
+
+
+@lru_cache(maxsize=None)
+def _i0e_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # the trapezoid rule on [0, pi]: -2 sin^2(t/2) = cos t - 1 at its nodes, and its weights
+    t = np.linspace(0.0, math.pi, panels + 1)
+    w = np.full(panels + 1, 1.0 / panels)
+    w[[0, -1]] *= 0.5
+    return -2.0 * np.sin(0.5 * t) ** 2, w
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """exp(-x) I0(x) for x >= 0, elementwise; within 6e-16 relative of mpmath.
+
+    Up to x = 700 it is (1/pi) int_0^pi exp(x (cos t - 1)) dt by the
+    trapezoid rule, exact but for 2 I_2N(x) / I0(x), about 2 exp(-2 N^2 / x),
+    on N panels: 8 + sqrt(23 x) of them leave e^-46.  Above 700 it is the
+    large-x series (2 pi x)^(-1/2) sum_k ((2k - 1)!!)^2 / (k! (8x)^k), of
+    which eight terms reach 1e-19.
+    """
+    out = np.empty_like(x)
+    small = x <= _I0E_SERIES_FROM
+    y = x[small]
+    exponent, w = _i0e_rule(8 + math.ceil(math.sqrt(23.0 * y.max(initial=0.0))))
+    out[small] = np.exp(y[:, None] * exponent) @ w
+    big = x[~small]  # NaN lands here too and stays NaN
+    if big.size:
+        series = np.zeros_like(big)
+        for k in range(8, 0, -1):
+            series = (2 * k - 1) ** 2 / (8.0 * k * big) * (1.0 + series)
+        out[~small] = (1.0 + series) / np.sqrt(2.0 * math.pi * big)
+    return out
+
+
 #: positive nodes of the Gauss-Hermite rule behind kummer_m_half
 _KUMMER_NODES = 80
 
@@ -403,7 +508,7 @@ def kummer_m_half(b: float, x):
     if not np.all(x >= 0):
         raise ValueError("kummer_m_half requires x >= 0")
     if b == 1.0:
-        out = i0e(0.5 * x)
+        out = _i0e(0.5 * x)
     else:
         u2, w = _kummer_rule()
         lam = b - 0.5 + x

@@ -31,6 +31,41 @@ REAL_RATIO_EXACT = {
     ("normal", 50): 1.82437,
 }
 
+# Optimal bandwidth constants (b_n: normal kernel, c_n: parabolic kernel) at
+# 40 digits: the root in c of d/dc MISE(n, c n^(-1/5)), the derivative taken
+# numerically by mpmath from the exact MISE, which for the parabolic kernel
+# integrates its pair and overlap terms by mpmath quadrature.  Differentiating
+# P'(h) and O'(h) under the integral sign instead agrees to 25 digits.
+# Generated with mpmath 1.3.0 by:
+#
+#   import mpmath as mp
+#   mp.mp.dps = 40
+#   g = lambda y: mp.exp(-y * y / 4) / (2 * mp.sqrt(mp.pi))  # N(0, 2) density
+#
+#   def normal_mise(n, h):
+#       return (1 / (n * h) + (1 - mp.mpf(1) / n) / mp.sqrt(1 + h * h) - 2 / mp.sqrt(1 + h * h / 2) + 1) * g(0)
+#
+#   def epan_mise(n, h):
+#       pair = 2 * mp.quad(lambda u: mp.mpf("1.2") * (1 - 5 * u**2 + 5 * u**3 - u**5) * g(h * u), [0, 1])
+#       overlap = 2 * mp.quad(lambda u: mp.mpf("1.5") * (1 - 4 * u * u) * g(h * u), [0, 0.5])
+#       return mp.mpf("1.2") / (n * h) + (1 - mp.mpf(1) / n) * pair - 2 * overlap + g(0)
+#
+#   for n in (2, 3, 10, 100, 10**3, 10**4, 10**5, 10**6):
+#       s = mp.mpf(n) ** (-mp.mpf(1) / 5)
+#       b, c = (mp.findroot(lambda t: mp.diff(lambda v: mise(n, v * s), t), start)
+#               for mise, start in ((normal_mise, 1.1), (epan_mise, 4.8)))
+#       print(n, mp.nstr(b, 25), mp.nstr(c, 25))
+OPTIMAL_CONSTANTS_MPMATH = {
+    2: ("1.326977557661581775037257", "5.391586709670041248302117"),
+    3: ("1.287112310618077511341249", "5.282148362895253113347314"),
+    10: ("1.202078777766330122604175", "5.062829178960163086812835"),
+    100: ("1.118976289605488653169107", "4.854024387612267104508638"),
+    10**3: ("1.084210330857756387245418", "4.761695654945095414014264"),
+    10**4: ("1.06955991656741787132153", "4.720443307541019061110404"),
+    10**5: ("1.063452375242272747054108", "4.702577491965544785357202"),
+    10**6: ("1.060938643694749150937797", "4.695054277690863980860575"),
+}
+
 # Real MISE of the normal-kernel rule h = a * sigma_hat (a: the rule-of-thumb
 # multiplier rounded to five digits), at 30 digits.  Each expectation over
 # the Beta law of a squared standardized statistic, and the one over the
@@ -138,6 +173,14 @@ class TestOptimalConstants:
     )
     def test_published_values(self, kernel, n, expected):
         assert optimal_bandwidth_constant(kernel, n) == pytest.approx(expected, abs=1e-4)
+
+    @pytest.mark.parametrize("n", sorted(OPTIMAL_CONSTANTS_MPMATH))
+    def test_against_mpmath(self, n):
+        # a root of the MISE's slope, not the argmin of the flat MISE itself,
+        # which is good to only about sqrt(eps): 1.9e-4 off at n = 10^6
+        b_n, c_n = OPTIMAL_CONSTANTS_MPMATH[n]
+        assert optimal_bandwidth_constant(NORMAL_KERNEL, n) == pytest.approx(float(b_n), rel=1e-12)
+        assert optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n) == pytest.approx(float(c_n), rel=1e-12)
 
     def test_limits(self):
         b_limit = optimal_bandwidth_constant(NORMAL_KERNEL, 10**6)

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import normrisk
 from normrisk.cli import main
 from normrisk.kernels import KERNELS, exact_mse_kernel
 from normrisk.parametric import NormalParams
@@ -231,7 +235,7 @@ class TestMiseCommand:
         args = ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10",
                 "--rule", "thumb", "--tol", "1e-13"]
         assert main(args) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "kernel,10,epan,0.03042866462,quadrature,"
+        assert capsys.readouterr().out.splitlines()[1] == "kernel,10,epan,0.03042866464,quadrature,"
 
     def test_numerical_failure_exit_code(self, capsys):
         # a tolerance below machine resolution cannot converge
@@ -319,6 +323,17 @@ class TestOtherCommands:
         got = {float(b): int(n0) for b, n0 in (line.split(",") for line in lines[1:])}
         assert got == {0.2: 312, 0.4: 87, 0.6: 45, 0.8: 31, 1.0: 25, 1.2: 22}
 
+    @pytest.mark.parametrize("spreads", [["-1e0"], ["0.2", "-1e0"], ["-1e0", "0.2"]])
+    def test_lognormal_negative_exponent_spread_is_a_value(self, spreads, capsys):
+        # argparse alone takes -1e0 for an option: "unrecognized arguments"
+        assert main(["lognormal", "--b", *spreads]) == 2
+        assert "log-scale spreads must be positive, got -1.0" in capsys.readouterr().err
+
+    def test_lognormal_repeated_list_flag_extends(self, tmp_path):
+        code, text = run_cli(["lognormal", "--b", "0.2", "--b", "1e0"], tmp_path)
+        assert code == 0
+        assert text == "b,n0\n0.2,312\n1,25\n"
+
     def test_lognormal_empty_list(self, tmp_path):
         code, text = run_cli(["lognormal", "--b"], tmp_path)
         assert code == 0
@@ -351,10 +366,10 @@ GOLDEN = {
         '"normal_ratio2": 0.7271, "c_n": 5.2177, "epan_ratio1": 0.3485, "epan_ratio2": 0.7474}\n',
     ),
     ("bandwidth-constants", "--n", "2", "10", "1000"): (
-        "n,b_n,c_n\n2,1.326978,5.391587\n10,1.202079,5.062829\n1000,1.084210,4.761694\n",
+        "n,b_n,c_n\n2,1.326978,5.391587\n10,1.202079,5.062829\n1000,1.084210,4.761696\n",
         '{"n": 2, "b_n": 1.326978, "c_n": 5.391587}\n'
         '{"n": 10, "b_n": 1.202079, "c_n": 5.062829}\n'
-        '{"n": 1000, "b_n": 1.08421, "c_n": 4.761694}\n',
+        '{"n": 1000, "b_n": 1.08421, "c_n": 4.761696}\n',
     ),
     ("lognormal", "--b", "0.2", "1.0"): (
         "b,n0\n0.2,312\n1,25\n",
@@ -372,37 +387,39 @@ GOLDEN = {
 }
 
 
-# Full-precision JSON of `mise --estimator kernel --rule thumb --method mc --seed 7`,
-# as printed when every replicate was drawn and scored on its own; the blocked
-# replicate loop must reproduce it bit for bit, std_error included.  The 1001
-# replicates at n = 50 and 3 evaluation points end in a partial block.
+# Full-precision JSON of `mise --estimator kernel --rule thumb --method mc --seed 7`.
+# The blocked replicate loop reproduced the loop that drew and scored every
+# replicate on its own bit for bit, std_error included; the values moved in
+# their last digits only when the bandwidth constants became exact roots of
+# the MISE's slope.  The 1001 replicates at n = 50 and 3 evaluation points
+# end in a partial block.
 MC_GOLDEN = {
     ("normal", "10"): (
-        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.031007113669616518, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.00033541536591900586}\n'
+        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.0310071136710789, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00033541536596070265}\n'
     ),
     ("normal", "50"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.00925418595863558, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 7.826873174675477e-05}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009254185957869449, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 7.826873174509269e-05}\n'
     ),
     ("epan", "10"): (
-        '{"estimator": "kernel", "n": 10, "kernel": "epan", "value": 0.030648527393028167, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.0003382606310051115}\n'
+        '{"estimator": "kernel", "n": 10, "kernel": "epan", "value": 0.030648527418453888, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.0003382606317950383}\n'
     ),
     ("epan", "50"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.008945143974079684, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 7.765167083338338e-05}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.008945143973774558, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 7.765167081442035e-05}\n'
     ),
     ("normal", "50", "--replicates", "1001", "--eval-points", "3"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.00942085742229364, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.0003308737730027466}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009420857417885897, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00033087377274497443}\n'
     ),
     ("epan", "50", "--replicates", "1001", "--eval-points", "3"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009132151564540308, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.00032227029135689536}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009132151570160984, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00032227029231414965}\n'
     ),
     ("normal", "10", "--replicates", "1"): (
-        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.006519409908852301, "infinite": false, '
+        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.006519409904344108, "infinite": false, '
         '"method": "monte_carlo", "std_error": null}\n'
     ),
 }
@@ -471,3 +488,20 @@ class TestEmitter:
         _, json_text = run_cli([*args, "--format", "json"], tmp_path, "m.json")
         obj = json.loads(json_text)
         assert obj["std_error"] is None and obj["infinite"] is False
+
+
+def test_import_loads_no_scipy_and_loads_numpy_random():
+    # scipy is needed by the tests only; numpy loads numpy.random lazily, and
+    # the package imports it up front so that no command pays for it mid-run
+    src = os.path.dirname(os.path.dirname(normrisk.__file__))
+    probe = (
+        "import sys, normrisk.cli\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy'], 'scipy imported'\n"
+        "assert 'numpy.random' in sys.modules, 'numpy.random not imported'\n"
+    )
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -25,6 +25,7 @@ from normrisk.numerics import (
     scaled_chi_inverse_mean,
     scaled_chi_pdf,
     std_normal_cdf,
+    std_normal_logcdf,
     std_normal_pdf,
     substream,
 )
@@ -216,6 +217,76 @@ class TestSpecialFunctions:
         _check_sample_size(np.int64(3), 3)
         with pytest.raises(ValueError, match="at least 3"):
             _check_sample_size(2, 3)
+
+
+def _relative_errors(values, reference, xs):
+    # |value / reference - 1| at 40 digits, for reference a function of one mpf
+    with mpmath.workdps(40):
+        return [float(abs(mpmath.mpf(float(v)) / reference(mpmath.mpf(float(x))) - 1)) for v, x in zip(values, xs)]
+
+
+_RNG = np.random.default_rng(20261018)
+#: Phi is a normal double from -37.5 up; the switch points of the log cdf
+#: (0 and -20) and of exp(-x) I0(x) (x = 700, so M(1/2, 1, -2x) at 1400)
+#: are approached from both sides
+CDF_XS = np.concatenate((np.linspace(-37.5, 9.0, 373), _RNG.uniform(-37.5, 9.0, 200), [-1e-300, 1e-300]))
+LOGCDF_XS = np.concatenate((
+    np.linspace(-200.0, 9.0, 419), _RNG.uniform(-40.0, 9.0, 200), -np.logspace(0, 5, 81),
+    [-20.0 - 1e-12, -20.0 + 1e-12, -1e-300, 1e-300],
+))
+KUMMER_B1_XS = np.concatenate((
+    np.linspace(0.0, 1600.0, 321), _RNG.uniform(0.0, 1600.0, 100), np.logspace(3, 7, 41),
+    [1400.0 - 1e-9, 1400.0 + 1e-9],
+))
+
+
+class TestSpecialFunctionsAgainstMpmath:
+    """The in-house Phi, log Phi and exp(-x) I0(x) against 40-digit mpmath."""
+
+    def test_cdf(self):
+        errors = _relative_errors(std_normal_cdf(CDF_XS), mpmath.ncdf, CDF_XS)
+        assert max(errors) < 1e-15
+
+    def test_cdf_subnormal_tail(self):
+        # below -37.5 Phi is subnormal: the error is counted in its spacing
+        xs = np.linspace(-38.5, -37.5, 41)
+        with mpmath.workdps(40):
+            for x, value in zip(xs, std_normal_cdf(xs)):
+                error = abs(mpmath.mpf(float(value)) - mpmath.ncdf(mpmath.mpf(float(x))))
+                assert error <= 2 * math.ulp(0.0)
+
+    def test_logcdf(self):
+        errors = _relative_errors(
+            std_normal_logcdf(LOGCDF_XS), lambda x: mpmath.log(mpmath.ncdf(x)), LOGCDF_XS
+        )
+        assert max(errors) < 1e-15
+
+    def test_kummer_at_b_one(self):
+        # M(1/2, 1, -x) = exp(-x/2) I0(x/2)
+        errors = _relative_errors(
+            kummer_m_half(1.0, KUMMER_B1_XS), lambda x: mpmath.hyp1f1(0.5, 1, -x), KUMMER_B1_XS
+        )
+        assert max(errors) < 1e-15
+
+    def test_non_finite(self):
+        assert std_normal_cdf(math.inf) == 1.0 and std_normal_cdf(-math.inf) == 0.0
+        assert math.isnan(std_normal_cdf(math.nan))
+        assert std_normal_logcdf(math.inf) == 0.0 and std_normal_logcdf(-math.inf) == -math.inf
+        assert math.isnan(std_normal_logcdf(math.nan))
+        assert normal_mass(0.0, math.inf) == 0.5
+        assert kummer_m_half(1.0, math.inf) == 0.0
+        xs = np.array([-math.inf, math.nan, math.inf])
+        np.testing.assert_array_equal(std_normal_cdf(xs), [0.0, math.nan, 1.0])
+        np.testing.assert_array_equal(std_normal_logcdf(xs), [-math.inf, math.nan, 0.0])
+
+    @pytest.mark.parametrize("fn", [std_normal_cdf, std_normal_logcdf])
+    def test_arrays_match_scalars(self, fn):
+        xs = LOGCDF_XS.reshape(-1, 4)
+        out = fn(xs)
+        assert out.shape == xs.shape
+        assert [fn(float(x)) for x in xs.ravel()] == out.ravel().tolist()
+        assert type(fn(0.5)) is float and type(fn(np.float64(0.5))) is float
+        assert type(fn(np.array(0.5))) is float and type(fn(1)) is float
 
 
 class TestScaledChi:
