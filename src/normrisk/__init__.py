@@ -52,15 +52,11 @@ from .kernels import (
 from .numerics import (
     DEFAULT_QUADRATURE,
     MinimizationError,
-    MinimizeResult,
     NumericsError,
     QuadratureConfig,
     QuadratureError,
     integrate,
-    log_gamma,
-    minimize_scalar,
     normal_mass,
-    sample_standard_normals,
     scaled_chi_interval,
     scaled_chi_inverse_mean,
     scaled_chi_pdf,

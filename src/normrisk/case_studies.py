@@ -180,9 +180,5 @@ def skew_normal_asymptotic_mise(
     theta = (0.0, sigma, 1.0)
     span = 12.0 * sigma
     return asymptotic_mise_general(
-        lambda x, th: skew_normal_score(x, th),
-        lambda x, th: skew_normal_density(x, th),
-        theta,
-        cfg=cfg,
-        support=(-span, span),
+        skew_normal_score, skew_normal_density, theta, cfg=cfg, support=(-span, span)
     )

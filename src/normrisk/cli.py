@@ -99,27 +99,27 @@ def comparison_row(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Compar
     )
 
 
+def _risk_curve(label: str, xs: np.ndarray, bias, sd, mse) -> RiskCurve:
+    columns = (xs, bias, sd, np.sqrt(mse))
+    return RiskCurve(label, tuple(zip(*(c.tolist() for c in columns))))
+
+
 def parametric_risk_curve(
     n: int,
     xs: Sequence[float],
     p: NormalParams = STD_NORMAL,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> RiskCurve:
-    points = []
-    for x in xs:
-        bias, variance, mse = exact_mse_plugin(float(x), p, n, cfg)
-        points.append((float(x), bias, math.sqrt(max(variance, 0.0)), math.sqrt(mse)))
-    return RiskCurve(estimator_label="parametric_plugin", points=tuple(points))
+    xs = np.asarray(xs, dtype=float)
+    bias, variance, mse = exact_mse_plugin(xs, p, n, cfg)
+    return _risk_curve("parametric_plugin", xs, bias, np.sqrt(np.maximum(variance, 0.0)), mse)
 
 
 def kernel_risk_curve(
     kernel, n: int, h: float, xs: Sequence[float], p: NormalParams = STD_NORMAL
 ) -> RiskCurve:
-    points = []
-    for x in xs:
-        bias, sd, mse = exact_mse_kernel(kernel, float(x), p, n, h)
-        points.append((float(x), bias, sd, math.sqrt(mse)))
-    return RiskCurve(estimator_label=f"{kernel.name}_kernel", points=tuple(points))
+    xs = np.asarray(xs, dtype=float)
+    return _risk_curve(f"{kernel.name}_kernel", xs, *exact_mse_kernel(kernel, xs, p, n, h))
 
 
 def figure_curves(

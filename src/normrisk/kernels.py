@@ -206,13 +206,16 @@ class KernelMse(NamedTuple):
     mse: float
 
 
-def exact_mse_kernel(kernel: Kernel, x: float, p: NormalParams, n: int, h: float) -> KernelMse:
-    """Exact pointwise bias, standard deviation and MSE of the estimator."""
+def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> KernelMse:
+    """Exact pointwise bias, standard deviation and MSE of the estimator.
+
+    Elementwise in x: an array of points gives arrays of its shape.
+    """
     m = exact_moments(kernel, x, p, n, h)
     f_true = std_normal_pdf((x - p.mu) / p.sigma) / p.sigma
     bias = m.mean - f_true
-    sd = math.sqrt(max(m.variance, 0.0))
-    return KernelMse(bias=bias, sd=sd, mse=bias * bias + m.variance)
+    sd = np.sqrt(np.maximum(m.variance, 0.0))
+    return KernelMse(bias=bias, sd=sd if sd.ndim else float(sd), mse=bias * bias + m.variance)
 
 
 def _centered_mass(c: float) -> float:

@@ -1,10 +1,15 @@
 """Self-contained numerical kernel used by the risk modules.
 
 Provides adaptive Gauss-Kronrod quadrature over finite and infinite
-intervals, Brent-style scalar minimization, standard-normal special
-functions, the gamma-function ratio and the Kummer function the risk
-formulas need, the sampling density of the scaled sample standard
-deviation, and seeded normal sampling with reproducible substreams.
+intervals, standard-normal special functions, the gamma-function ratio and
+the Kummer function the risk formulas need, the sampling density of the
+scaled sample standard deviation, and seeded normal sampling with
+reproducible substreams.
+
+The quadrature takes array-valued integrands only: f maps a 1-D array of
+nodes to an array whose last axis runs over those nodes, and any leading
+axes are components integrated together over one panel tree.  A function
+that accepts only a float is rejected with TypeError.
 
 Everything is built on `math` and numpy alone; scipy is not needed at run
 time.  The normal cdf, its log and exp(-x) I0(x) match 40-digit mpmath to
@@ -65,13 +70,6 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    argmin: float
-    min_value: float
-    iterations: int
-
-
 # 15-point Kronrod extension of 7-point Gauss-Legendre, nodes/weights for
 # [-1, 1].  The embedded Gauss rule sits on nodes 1, 3, ..., 13.
 _K15_NODES_POS = np.array([
@@ -91,42 +89,46 @@ _G7_WEIGHTS_POS = np.array([
 
 _K15_NODES = np.concatenate((-_K15_NODES_POS[:-1], _K15_NODES_POS[::-1]))
 _K15_WEIGHTS = np.concatenate((_K15_WEIGHTS_POS[:-1], _K15_WEIGHTS_POS[::-1]))
-_G7_INDEX = np.arange(1, 14, 2)
-_G7_WEIGHTS = np.concatenate((_G7_WEIGHTS_POS[:-1], _G7_WEIGHTS_POS[::-1]))
+_G7_WEIGHTS = np.zeros(15)
+_G7_WEIGHTS[1::2] = np.concatenate((_G7_WEIGHTS_POS[:-1], _G7_WEIGHTS_POS[::-1]))
+# one product with these columns gives the Kronrod sum, its gap to the Gauss
+# sum and the panel mean
+_GK_WEIGHTS = np.stack((_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS, 0.5 * _K15_WEIGHTS), axis=1)
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
-def _vectorized(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap f so it always maps an ndarray of points to an ndarray of values."""
+def _gk15(f: Callable[[np.ndarray], np.ndarray], cuts) -> tuple[np.ndarray, list[float]]:
+    """Gauss-Kronrod panels between consecutive cuts, in one integrand call.
 
-    def call(x: np.ndarray) -> np.ndarray:
-        try:
-            y = np.asarray(f(x), dtype=float)
-        except (TypeError, ValueError):
-            y = None
-        if y is None or y.shape != x.shape:
-            y = np.fromiter((float(f(float(t))) for t in x), dtype=float, count=x.size)
-        return y
-
-    return call
-
-
-def _gk15(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (integral, error bound)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    y = f(mid + half * _K15_NODES)
-    resk = half * float(_K15_WEIGHTS @ y)
-    resg = half * float(_G7_WEIGHTS @ y[_G7_INDEX])
-    resabs = half * float(_K15_WEIGHTS @ np.abs(y))
-    mean = resk / (hi - lo)
-    resasc = half * float(_K15_WEIGHTS @ np.abs(y - mean))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+    Returns the panel integrals, panel axis last after the integrand's own
+    leading shape, and each panel's error bound as a float: the largest
+    bound among the integrand's components.
+    """
+    mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(cuts[:-1], cuts[1:])])
+    half = mid_half[:, 1]
+    x = (mid_half[:, :1] + mid_half[:, 1:] * _K15_NODES).ravel()
+    y = np.asarray(f(x), dtype=float)
+    if y.shape[-1:] != x.shape:
+        raise TypeError(
+            f"integrand returned shape {y.shape} for {x.size} nodes; "
+            "it must map a 1-D node array to values with the node axis last"
+        )
+    y = y.reshape(y.shape[:-1] + (half.size, 15))
+    # per unit half-width: the Kronrod sum, its gap to the Gauss sum, the
+    # panel mean, and the Kronrod sums of |y| and of |y - mean|
+    sums = y @ _GK_WEIGHTS
+    kronrod = sums[..., 0]
+    resabs = np.abs(y) @ _K15_WEIGHTS
+    resasc = np.abs(y - sums[..., 2:]) @ _K15_WEIGHTS
+    # + _TINY keeps a constant panel (resasc = 0) finite: its bound is then
+    # the roundoff floor alone
+    ratio = 200.0 * np.abs(sums[..., 1]) / (resasc + _TINY)
+    err = np.maximum(resasc * np.minimum(1.0, ratio) ** 1.5, 50.0 * _EPS * resabs)
+    if err.ndim > 1:
+        err = err.reshape(-1, half.size).max(axis=0, initial=0.0)
+    return half * kronrod, (half * err).tolist()
 
 
 def _map_infinite(f, lo: float, hi: float, points: Sequence[float]):
@@ -165,140 +167,61 @@ def _map_infinite(f, lo: float, hi: float, points: Sequence[float]):
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     points: Sequence[float] = (),
-) -> float:
+) -> float | np.ndarray:
     """Adaptively integrate f over (lo, hi).
 
-    Endpoints may be infinite.  The integrand is evaluated on arrays of
-    interior nodes when it supports that, pointwise otherwise.  `points`
-    lists interior locations of known structure (kinks, support edges) and
-    seeds the initial subdivision.  Panels only sample interior nodes, so
-    a feature much narrower than the surrounding panel must be bracketed
-    by a pair of points, not merely marked at its center.
+    Endpoints may be infinite.  f maps a 1-D array of nodes to values of any
+    leading shape with the node axis last, shape (..., nodes); the result
+    has that leading shape, and a float when there is none.  All components
+    share one panel tree, and a panel's error bound is the largest among
+    them.  `points` lists interior locations of known structure (kinks,
+    support edges) and seeds the initial subdivision.  Panels only sample
+    interior nodes, so a feature much narrower than the surrounding panel
+    must be bracketed by a pair of points, not merely marked at its center.
 
-    Raises QuadratureError when the error bound cannot be brought below
-    max(abs_tol, rel_tol * |I|) within cfg.max_subdivisions.
+    Raises QuadratureError when the summed error bound cannot be brought
+    below max(abs_tol, rel_tol * min_j |I_j|) within cfg.max_subdivisions,
+    so that every component I_j meets its own target; TypeError when f does
+    not return the node axis last (a scalar-only f, for one).
     """
     if not lo < hi:
         raise ValueError(f"invalid interval: lo={lo!r} must be < hi={hi!r}")
-    fv = _vectorized(f)
     if math.isinf(lo) or math.isinf(hi):
-        fv, lo, hi, points = _map_infinite(fv, lo, hi, points)
+        f, lo, hi, points = _map_infinite(f, lo, hi, points)
 
     cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
+    vals, errs = _gk15(f, cuts)
     total = 0.0
     err_total = 0.0
-    heap: list[tuple[float, float, float, float, float]] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15(fv, a, b)
-        total += val
+    heap: list[tuple[float, float, float, np.ndarray, float]] = []
+    for i, (a, b, err) in enumerate(zip(cuts[:-1], cuts[1:], errs)):
+        total += vals[..., i]
         err_total += err
-        heapq.heappush(heap, (-err, a, b, val, err))
+        heapq.heappush(heap, (-err, a, b, vals[..., i], err))
 
     splits = 0
-    while err_total > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    while err_total > max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf)):
         if splits >= cfg.max_subdivisions:
             raise QuadratureError(
                 f"no convergence after {splits} subdivisions: "
-                f"estimate {total:.6g}, error bound {err_total:.3g}"
+                f"estimate {np.array2string(np.asarray(total), precision=6)}, "
+                f"error bound {err_total:.3g}"
             )
         _, a, b, val, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        v1, e1 = _gk15(fv, a, mid)
-        v2, e2 = _gk15(fv, mid, b)
+        vals, (e1, e2) = _gk15(f, (a, mid, b))
+        v1, v2 = vals[..., 0], vals[..., 1]
         total += v1 + v2 - val
         err_total += e1 + e2 - err
         heapq.heappush(heap, (-e1, a, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, b, v2, e2))
         splits += 1
-    return total
-
-
-_INV_GOLD = 0.3819660112501051  # 2 - golden ratio
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> MinimizeResult:
-    """Minimize a unimodal f on [lo, hi] by Brent's method.
-
-    Combines golden-section steps with parabolic interpolation; requires no
-    derivatives.  Raises MinimizationError when the minimizer lands at a
-    bracket edge (the bracket then does not enclose a minimum) or when the
-    iteration budget runs out.
-    """
-    if not lo < hi:
-        raise ValueError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-    a, b = float(lo), float(hi)
-    x = w = v = a + _INV_GOLD * (b - a)
-    fx = fw = fv = float(f(x))
-    d = e = b - a
-
-    for iteration in range(1, max_iter + 1):
-        m = 0.5 * (a + b)
-        tol1 = tol + 4.0 * _EPS * abs(x)
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            if min(x - lo, hi - x) < 2.0 * tol2:
-                raise MinimizationError(
-                    f"minimum at bracket edge x={x:.8g}; bracket ({lo}, {hi}) "
-                    "does not enclose an interior minimum"
-                )
-            return MinimizeResult(argmin=x, min_value=fx, iterations=iteration)
-
-        use_golden = True
-        if abs(e) > tol1:
-            # parabola through (x, w, v)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if x < m else -tol1
-                use_golden = False
-        if use_golden:
-            e = (b if x < m else a) - x
-            d = _INV_GOLD * e
-
-        u = x + (d if abs(d) >= tol1 else (tol1 if d > 0 else -tol1))
-        fu = float(f(u))
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-    raise MinimizationError(f"no convergence within {max_iter} iterations")
+    return float(total) if np.ndim(total) == 0 else total
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -389,13 +312,6 @@ def std_normal_logcdf(x):
 def normal_mass(a, b):
     """Standard normal probability of the interval (a, b)."""
     return std_normal_cdf(b) - std_normal_cdf(a)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive real x."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma in 1/x
@@ -636,9 +552,3 @@ def substream(seed: int, index: int) -> np.random.Generator:
         raise ValueError("substream index must be nonnegative")
     return np.random.Generator(np.random.Philox(key=seed, counter=_philox_counter(index)))
 
-
-def sample_standard_normals(seed: int, count: int) -> np.ndarray:
-    """Deterministic standard normal sample of the given size."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return substream(seed, 0).standard_normal(count)

@@ -138,19 +138,24 @@ def conditional_moments(x, n: int, z):
     return mean, second
 
 
-def _mean_integrand(y: float, n: int):
+def _mean_integrand(y, n: int):
+    # y[..., None] puts the quadrature nodes z on a last axis of their own
+    y2 = np.asarray(y, dtype=float)[..., None] ** 2
+
     def f(z):
         nz2 = n * z * z
-        cm = math.sqrt(n) / (SQRT_2PI * np.sqrt(1.0 + nz2)) * np.exp(-0.5 * y * y * n / (1.0 + nz2))
+        cm = math.sqrt(n) / (SQRT_2PI * np.sqrt(1.0 + nz2)) * np.exp(-0.5 * y2 * n / (1.0 + nz2))
         return cm * scaled_chi_pdf(n, z)
 
     return f
 
-def _second_integrand(y: float, n: int):
+
+def _second_integrand(y, n: int):
     # combined in log space: the 1/z factor of the conditional second moment
     # cancels against one power of z in the sampling density, so the
     # integrand stays finite as z -> 0 for every n >= 3
     log_c = scaled_chi_log_const(n) + 0.5 * math.log(n) - math.log(2.0 * math.pi)
+    y2 = np.asarray(y, dtype=float)[..., None] ** 2
 
     def f(z):
         nz2 = n * z * z
@@ -158,7 +163,7 @@ def _second_integrand(y: float, n: int):
             log_c
             + (n - 3) * np.log(z)
             - 0.5 * np.log(2.0 + nz2)
-            - y * y * n / (2.0 + nz2)
+            - y2 * n / (2.0 + nz2)
             - 0.5 * (n - 1) * z * z
         )
 
@@ -166,16 +171,18 @@ def _second_integrand(y: float, n: int):
 
 
 def exact_mse_plugin(
-    x: float, p: NormalParams, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    x, p: NormalParams, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> MseParts:
     """Exact pointwise bias, variance and MSE of the plug-in estimator.
 
     Integrates the conditional moments against the scaled-chi law of the
-    scale estimate.  Requires n >= 3: below that the second moment is not
-    integrable.
+    scale estimate.  x may be a float or an array: an array is done as one
+    array-valued integral per moment, every point to the configured
+    tolerance, and gives arrays of x's shape.  Requires n >= 3: below that
+    the second moment is not integrable.
     """
     _check_sample_size(n, 3)
-    y = (x - p.mu) / p.sigma
+    y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
     z_lo, z_hi = scaled_chi_interval(n)
     mode = scaled_chi_mode(n)
     mean0 = integrate(_mean_integrand(y, n), z_lo, z_hi, cfg, points=(mode,))
@@ -290,25 +297,21 @@ def shrunk_mise(mise: float, r_f: float) -> float:
 
 
 def _finite_difference_score(
-    density: Callable[[float, Sequence[float]], float], step: float
-) -> Callable[[float, Sequence[float]], np.ndarray]:
+    density: Callable[[np.ndarray, np.ndarray], np.ndarray], step: float
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     def score(x, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.empty(theta.size)
-        for k in range(theta.size):
-            up = theta.copy()
-            dn = theta.copy()
-            up[k] += step
-            dn[k] -= step
-            out[k] = (math.log(density(x, up)) - math.log(density(x, dn))) / (2.0 * step)
-        return out
+        return np.array([
+            (np.log(density(x, theta + e)) - np.log(density(x, theta - e))) / (2.0 * step)
+            for e in step * np.eye(theta.size)
+        ])
 
     return score
 
 
 def asymptotic_mise_general(
-    score: Optional[Callable[[float, Sequence[float]], np.ndarray]],
-    density: Callable[[float, Sequence[float]], float],
+    score: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    density: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta: Sequence[float],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     support: tuple[float, float] = (-math.inf, math.inf),
@@ -317,31 +320,23 @@ def asymptotic_mise_general(
     """Limit of n * MISE for a maximum-likelihood plug-in density estimator.
 
     Returns Tr(J^-1 L) with J the Fisher information and L the squared-
-    density-weighted score outer product, both computed by quadrature at
-    theta.  When no analytic score is supplied it is approximated by
-    central differences of log density (step `fd_step`), with a matching
-    loss of accuracy.
+    density-weighted score outer product, both computed at theta by one
+    array-valued quadrature.  The callbacks take an array x of points:
+    density(x, theta) returns the density at each, score(x, theta) one row
+    of log-density derivatives per parameter, shape (len(theta), len(x)).
+    When no analytic score is supplied it is approximated by central
+    differences of log density (step `fd_step`), with a matching loss of
+    accuracy.
     """
     theta = np.asarray(theta, dtype=float)
-    dim = theta.size
     score_fn = score if score is not None else _finite_difference_score(density, fd_step)
-    lo, hi = support
 
-    j_mat = np.empty((dim, dim))
-    l_mat = np.empty((dim, dim))
-    for i in range(dim):
-        for k in range(i, dim):
-            def f_j(x, i=i, k=k):
-                u = score_fn(x, theta)
-                return density(x, theta) * u[i] * u[k]
+    def j_and_l(x):
+        u = score_fn(x, theta)
+        f = density(x, theta)
+        return np.stack((f, f * f))[:, None, None] * (u[:, None] * u[None, :])
 
-            def f_l(x, i=i, k=k):
-                u = score_fn(x, theta)
-                return density(x, theta) ** 2 * u[i] * u[k]
-
-            j_mat[i, k] = j_mat[k, i] = integrate(f_j, lo, hi, cfg)
-            l_mat[i, k] = l_mat[k, i] = integrate(f_l, lo, hi, cfg)
-
+    j_mat, l_mat = integrate(j_and_l, *support, cfg)
     cond = np.linalg.cond(j_mat)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericsError(

@@ -41,7 +41,7 @@ from normrisk.kernels import (
     mise_exact_generic,
     mise_fixed_bandwidth,
 )
-from normrisk.numerics import integrate, normal_mass, sample_standard_normals, std_normal_pdf
+from normrisk.numerics import integrate, normal_mass, std_normal_pdf, substream
 from normrisk.parametric import (
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,
@@ -343,7 +343,7 @@ def test_c14_property_suite_spot_checks():
 
     # determinism
     checks["sampler_deterministic"] = np.array_equal(
-        sample_standard_normals(5, 64), sample_standard_normals(5, 64)
+        substream(5, 0).standard_normal(64), substream(5, 0).standard_normal(64)
     )
     rule = rule_of_thumb(NORMAL_KERNEL, 5)
     mc_cfg = McConfig(replicates=200, eval_points=3, seed=11)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.optimize import minimize_scalar
 
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
@@ -23,7 +24,7 @@ from normrisk.kernels import (
     mise_fixed_bandwidth,
     truncated_normal_moments,
 )
-from normrisk.numerics import integrate, minimize_scalar, substream
+from normrisk.numerics import integrate, substream
 from normrisk.parametric import NormalParams, STD_NORMAL
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -33,6 +34,11 @@ BOTH_KERNELS = (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
 
 def phi(x):
     return PHI0 * math.exp(-0.5 * x * x)
+
+
+def _minimize(f, lo, hi):
+    # scipy's bounded Brent search: an independent reference for the minima
+    return minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
 
 
 class TestKernelEval:
@@ -166,7 +172,7 @@ class TestExactMoments:
     def test_mean_integrates_to_one(self, kernel):
         p = NormalParams(0.0, 1.3)
         total = integrate(
-            lambda x: exact_moments(kernel, float(x), p, 5, 0.8).mean, -14.0, 14.0
+            lambda x: exact_moments(kernel, x, p, 5, 0.8).mean, -14.0, 14.0
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -179,6 +185,16 @@ class TestExactMseKernel:
                 left = exact_mse_kernel(kernel, p.mu - d, p, 12, 1.1)
                 right = exact_mse_kernel(kernel, p.mu + d, p, 12, 1.1)
                 assert left.mse == pytest.approx(right.mse, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_array_matches_pointwise(self, kernel):
+        p = NormalParams(0.4, 1.3)
+        xs = np.linspace(-4.0, 5.0, 37)
+        for n, h in ((3, 1.9), (14, 0.8), (1000, 0.35)):
+            arr = exact_mse_kernel(kernel, xs, p, n, h)
+            each = np.array([exact_mse_kernel(kernel, float(x), p, n, h) for x in xs])
+            assert arr.mse.shape == arr.sd.shape == xs.shape
+            assert np.abs(np.array(arr).T - each).max() < 1e-13
 
     def test_rmse_decomposition(self):
         r = exact_mse_kernel(EPANECHNIKOV_KERNEL, 0.6, STD_NORMAL, 14, 2.96)
@@ -262,13 +278,9 @@ class TestMise:
 
     def test_minimized_values_match_published_products(self):
         # best fixed-bandwidth MISE: 0.801 and 0.982 of the benchmarks
-        best_normal = minimize_scalar(
-            lambda h: mise_closed_normal_kernel(10, h), 0.1, 2.5, tol=1e-10
-        ).min_value
+        best_normal = _minimize(lambda h: mise_closed_normal_kernel(10, h), 0.1, 2.5).fun
         assert best_normal == pytest.approx(0.02438, abs=2e-5)
-        best_epan = minimize_scalar(
-            lambda h: mise_closed_epan_kernel(15, h), 0.5, 5.0, tol=1e-10
-        ).min_value
+        best_epan = _minimize(lambda h: mise_closed_epan_kernel(15, h), 0.5, 5.0).fun
         assert best_epan == pytest.approx(0.01849, abs=2e-5)
 
     @given(
@@ -299,8 +311,8 @@ class TestMise:
             assert general == pytest.approx(standard / sigma, abs=1e-10)
 
     def test_oversmoothed_is_worse_than_optimum(self):
-        best = minimize_scalar(lambda h: mise_closed_normal_kernel(10, h), 0.1, 2.5, tol=1e-9)
-        assert mise_closed_normal_kernel(10, 10.0) > best.min_value
+        best = _minimize(lambda h: mise_closed_normal_kernel(10, h), 0.1, 2.5)
+        assert mise_closed_normal_kernel(10, 10.0) > best.fun
 
     def test_closed_forms_continuous_at_threshold(self):
         # the series and closed branches meet smoothly at the switch
@@ -351,13 +363,13 @@ class TestAsymptotics:
         n = 10**4
         closed = mise_closed_normal_kernel if kernel.name == "normal" else mise_closed_epan_kernel
         approx = asymptotic_kernel_risk(kernel, STD_NORMAL, n)
-        exact_best = minimize_scalar(
-            lambda h: closed(n, h), 0.2 * approx.bandwidth, 3.0 * approx.bandwidth, tol=1e-10
-        ).min_value
+        exact_best = _minimize(
+            lambda h: closed(n, h), 0.2 * approx.bandwidth, 3.0 * approx.bandwidth
+        ).fun
         assert exact_best / approx.amise == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize("n", [10, 50])
     def test_flat_minimum(self, n):
-        best = minimize_scalar(lambda h: mise_closed_normal_kernel(n, h), 0.1, 3.0, tol=1e-10)
-        stretched = mise_closed_normal_kernel(n, 1.05 * best.argmin)
-        assert (stretched - best.min_value) / best.min_value < 0.01
+        best = _minimize(lambda h: mise_closed_normal_kernel(n, h), 0.1, 3.0)
+        stretched = mise_closed_normal_kernel(n, 1.05 * best.x)
+        assert (stretched - best.fun) / best.fun < 0.01

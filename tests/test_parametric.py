@@ -58,7 +58,7 @@ BENCHMARK_EXACT = {
 
 
 def phi(x):
-    return PHI0 * math.exp(-0.5 * x * x)
+    return PHI0 * np.exp(-0.5 * x * x)
 
 
 class TestPluginDensity:
@@ -186,11 +186,21 @@ class TestExactMse:
         exact = exact_mse_plugin(0.0, STD_NORMAL, n).mse
         assert abs(exact - mc_mse) < 3.0 * mc_se
 
+    @pytest.mark.parametrize("n", [3, 14, 1000])
+    def test_array_matches_pointwise(self, n):
+        p = NormalParams(0.4, 1.3)
+        xs = np.linspace(-5.0, 5.0, 41)
+        arr = exact_mse_plugin(xs, p, n)
+        each = np.array([exact_mse_plugin(float(x), p, n) for x in xs])
+        assert arr.mse.shape == arr.bias.shape == xs.shape
+        assert np.abs(np.array(arr).T - each).max() < 1e-13
+        assert isinstance(exact_mse_plugin(0.3, p, n).mse, float)
+
     def test_fubini_consistency(self):
         for n in (5, 10, 20):
             mise = exact_mise_plugin(STD_NORMAL, n).value
             total = integrate(
-                lambda x: exact_mse_plugin(float(x), STD_NORMAL, n).mse, -9.0, 9.0,
+                lambda x: exact_mse_plugin(x, STD_NORMAL, n).mse, -9.0, 9.0,
             )
             assert total == pytest.approx(mise, abs=2e-6)
 
