@@ -13,10 +13,11 @@ functions M(1/2, (n-1)/2, -x): the pair term is closed, and the
 estimate-truth term is one integral over the scaled-chi law of sigma_hat
 (the fixed-bandwidth analogue is Marron & Wand 1992).  For other kernels,
 and as the cross-check of that route, `real_mise_nested` integrates against
-the two ancillary densities directly, one adaptive integral per term.  Both
-are polynomial on a bounded support; substituting t = edge * sin(theta)
-turns them into smooth trigonometric integrands that adaptive quadrature
-resolves quickly even for large n, where they concentrate sharply.
+the two ancillary densities directly.  Both are polynomial on a bounded
+support; substituting t = edge * sin(theta) turns them into smooth
+trigonometric integrands that adaptive quadrature resolves quickly even for
+large n, where they concentrate sharply.  Under that map both densities
+carry the same weight, so both terms are one adaptive integral over theta.
 """
 
 from __future__ import annotations
@@ -203,30 +204,39 @@ def _bounded_power_pdf(const: float, edge: float, power: float):
     return pdf
 
 
+def _ancillary_shape(n: int) -> tuple[float, float, float]:
+    """The residual density's constant and edge, and the pair difference's edge.
+
+    The pair-difference density has the same shape at the scale
+    pair_edge / residual_edge, so under t = edge * sin(theta) both densities
+    carry the same weight const * edge * cos(theta)^(n-3).
+    """
+    return math.exp(_log_support_const(n)), (n - 1) / math.sqrt(n), math.sqrt(2.0 * (n - 1))
+
+
 def _support_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     const: float,
     edge: float,
     n: int,
     cfg: QuadratureConfig,
-    theta_limit: float = 0.5 * math.pi,
     points: tuple[float, ...] = (),
-) -> float:
+) -> float | np.ndarray:
     """Integral of fn against a bounded-power density via the sine map.
 
     The substitution t = edge*sin(theta) yields const*edge*cos(theta)^(n-3)
-    times fn, a smooth integrand.  For large n the cosine power localizes
-    near zero; the integration range is clipped where the weight has fallen
-    by e^-45 relative to its peak.
+    times fn, a smooth integrand; fn may return any leading shape.  For
+    large n the cosine power localizes near zero; the integration range is
+    clipped where the weight has fallen by e^-45 relative to its peak.
+    `points` are in theta.
     """
     if n > 3:
         theta_cap = math.acos(math.exp(-45.0 / (n - 3)))
     else:
         theta_cap = 0.5 * math.pi
-    theta_max = min(theta_limit, theta_cap, 0.5 * math.pi * (1.0 - 1e-12))
+    theta_max = min(theta_cap, 0.5 * math.pi * (1.0 - 1e-12))
 
     def integrand(theta):
-        theta = np.asarray(theta, dtype=float)
         return fn(edge * np.sin(theta)) * const * edge * np.cos(theta) ** (n - 3)
 
     return integrate(integrand, -theta_max, theta_max, cfg, points=points)
@@ -235,12 +245,14 @@ def _support_expectation(
 def ancillary_densities(n: int, cfg: QuadratureConfig = _REAL_MISE_CFG) -> AncillaryDensities:
     """Construct both standardized-statistic densities for sample size n."""
     _check_sample_size(n, 3)
-    k_const = math.exp(_log_support_const(n))
-    lam_const = k_const * math.sqrt(n - 1) / math.sqrt(2.0 * n)
-    r_edge = (n - 1) / math.sqrt(n)
-    s_edge = math.sqrt(2.0 * (n - 1))
+    k_const, r_edge, s_edge = _ancillary_shape(n)
+    lam_const = k_const * r_edge / s_edge
     power = 0.5 * (n - 4)
-    densities = AncillaryDensities(
+    # one integral checks both normalizations: their sine-map integrands agree
+    total = _support_expectation(np.ones_like, k_const, r_edge, n, cfg)
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"ancillary densities failed normalization: {total!r}")
+    return AncillaryDensities(
         n=n,
         residual_pdf=_bounded_power_pdf(k_const, r_edge, power),
         pair_diff_pdf=_bounded_power_pdf(lam_const, s_edge, power),
@@ -249,11 +261,6 @@ def ancillary_densities(n: int, cfg: QuadratureConfig = _REAL_MISE_CFG) -> Ancil
         residual_const=k_const,
         pair_diff_const=lam_const,
     )
-    for const, edge in ((k_const, r_edge), (lam_const, s_edge)):
-        total = _support_expectation(lambda t: np.ones_like(t), const, edge, n, cfg)
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"ancillary density failed normalization: {total!r}")
-    return densities
 
 
 def expected_density_at(n: int, w):
@@ -331,9 +338,11 @@ def real_mise_nested(
 ) -> MiseReport:
     """The real MISE of any kernel by quadrature against the ancillary densities.
 
-    The pair overlap is one integral over the pair-difference density, the
-    estimate-truth overlap E_R int K(u) f(R + a u) du (f: `expected_density_at`)
-    one integral over the residual density, its inner integral over u a fixed
+    The pair overlap E_S K*K(S/a)/a over the pair difference S and the
+    estimate-truth overlap E_R int K(u) f(R + a u) du over the residual R
+    (f: `expected_density_at`) are one integral of shape (2,): under the
+    sine map both laws carry the same weight, and at each theta
+    S = R * pair_edge / residual_edge.  The inner integral over u is a fixed
     200-point Gauss-Legendre sum on the kernel's support (|u| <= 8.5 for the
     normal kernel).  Defined from n = 3 on: the ancillary densities are then
     edge-singular but integrable, and the sine substitution absorbs the
@@ -344,34 +353,24 @@ def real_mise_nested(
     cfg = cfg if cfg is not None else _REAL_MISE_CFG
     kernel = rule.kernel
     a = rule.multiplier
-    dens = ancillary_densities(n, cfg)
-
-    if kernel.name == "epan":
-        # the pair-difference argument s/a must land inside [-1, 1]
-        theta_limit = math.asin(min(1.0, a / dens.pair_diff_edge))
-    else:
-        theta_limit = 0.5 * math.pi
-    pair_overlap = _support_expectation(
-        lambda s: kernel_self_convolution(kernel, s / a) / a,
-        dens.pair_diff_const,
-        dens.pair_diff_edge,
-        n,
-        cfg,
-        theta_limit=theta_limit,
-        points=(0.0,),
-    )
+    k_const, r_edge, s_edge = _ancillary_shape(n)
+    pair_scale = s_edge / (r_edge * a)
 
     span = 8.5 if kernel.name == "normal" else kernel.halfwidth
     x, w = _kernel_rule()
     u = span * x
     wk = span * w * kernel_eval(kernel, u)
-    truth = _support_expectation(
-        lambda r: expected_density_at(n, r[..., None] + a * u) @ wk,
-        dens.residual_const,
-        dens.residual_edge,
-        n,
-        cfg,
-    )
+
+    def overlaps(r):
+        pair = kernel_self_convolution(kernel, r * pair_scale) / a
+        truth = expected_density_at(n, r[..., None] + a * u) @ wk
+        return np.stack((pair, truth))
+
+    # a bounded kernel's pair term leaves its support where |S| = 2 a halfwidth
+    edge = math.asin(min(1.0, 2.0 * kernel.halfwidth * a / s_edge))
+    pair_overlap, truth = _support_expectation(
+        overlaps, k_const, r_edge, n, cfg, points=(-edge, 0.0, edge)
+    ).tolist()
     return _real_mise(rule, n, pair_overlap, truth)
 
 

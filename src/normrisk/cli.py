@@ -80,10 +80,14 @@ class RiskCurve:
     points: tuple[tuple[float, float, float, float], ...]  # (x, bias, sd, rmse)
 
 
-def comparison_row(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ComparisonRow:
-    """Compute one table row from scratch."""
+def comparison_row(n: int, cfg: Optional[QuadratureConfig] = None) -> ComparisonRow:
+    """Compute one table row from scratch.
+
+    cfg, when given, sets the tolerance of all three quadrature terms;
+    None keeps each term's own default (plug-in 1e-10, real MISE 1e-11).
+    """
     _check_sample_size(n, 3)
-    bench = exact_mise_plugin(STD_NORMAL, n, cfg).value
+    bench = exact_mise_plugin(STD_NORMAL, n, DEFAULT_QUADRATURE if cfg is None else cfg).value
     normal = rule_of_thumb(NORMAL_KERNEL, n)
     epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n)
     return ComparisonRow(
@@ -92,10 +96,10 @@ def comparison_row(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Compar
         umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / bench,
         b_n=optimal_bandwidth_constant(NORMAL_KERNEL, n),
         normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / bench,
-        normal_ratio2=real_mise_exact(normal, n).value / bench,
+        normal_ratio2=real_mise_exact(normal, n, cfg).value / bench,
         c_n=optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
         epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / bench,
-        epan_ratio2=real_mise_exact(epan, n).value / bench,
+        epan_ratio2=real_mise_exact(epan, n, cfg).value / bench,
     )
 
 
@@ -204,9 +208,15 @@ def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _quad_config(tol: Optional[float]) -> QuadratureConfig:
+def _quad_config(
+    tol: Optional[float], default: Optional[QuadratureConfig] = DEFAULT_QUADRATURE
+) -> Optional[QuadratureConfig]:
+    """The configuration --tol asks for, or `default` when it is not given.
+
+    A default of None is no override: each quadrature keeps its own.
+    """
     if tol is None:
-        return DEFAULT_QUADRATURE
+        return default
     return QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=4096)
 
 
@@ -214,7 +224,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
     for n in ns:
         _check_sample_size(n, 3)
-    cfg = _quad_config(args.tol)
+    cfg = _quad_config(args.tol, default=None)
     records = [asdict(comparison_row(n, cfg)) for n in ns]
     for record in records:
         if math.isinf(record["umvu_ratio"]):
@@ -294,8 +304,7 @@ def _cmd_mise(args: argparse.Namespace) -> None:
                 mc = McConfig(replicates=args.replicates, eval_points=args.eval_points, seed=args.seed)
                 std = real_mise_mc(rule, args.n, mc)
             else:
-                cfg = None if args.tol is None else _quad_config(args.tol)
-                std = real_mise_exact(rule, args.n, cfg)
+                std = real_mise_exact(rule, args.n, _quad_config(args.tol, default=None))
             # the risk of the rule at a normal of scale sigma is the standard one over sigma
             std_error = None if std.std_error is None else std.std_error / args.sigma
             report = MiseReport(value=std.value / args.sigma, method=std.method, std_error=std_error)

@@ -218,11 +218,6 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Ke
     return KernelMse(bias=bias, sd=sd if sd.ndim else float(sd), mse=bias * bias + m.variance)
 
 
-def _centered_mass(c: float) -> float:
-    # standard normal mass of (0, c)
-    return normal_mass(0.0, c)
-
-
 # derivatives at zero of the standard normal difference density
 _GDIFF_D0 = NORMAL_ROUGHNESS
 _GDIFF_D2 = -0.5 / math.sqrt(2.0) * (1.0 / math.sqrt(2.0 * math.pi))
@@ -232,13 +227,9 @@ _GDIFF_D6 = -15.0 / (8.0 * math.sqrt(2.0)) * (1.0 / math.sqrt(2.0 * math.pi))
 
 def _overlap_term(h: float) -> float:
     """int K(u) g(h u) du for the parabolic kernel and standard normal
-    difference density g."""
-    if h < SMALL_H:
-        return _smoothed_series(_EPAN_M, _GDIFF_D0, _GDIFF_D2, _GDIFF_D4, _GDIFF_D6, h)
-    c = h / (2.0 * math.sqrt(2.0))
-    return (3.0 / h) * (
-        (1.0 - 8.0 / (h * h)) * _centered_mass(c) + (2.0 * math.sqrt(2.0) / h) * std_normal_pdf(c)
-    )
+    difference density g: the estimator's mean at 0 and bandwidth h/sqrt(2),
+    divided by sqrt(2)."""
+    return _e0_epan(0.0, h / math.sqrt(2.0)) / math.sqrt(2.0)
 
 
 def _pair_term(h: float) -> float:
@@ -248,7 +239,7 @@ def _pair_term(h: float) -> float:
     c = h / math.sqrt(2.0)
     rt2 = math.sqrt(2.0)
     return (12.0 / (5.0 * h)) * (
-        (1.0 - 10.0 / (h * h)) * _centered_mass(c)
+        (1.0 - 10.0 / (h * h)) * normal_mass(0.0, c)
         + (20.0 * rt2 / h**3 - 32.0 * rt2 / h**5) * std_normal_pdf(0.0)
         + (rt2 / h - 12.0 * rt2 / h**3 + 32.0 * rt2 / h**5) * std_normal_pdf(c)
     )
@@ -300,9 +291,9 @@ def mise_exact_generic(
 ) -> MiseReport:
     """Exact MISE through the general difference-density identity.
 
-    Independent of the closed forms: the two structural integrals are done
-    by adaptive quadrature against the density of an observation pair
-    difference.  Used as a cross-check of the closed-form route.
+    Independent of the closed forms: the pair and overlap integrals against
+    the density of an observation pair difference are one array-valued
+    adaptive quadrature.  Used as a cross-check of the closed-form route.
     """
     _check_kernel(kernel)
     _check_sample_size(n, 1)
@@ -314,20 +305,17 @@ def mise_exact_generic(
         return std_normal_pdf(np.asarray(y) / sd_diff) / sd_diff
 
     if kernel.name == "normal":
-        # the kernel factor alone decays at scale sqrt(2), so a fixed span works
-        pair = integrate(
-            lambda u: kernel_self_convolution(kernel, u) * g_diff(h * u), -18.0, 18.0, cfg
-        )
-        overlap = integrate(
-            lambda u: std_normal_pdf(np.asarray(u)) * g_diff(h * u), -13.0, 13.0, cfg
-        )
+        # both kernel factors alone decay, the slower at scale sqrt(2), so a fixed span works
+        lo, hi, points = -18.0, 18.0, ()
     else:
-        pair = integrate(
-            lambda u: gk_epanechnikov(u) * g_diff(h * u), -1.0, 1.0, cfg, points=(0.0,)
-        )
-        overlap = integrate(
-            lambda u: kernel_eval(kernel, u) * g_diff(h * u), -0.5, 0.5, cfg
-        )
+        lo, hi, points = -1.0, 1.0, (-0.5, 0.0, 0.5)
+    pair, overlap = integrate(
+        lambda u: np.stack((kernel_self_convolution(kernel, u), kernel_eval(kernel, u))) * g_diff(h * u),
+        lo,
+        hi,
+        cfg,
+        points=points,
+    ).tolist()
     value = (
         kernel.roughness / (n * h)
         + (1.0 - 1.0 / n) * pair

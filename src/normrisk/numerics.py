@@ -451,12 +451,6 @@ def _scaled_chi_centered_log_const(n: int) -> float:
     return 0.5 * math.log(2.0 * y / math.pi) - _lgamma_correction(y)
 
 
-def scaled_chi_log_const(n: int) -> float:
-    """Log normalizing constant of the scaled-chi density for sample size n."""
-    _check_sample_size(n, 2)
-    return _scaled_chi_centered_log_const(n) + 0.5 * (n - 1)
-
-
 def scaled_chi_pdf(n: int, z):
     """Density of Z = sigma_hat/sigma for a normal sample of size n.
 

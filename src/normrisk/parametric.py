@@ -7,7 +7,9 @@ formula for general smooth parametric families.
 
 Every risk here reduces to the standard normal estimand: a general
 (mu, sigma) target only rescales the answer, so the quadrature work is
-done once in standardized coordinates.
+done once in standardized coordinates.  The plug-in's pointwise mean and
+second moment are expectations over the scaled-chi law of the scale
+estimate, computed together as one array-valued integral.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .numerics import (
     integrate,
     scaled_chi_interval,
     scaled_chi_inverse_mean,
-    scaled_chi_log_const,
     scaled_chi_mode,
     scaled_chi_pdf,
     std_normal_pdf,
@@ -138,55 +139,30 @@ def conditional_moments(x, n: int, z):
     return mean, second
 
 
-def _mean_integrand(y, n: int):
-    # y[..., None] puts the quadrature nodes z on a last axis of their own
-    y2 = np.asarray(y, dtype=float)[..., None] ** 2
-
-    def f(z):
-        nz2 = n * z * z
-        cm = math.sqrt(n) / (SQRT_2PI * np.sqrt(1.0 + nz2)) * np.exp(-0.5 * y2 * n / (1.0 + nz2))
-        return cm * scaled_chi_pdf(n, z)
-
-    return f
-
-
-def _second_integrand(y, n: int):
-    # combined in log space: the 1/z factor of the conditional second moment
-    # cancels against one power of z in the sampling density, so the
-    # integrand stays finite as z -> 0 for every n >= 3
-    log_c = scaled_chi_log_const(n) + 0.5 * math.log(n) - math.log(2.0 * math.pi)
-    y2 = np.asarray(y, dtype=float)[..., None] ** 2
-
-    def f(z):
-        nz2 = n * z * z
-        return np.exp(
-            log_c
-            + (n - 3) * np.log(z)
-            - 0.5 * np.log(2.0 + nz2)
-            - y2 * n / (2.0 + nz2)
-            - 0.5 * (n - 1) * z * z
-        )
-
-    return f
-
-
 def exact_mse_plugin(
     x, p: NormalParams, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> MseParts:
     """Exact pointwise bias, variance and MSE of the plug-in estimator.
 
-    Integrates the conditional moments against the scaled-chi law of the
-    scale estimate.  x may be a float or an array: an array is done as one
-    array-valued integral per moment, every point to the configured
-    tolerance, and gives arrays of x's shape.  Requires n >= 3: below that
+    Integrates both conditional moments against the scaled-chi law of the
+    scale estimate, together as one array-valued integral.  x may be a
+    float or an array: an array gives arrays of x's shape, every point and
+    both moments to the configured tolerance.  Requires n >= 3: below that
     the second moment is not integrable.
     """
     _check_sample_size(n, 3)
     y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
+    y_nodes = y[..., None]  # the quadrature nodes z on a last axis of their own
+
+    def moments(z):
+        return np.stack(conditional_moments(y_nodes, n, z)) * scaled_chi_pdf(n, z)
+
+    # the second moment's integrand is O(z^(n-3)) at 0, and the tail below
+    # z_lo (1.8e-18 at n = 3) is far below any tolerance
     z_lo, z_hi = scaled_chi_interval(n)
-    mode = scaled_chi_mode(n)
-    mean0 = integrate(_mean_integrand(y, n), z_lo, z_hi, cfg, points=(mode,))
-    second0 = integrate(_second_integrand(y, n), 0.0, z_hi, cfg, points=(z_lo, mode))
+    mean0, second0 = integrate(moments, z_lo, z_hi, cfg, points=(scaled_chi_mode(n),))
+    if y.ndim == 0:
+        mean0, second0 = float(mean0), float(second0)
     bias = (mean0 - std_normal_pdf(y)) / p.sigma
     variance = (second0 - mean0 * mean0) / (p.sigma * p.sigma)
     return MseParts(bias=bias, variance=variance, mse=bias * bias + variance)

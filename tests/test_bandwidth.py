@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from normrisk import bandwidth
+from normrisk import bandwidth, kernels, parametric
 from normrisk.bandwidth import (
     BandwidthRule,
     McConfig,
@@ -19,9 +19,9 @@ from normrisk.bandwidth import (
     real_mise_nested,
     rule_of_thumb,
 )
-from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval
+from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval, mise_exact_generic
 from normrisk.numerics import integrate, scaled_chi_inverse_mean, substream, std_normal_pdf
-from normrisk.parametric import STD_NORMAL, exact_mise_plugin
+from normrisk.parametric import STD_NORMAL, exact_mise_plugin, exact_mse_plugin
 
 # real-MISE ratios frozen from an independent high-precision evaluation of
 # the same decomposition (25-digit arithmetic, tanh-sinh quadrature)
@@ -381,6 +381,38 @@ class TestRealMiseExact:
         mc_mean = total / B
         mc_se = math.sqrt((total_sq / B - mc_mean**2) / B)
         assert abs(product - mc_mean) < 3.0 * mc_se
+
+
+ONE_INTEGRAL_CASES = {
+    "exact_mse_plugin": lambda: exact_mse_plugin(np.linspace(-3.0, 3.0, 13), STD_NORMAL, 14),
+    **{
+        f"real_mise_exact-{kernel.name}-{n}": (
+            lambda kernel=kernel, n=n: real_mise_exact(rule_of_thumb(kernel, n), n)
+        )
+        for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+        for n in (3, 20, 1000)
+    },
+    "real_mise_nested-normal": lambda: real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), 20),
+    "mise_exact_generic-normal": lambda: mise_exact_generic(NORMAL_KERNEL, STD_NORMAL, 10, 0.5),
+    "mise_exact_generic-epan": lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 10, 2.0),
+    "ancillary_densities": lambda: ancillary_densities(10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_INTEGRAL_CASES))
+def test_one_integral_per_value(case, monkeypatch):
+    # every exact risk value is one array-valued adaptive integral, whatever
+    # number of terms it combines
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
+
+    for module in (bandwidth, kernels, parametric):
+        monkeypatch.setattr(module, "integrate", counting_integrate)
+    ONE_INTEGRAL_CASES[case]()
+    assert len(calls) == 1, calls
 
 
 class TestRealMiseMc:

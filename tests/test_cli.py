@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import normrisk
+from normrisk import cli
 from normrisk.cli import main
 from normrisk.kernels import KERNELS, exact_mse_kernel
+from normrisk.numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from normrisk.parametric import NormalParams
 from tests.conftest import PUBLISHED_TABLE
 
@@ -89,6 +91,26 @@ class TestTableCommand:
         obj = json.loads(json_text.strip())
         assert obj["umvu_ratio"] is None
         assert obj["umvu_ratio_infinite"] is True
+
+    def test_tol_reaches_every_quadrature_term(self, monkeypatch, capsys):
+        # the plug-in term and both real-MISE terms: with --tol all three
+        # take it, without it each keeps its own default (None: 1e-11)
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args):
+                seen.append(args[2] if len(args) > 2 else None)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "exact_mise_plugin", recording(cli.exact_mise_plugin))
+        monkeypatch.setattr(cli, "real_mise_exact", recording(cli.real_mise_exact))
+        assert main(["table", "--n", "5", "--tol", "1e-9"]) == 0
+        assert seen == [QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=4096)] * 3
+        seen.clear()
+        assert main(["table", "--n", "5"]) == 0
+        assert seen == [DEFAULT_QUADRATURE, None, None]
 
     def test_rejects_tiny_n(self, capsys):
         assert main(["table", "--n", "2"]) == 2

@@ -196,6 +196,36 @@ class TestExactMse:
         assert np.abs(np.array(arr).T - each).max() < 1e-13
         assert isinstance(exact_mse_plugin(0.3, p, n).mse, float)
 
+    @pytest.mark.parametrize("x", [0.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_second_moment_against_scipy(self, n, x):
+        # the merged integral starts the second moment at z_lo, not at 0,
+        # where its integrand is O(1) at n = 3 and O(z) at n = 4
+        reference, _ = scipy_quad(
+            lambda z: conditional_moments(x, n, z)[1] * scaled_chi_pdf(n, z),
+            0.0,
+            np.inf,
+            epsabs=1e-14,
+            epsrel=1e-13,
+            limit=200,
+        )
+        parts = exact_mse_plugin(x, STD_NORMAL, n)
+        second = parts.variance + (parts.bias + phi(x)) ** 2
+        assert abs(second - reference) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "x, reference",
+        # the variance at n = 1000, by 40-digit mpmath quadrature of the two
+        # conditional moments against the scaled-chi density
+        [(0.0, "0.00007979679831218696273667126"), (1.5, "0.00005081530516452839864974716")],
+    )
+    def test_large_n_variance_against_mpmath(self, x, reference):
+        # the variance is the difference of two moments near 0.16 and 0.0016:
+        # a second moment summed in log space with the whole O(n) scaled-chi
+        # constant was 4.6e-11 relative off at x = 0
+        variance = exact_mse_plugin(x, STD_NORMAL, 1000).variance
+        assert abs(variance / float(reference) - 1.0) <= 2.5e-11
+
     def test_fubini_consistency(self):
         for n in (5, 10, 20):
             mise = exact_mise_plugin(STD_NORMAL, n).value
