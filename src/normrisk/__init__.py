@@ -5,86 +5,57 @@ normality-based plug-in estimator, the unbiased parametric estimator, and
 kernel estimators with the normal and parabolic kernels; finds the exact
 optimal bandwidth constants; and evaluates the MISE actually incurred when
 the bandwidth is estimated from data.
+
+The package root exports the documented library; every other name lives in
+its own module.  The comparison table and the figure curves are built in
+`normrisk.cli`, which importing the package does not load.
 """
 
 from .bandwidth import (
-    AncillaryDensities,
     BandwidthRule,
     McConfig,
-    ancillary_densities,
     optimal_bandwidth_constant,
-    expected_density_at,
     real_mise_exact,
     real_mise_mc,
+    real_mise_nested,
     rule_of_thumb,
 )
-from .case_studies import (
-    CrossoverResult,
-    LognormalParams,
-    lognormal_crossover,
-    lognormal_mse_nonparametric,
-    lognormal_mse_parametric,
-    lognormal_variance_ratio_limit,
-    skew_normal_asymptotic_mise,
-    skew_normal_density,
-    skew_normal_score,
-)
-from .cli import ComparisonRow, RiskCurve, comparison_row, figure_curves, main
+from .case_studies import lognormal_crossover, skew_normal_asymptotic_mise
 from .kernels import (
     EPANECHNIKOV_KERNEL,
-    KERNELS,
     NORMAL_KERNEL,
-    ExactMoments,
-    Kernel,
-    KernelMse,
     asymptotic_kernel_risk,
-    exact_moments,
     exact_mse_kernel,
-    gk_epanechnikov,
-    kernel_eval,
-    kernel_self_convolution,
-    mise_closed_epan_kernel,
-    mise_closed_normal_kernel,
     mise_exact_generic,
     mise_fixed_bandwidth,
-    truncated_normal_moments,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    MinimizationError,
-    NumericsError,
-    QuadratureConfig,
-    QuadratureError,
-    integrate,
-    normal_mass,
-    scaled_chi_interval,
-    scaled_chi_inverse_mean,
-    scaled_chi_pdf,
-    std_normal_cdf,
-    std_normal_logcdf,
-    std_normal_pdf,
-    substream,
-)
+from .numerics import MinimizationError, NumericsError, QuadratureConfig, QuadratureError
 from .parametric import (
-    MiseReport,
-    MseParts,
-    NormalParams,
-    PLUGIN_AMISE_CONSTANT,
-    PluginEstimate,
     STD_NORMAL,
-    asymptotic_mise_general,
+    MiseReport,
+    NormalParams,
     asymptotic_mise_plugin,
     asymptotic_mse_plugin,
-    conditional_moments,
     exact_mise_plugin,
     exact_mise_umvu,
     exact_mse_plugin,
-    plugin_density,
-    plugin_mise_coefficient,
-    plugin_mise_expansion_residual,
-    shrink_factor,
-    shrunk_mise,
-    umvu_density,
 )
+
+__all__ = [
+    # estimands, kernels and results
+    "NormalParams", "STD_NORMAL", "MiseReport", "NORMAL_KERNEL", "EPANECHNIKOV_KERNEL",
+    # exact risk
+    "exact_mse_plugin", "exact_mse_kernel", "exact_mise_plugin", "exact_mise_umvu",
+    "mise_fixed_bandwidth", "mise_exact_generic",
+    # large-sample risk
+    "asymptotic_mse_plugin", "asymptotic_mise_plugin", "asymptotic_kernel_risk",
+    # bandwidth rules and their real MISE
+    "optimal_bandwidth_constant", "rule_of_thumb", "BandwidthRule",
+    "real_mise_exact", "real_mise_nested", "real_mise_mc", "McConfig",
+    # side studies
+    "lognormal_crossover", "skew_normal_asymptotic_mise",
+    # numerics
+    "QuadratureConfig", "NumericsError", "QuadratureError", "MinimizationError",
+]
 
 __version__ = "0.1.0"

@@ -176,34 +176,6 @@ def rule_of_thumb(kernel: Kernel, n: int) -> BandwidthRule:
     return BandwidthRule(kernel=kernel, multiplier=const * n ** (-0.2))
 
 
-@dataclass(frozen=True)
-class AncillaryDensities:
-    """Parameter-free densities of the two standardized sample statistics.
-
-    Both are even polynomials of degree (n-4)/2 in the squared argument,
-    supported on bounded intervals; both integrate to one (verified at
-    construction).
-    """
-
-    n: int
-    residual_pdf: Callable[[np.ndarray], np.ndarray]
-    pair_diff_pdf: Callable[[np.ndarray], np.ndarray]
-    residual_edge: float
-    pair_diff_edge: float
-    residual_const: float
-    pair_diff_const: float
-
-
-def _bounded_power_pdf(const: float, edge: float, power: float):
-    def pdf(t):
-        t = np.asarray(t, dtype=float)
-        base = np.maximum(1.0 - (t / edge) ** 2, 0.0)
-        out = np.where(np.abs(t) <= edge, const * np.power(base, power), 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    return pdf
-
-
 def _ancillary_shape(n: int) -> tuple[float, float, float]:
     """The residual density's constant and edge, and the pair difference's edge.
 
@@ -240,27 +212,6 @@ def _support_expectation(
         return fn(edge * np.sin(theta)) * const * edge * np.cos(theta) ** (n - 3)
 
     return integrate(integrand, -theta_max, theta_max, cfg, points=points)
-
-
-def ancillary_densities(n: int, cfg: QuadratureConfig = _REAL_MISE_CFG) -> AncillaryDensities:
-    """Construct both standardized-statistic densities for sample size n."""
-    _check_sample_size(n, 3)
-    k_const, r_edge, s_edge = _ancillary_shape(n)
-    lam_const = k_const * r_edge / s_edge
-    power = 0.5 * (n - 4)
-    # one integral checks both normalizations: their sine-map integrands agree
-    total = _support_expectation(np.ones_like, k_const, r_edge, n, cfg)
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"ancillary densities failed normalization: {total!r}")
-    return AncillaryDensities(
-        n=n,
-        residual_pdf=_bounded_power_pdf(k_const, r_edge, power),
-        pair_diff_pdf=_bounded_power_pdf(lam_const, s_edge, power),
-        residual_edge=r_edge,
-        pair_diff_edge=s_edge,
-        residual_const=k_const,
-        pair_diff_const=lam_const,
-    )
 
 
 def expected_density_at(n: int, w):
@@ -383,8 +334,9 @@ def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
     are bit-identical however replicates are grouped.  It scores the
     estimator at its m fresh observations through the importance-weighted
     squared-error average.  Replicates are drawn and scored in blocks of
-    about 2**14 / (m n), each block as one (block, m, n) array, so scratch
-    memory stays flat in the replicate count and the sample size.
+    about 2**14 / (m n), each block as one (block, m, n) array, so the draw
+    and scoring buffers stay flat in the replicate count and the sample
+    size; only the scores, one float per replicate, grow with the count.
     """
     _check_sample_size(n, 2)
     m = mc.eval_points

@@ -177,7 +177,8 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
     CSV prints the mapped columns, each value as format(value, spec), and
     None as an empty cell.  JSON prints every key of each record; a
     fixed-point spec rounds the number there too, any other spec keeps full
-    precision.  Infinity prints as inf in CSV and as null in JSON.
+    precision.  Infinity prints as inf in CSV and as null in JSON.  An
+    --out that cannot be opened for writing is a usage error.
     """
     if args.format == "csv":
         lines = [",".join(columns)] + [
@@ -193,7 +194,11 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
 
 

@@ -206,7 +206,7 @@ def plugin_mise_expansion_residual(n: int, cfg: QuadratureConfig = DEFAULT_QUADR
 
 def _log_support_const(n: int) -> float:
     # normalizing constant of the standardized-residual density; shared by
-    # the unbiased density estimator and the ancillary-density module
+    # the unbiased density estimator and the real MISE's ancillary densities
     return (
         math.log(gamma_half_ratio(0.5 * (n - 2)))
         - 0.5 * math.log(math.pi)

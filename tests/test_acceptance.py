@@ -19,11 +19,11 @@ import math
 import numpy as np
 import pytest
 
+from ancillary import ancillary_densities
 from tests.conftest import PUBLISHED_TABLE, VERIFIED_CORRECTIONS
 
 from normrisk.bandwidth import (
     McConfig,
-    ancillary_densities,
     optimal_bandwidth_constant,
     real_mise_exact,
     real_mise_mc,
@@ -307,7 +307,13 @@ def test_c14_property_suite_spot_checks():
     ) < 1e-10
     checks["pair_density_mass"] = abs(integrate(gk_epanechnikov, -1.0, 1.0) - 1.0) < 1e-10
     dens = ancillary_densities(10)
-    checks["ancillary_mass"] = True  # construction itself verifies to 1e-8
+    checks["ancillary_mass"] = all(
+        abs(integrate(pdf, -edge, edge) - 1.0) < 1e-8
+        for pdf, edge in (
+            (dens.residual_pdf, dens.residual_edge),
+            (dens.pair_diff_pdf, dens.pair_diff_edge),
+        )
+    )
 
     # interval additivity of the normal mass
     a, b, c = -1.3, 0.2, 2.4

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from ancillary import ancillary_densities
 from normrisk import bandwidth, kernels, parametric
 from normrisk.bandwidth import (
     BandwidthRule,
     McConfig,
-    ancillary_densities,
     optimal_bandwidth_constant,
     expected_density_at,
     real_mise_exact,
@@ -395,7 +395,6 @@ ONE_INTEGRAL_CASES = {
     "real_mise_nested-normal": lambda: real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), 20),
     "mise_exact_generic-normal": lambda: mise_exact_generic(NORMAL_KERNEL, STD_NORMAL, 10, 0.5),
     "mise_exact_generic-epan": lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 10, 2.0),
-    "ancillary_densities": lambda: ancillary_densities(10),
 }
 
 

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -159,6 +161,19 @@ class TestMiseCommand:
         assert header == "estimator,n,kernel,value,method,std_error"
         assert row.split(",")[4] == "closed_form"
 
+    @pytest.mark.parametrize("scale", [["--h", "1e-80"], ["--h", "1", "--sigma", "1e80"]])
+    def test_kernel_underflowing_bandwidth(self, tmp_path, scale):
+        # h / sigma = 1e-80: the parabolic MISE is its variance term 1.2 / (n h)
+        # at the standard scale, divided by sigma
+        code, text = run_cli(
+            ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10", *scale,
+             "--format", "json"],
+            tmp_path,
+        )
+        assert code == 0
+        expected = 1.2e79 if scale[1] == "1e-80" else 0.12
+        assert json.loads(text)["value"] == pytest.approx(expected, rel=1e-12)
+
     def test_mc_deterministic(self, tmp_path):
         args = [
             "mise", "--estimator", "kernel", "--kernel", "normal", "--n", "5",
@@ -264,6 +279,13 @@ class TestMiseCommand:
         code = main(["mise", "--estimator", "plugin", "--n", "5", "--tol", "1e-300"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        # a directory cannot be opened as the output file
+        assert main(["bandwidth-constants", "--n", "5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"normrisk: usage error: cannot write --out {tmp_path}: ")
+        assert "Traceback" not in err
 
 
 class TestCurveCommands:
@@ -512,18 +534,49 @@ class TestEmitter:
         assert obj["std_error"] is None and obj["infinite"] is False
 
 
-def test_import_loads_no_scipy_and_loads_numpy_random():
-    # scipy is needed by the tests only; numpy loads numpy.random lazily, and
-    # the package imports it up front so that no command pays for it mid-run
+def run_probe(probe):
+    # a fresh interpreter, so that no module this test run has loaded counts
     src = os.path.dirname(os.path.dirname(normrisk.__file__))
-    probe = (
-        "import sys, normrisk.cli\n"
-        "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy'], 'scipy imported'\n"
-        "assert 'numpy.random' in sys.modules, 'numpy.random not imported'\n"
-    )
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_no_scipy_and_loads_numpy_random():
+    # scipy is needed by the tests only; numpy loads numpy.random lazily, and
+    # the package imports it up front so that no command pays for it mid-run
+    run_probe(
+        "import sys, normrisk.cli\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy'], 'scipy imported'\n"
+        "assert 'numpy.random' in sys.modules, 'numpy.random not imported'\n"
+    )
+
+
+def test_library_import_loads_no_cli():
+    run_probe(
+        "import sys, normrisk\n"
+        "assert 'normrisk.cli' not in sys.modules, 'normrisk.cli imported'\n"
+        "assert 'argparse' not in sys.modules, 'argparse imported'\n"
+    )
+
+
+def test_package_root_exports_the_documented_api():
+    # the README's Library section lists exactly normrisk.__all__, and the
+    # package root has no other public name besides its submodules
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n")[1].split("\n## ")[0]
+    bullets = [block for block in library.split("\n\n") if block.startswith("* ")]
+    listed = re.findall(r"`(\w+)`", "".join(bullets))
+    assert sorted(listed) == sorted(normrisk.__all__)
+    assert len(set(listed)) == len(listed)
+    for name in normrisk.__all__:
+        assert getattr(normrisk, name) is not None
+    public = {
+        name for name, value in vars(normrisk).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(normrisk.__all__)

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import minimize_scalar
 
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
+    MISE_SERIES_H,
     NORMAL_KERNEL,
     SMALL_H,
     asymptotic_kernel_risk,
@@ -255,6 +256,17 @@ class TestSelfConvolution:
 GRID_N = (3, 10, 50)
 GRID_H = (0.2, 0.5, 1.0)
 
+# parabolic-kernel fixed-bandwidth MISE at 40 digits, from the mpmath
+# `epan_mise(n, h)` quoted in tests/test_bandwidth.py; the (10^4, 0.7481) and
+# (10^6, 0.2962) points are the table's rule bandwidths, rounded
+EPAN_MISE_MPMATH = {
+    (14, 0.208): 0.39196029470584557337,
+    (1000, 0.25): 0.0045188601902009157183,
+    (10**4, 0.7481): 0.00017298462500944447552,
+    (10**6, 0.2962): 4.78369651384200397e-6,
+    (10**8, 0.208): 3.01905274842771543e-7,
+}
+
 
 class TestMise:
     def test_single_observation_arithmetic(self):
@@ -288,10 +300,12 @@ class TestMise:
         st.floats(0.15, 2.0),
         st.integers(2, 60),
     )
+    # bandwidths just above 0.2, where the closed form's terms cancel to 1e-10
+    @example(sigma=0.3, h_std=0.2421875, n=14)
+    @example(sigma=0.3, h_std=0.232421875, n=14)
     def test_scale_identity(self, sigma, h_std, n):
-        # (h_std * sigma) / sigma reconstructs h_std only to one ulp, and the
-        # closed forms carry ~1e-11 evaluation noise near the branch switch,
-        # amplified by 1/sigma; the tolerance covers that floor
+        # (h_std * sigma) / sigma reconstructs h_std only to one ulp; the
+        # tolerance covers that
         p = NormalParams(0.0, sigma)
         h = h_std * sigma
         for kernel in BOTH_KERNELS:
@@ -315,11 +329,27 @@ class TestMise:
         assert mise_closed_normal_kernel(10, 10.0) > best.fun
 
     def test_closed_forms_continuous_at_threshold(self):
-        # the series and closed branches meet smoothly at the switch
-        lo = mise_closed_epan_kernel(10**6, SMALL_H * (1.0 - 1e-9))
-        hi = mise_closed_epan_kernel(10**6, SMALL_H * (1.0 + 1e-9))
-        assert lo == pytest.approx(hi, abs=1e-10)
-        assert lo > 0
+        # the series and closed branches meet at the switch: on adjacent
+        # doubles the function's own slope contributes nothing
+        for n in (1, 14, 10**6):
+            lo = mise_closed_epan_kernel(n, math.nextafter(MISE_SERIES_H, 0.0))
+            hi = mise_closed_epan_kernel(n, MISE_SERIES_H)
+            assert lo == pytest.approx(hi, rel=1e-12)
+            assert lo > 0
+
+    @pytest.mark.parametrize("n, h", sorted(EPAN_MISE_MPMATH))
+    def test_parabolic_mise_against_mpmath(self, n, h):
+        # the closed form's terms reach 32 sqrt(2)/h^5 and cancel here to
+        # between 6e-11 and 3.5e-4 relative; the series does not cancel
+        assert mise_closed_epan_kernel(n, h) == pytest.approx(EPAN_MISE_MPMATH[n, h], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_underflowing_bandwidth_terminates(self, n):
+        # every series term underflows to zero here; the sum must still stop
+        h = 1e-100
+        assert mise_closed_epan_kernel(n, h) == pytest.approx(1.2 / (n * h), rel=1e-12)
+        wide = mise_fixed_bandwidth(EPANECHNIKOV_KERNEL, NormalParams(0.0, 1e80), n, 1.0).value
+        assert wide == pytest.approx(1.2 / n, rel=1e-12)
 
     @pytest.mark.parametrize("h", [0.05, 0.15])
     def test_small_bandwidth_mise_against_quadrature(self, h):
