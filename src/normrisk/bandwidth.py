@@ -40,14 +40,13 @@ from .kernels import (
 from .numerics import (
     MinimizationError,
     QuadratureConfig,
+    _bisect,
     _check_sample_size,
     _philox_counter,
     integrate,
     kummer_m_half,
-    scaled_chi_interval,
+    scaled_chi_expectation,
     scaled_chi_inverse_mean,
-    scaled_chi_mode,
-    scaled_chi_pdf,
     std_normal_pdf,
 )
 from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI, _log_support_const
@@ -59,9 +58,10 @@ _REAL_MISE_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions
 
 
 @lru_cache(maxsize=None)
-def _kernel_rule() -> tuple[np.ndarray, np.ndarray]:
-    # the Gauss-Legendre rule over the kernel's support in real_mise_nested
-    return leggauss(200)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    # the 32-point Gauss-Legendre rule on [-1, 1]: the parabolic kernel's
+    # slope and, panel by panel, the kernel sum of real_mise_nested
+    return leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,10 @@ def _epan_slope_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # P'(h) = -h int_0^1 u^2 g_K(u) g(hu) du and its overlap term
     # O(h) = int K(u) g(hu) du has O'(h) = -h int_0^1/2 u^2 K(u) g(hu) du.
     # Both integrands are entire, and a 32-point Gauss-Legendre rule has them
-    # to 1e-15 for every h the brackets allow (h < 9); building the 200-point
-    # kernel rule would cost each process 6 ms.  Returned: -u^2/4 at the
-    # nodes mapped onto [0, 1], then onto [0, 1/2], and the weights of the
-    # two integrals without g(hu)
-    x, w = leggauss(32)
+    # to 1e-15 for every h the brackets allow (h < 9).  Returned: -u^2/4 at
+    # the nodes mapped onto [0, 1], then onto [0, 1/2], and the weights of
+    # the two integrals without g(hu)
+    x, w = _legendre_rule()
     u_pair, u_overlap = 0.5 * (x + 1.0), 0.25 * (x + 1.0)
     w_pair = 0.5 * w * u_pair**2 * gk_epanechnikov(u_pair) / TWO_SQRT_PI
     w_overlap = 0.25 * w * u_overlap**2 * kernel_eval(EPANECHNIKOV_KERNEL, u_overlap) / TWO_SQRT_PI
@@ -145,14 +144,7 @@ def _optimal_constant(kernel_name: str, n: int) -> float:
         raise MinimizationError(
             f"the MISE minimum at n={n} is not inside the bracket ({lo}, {hi})"
         )
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if slope(mid * scale) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return _bisect(lambda c: slope(c * scale), lo, hi)
 
 
 def optimal_bandwidth_constant(kernel: Kernel, n: int) -> float:
@@ -275,12 +267,9 @@ def real_mise_exact(
 
     def truth_overlap(z):
         s2 = 1.0 + 1.0 / n + (a * z) ** 2
-        residual_mean = kummer_m_half(b, z * z * e2 / (2.0 * s2))
-        return scaled_chi_pdf(n, z) * residual_mean / np.sqrt(2.0 * math.pi * s2)
+        return kummer_m_half(b, z * z * e2 / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
 
-    z_lo, z_hi = scaled_chi_interval(n)
-    cfg = cfg if cfg is not None else _REAL_MISE_CFG
-    truth = integrate(truth_overlap, z_lo, z_hi, cfg, points=(scaled_chi_mode(n),))
+    truth = scaled_chi_expectation(truth_overlap, n, cfg if cfg is not None else _REAL_MISE_CFG)
     return _real_mise(rule, n, pair_overlap, truth)
 
 
@@ -294,8 +283,9 @@ def real_mise_nested(
     (f: `expected_density_at`) are one integral of shape (2,): under the
     sine map both laws carry the same weight, and at each theta
     S = R * pair_edge / residual_edge.  The inner integral over u is a fixed
-    200-point Gauss-Legendre sum on the kernel's support (|u| <= 8.5 for the
-    normal kernel).  Defined from n = 3 on: the ancillary densities are then
+    32-point Gauss-Legendre sum on each panel of the kernel's support: one
+    panel for a bounded kernel, eight equal ones of |u| <= 8.5 for the
+    normal kernel.  Defined from n = 3 on: the ancillary densities are then
     edge-singular but integrable, and the sine substitution absorbs the
     singularity exactly.  The normal kernel's `real_mise_exact` is checked
     against it.
@@ -307,10 +297,11 @@ def real_mise_nested(
     k_const, r_edge, s_edge = _ancillary_shape(n)
     pair_scale = s_edge / (r_edge * a)
 
-    span = 8.5 if kernel.name == "normal" else kernel.halfwidth
-    x, w = _kernel_rule()
-    u = span * x
-    wk = span * w * kernel_eval(kernel, u)
+    span, panels = (8.5, 8) if kernel.name == "normal" else (kernel.halfwidth, 1)
+    x, w = _legendre_rule()
+    half = span / panels
+    u = (half * (2 * np.arange(panels) + 1 - panels)[:, None] + half * x).ravel()
+    wk = np.tile(half * w, panels) * kernel_eval(kernel, u)
 
     def overlaps(r):
         pair = kernel_self_convolution(kernel, r * pair_scale) / a

@@ -10,12 +10,13 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import locale  # noqa: F401 -- argparse's gettext imports it for the first parser built
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -171,14 +172,24 @@ def _json_value(value, spec: str):
     return value
 
 
+def _open_out(path: Optional[str]) -> contextlib.AbstractContextManager[IO[str]]:
+    """The --out file opened for writing, or stdout (left open on exit);
+    main opens it before computing, so a bad path fails before the work."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[dict]) -> None:
-    """Write records as CSV or line-delimited JSON, to --out or stdout.
+    """Write records as CSV or line-delimited JSON to args.stream.
 
     CSV prints the mapped columns, each value as format(value, spec), and
     None as an empty cell.  JSON prints every key of each record; a
     fixed-point spec rounds the number there too, any other spec keeps full
-    precision.  Infinity prints as inf in CSV and as null in JSON.  An
-    --out that cannot be opened for writing is a usage error.
+    precision.  Infinity prints as inf in CSV and as null in JSON.
     """
     if args.format == "csv":
         lines = [",".join(columns)] + [
@@ -190,16 +201,7 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
             json.dumps({k: _json_value(v, columns.get(k, "")) for k, v in r.items()})
             for r in records
         ]
-    text = "".join(line + "\n" for line in lines)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            fh = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
+    args.stream.write("".join(line + "\n" for line in lines))
 
 
 def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
@@ -491,7 +493,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code
     try:
-        args.handler(args)
+        with _open_out(args.out) as args.stream:
+            args.handler(args)
     except ValueError as exc:
         print(f"normrisk: usage error: {exc}", file=sys.stderr)
         return 2

@@ -28,10 +28,8 @@ from .numerics import (
     _check_sample_size,
     gamma_half_ratio,
     integrate,
-    scaled_chi_interval,
+    scaled_chi_expectation,
     scaled_chi_inverse_mean,
-    scaled_chi_mode,
-    scaled_chi_pdf,
     std_normal_pdf,
 )
 
@@ -154,13 +152,9 @@ def exact_mse_plugin(
     y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
     y_nodes = y[..., None]  # the quadrature nodes z on a last axis of their own
 
-    def moments(z):
-        return np.stack(conditional_moments(y_nodes, n, z)) * scaled_chi_pdf(n, z)
-
-    # the second moment's integrand is O(z^(n-3)) at 0, and the tail below
-    # z_lo (1.8e-18 at n = 3) is far below any tolerance
-    z_lo, z_hi = scaled_chi_interval(n)
-    mean0, second0 = integrate(moments, z_lo, z_hi, cfg, points=(scaled_chi_mode(n),))
+    mean0, second0 = scaled_chi_expectation(
+        lambda z: np.stack(conditional_moments(y_nodes, n, z)), n, cfg
+    )
     if y.ndim == 0:
         mean0, second0 = float(mean0), float(second0)
     bias = (mean0 - std_normal_pdf(y)) / p.sigma
@@ -170,13 +164,15 @@ def exact_mse_plugin(
 
 @lru_cache(maxsize=None)
 def _mise_coefficient(n: int, cfg: QuadratureConfig) -> float:
-    z_lo, z_hi = scaled_chi_interval(n)
-
+    # n (1 + E(1/Z) - 2 E sqrt(2n / (1 + n (1 + Z^2)))), with no O(1) terms
+    # left to cancel: 1/Z - 1 = -d/Z and, since 1 + q = (1 + n (1 + Z^2))/(2n),
+    # 1 - sqrt(2n / (1 + n (1 + Z^2))) = -expm1(-log1p(q)/2), both O(d)
     def f(z):
-        return np.sqrt(2.0 * n / (1.0 + n * (1.0 + z * z))) * scaled_chi_pdf(n, z)
+        d = z - 1.0
+        q = (1.0 + n * d * (z + 1.0)) / (2.0 * n)
+        return -d / z - 2.0 * np.expm1(-0.5 * np.log1p(q))
 
-    cross = integrate(f, z_lo, z_hi, cfg, points=(scaled_chi_mode(n),))
-    return n * (1.0 + scaled_chi_inverse_mean(n) - 2.0 * cross)
+    return n * scaled_chi_expectation(f, n, cfg)
 
 
 def plugin_mise_coefficient(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

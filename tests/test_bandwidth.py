@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from ancillary import ancillary_densities
-from normrisk import bandwidth, kernels, parametric
+from normrisk import bandwidth, kernels, numerics, parametric
 from normrisk.bandwidth import (
     BandwidthRule,
     McConfig,
@@ -408,7 +408,7 @@ def test_one_integral_per_value(case, monkeypatch):
         calls.append(args[1:3])
         return integrate(*args, **kwargs)
 
-    for module in (bandwidth, kernels, parametric):
+    for module in (bandwidth, kernels, numerics, parametric):
         monkeypatch.setattr(module, "integrate", counting_integrate)
     ONE_INTEGRAL_CASES[case]()
     assert len(calls) == 1, calls

@@ -287,6 +287,14 @@ class TestMiseCommand:
         assert err.startswith(f"normrisk: usage error: cannot write --out {tmp_path}: ")
         assert "Traceback" not in err
 
+    def test_out_is_opened_before_computing(self, tmp_path, monkeypatch, capsys):
+        def comparison_row(*args):
+            raise AssertionError("a row was computed before --out was opened")
+
+        monkeypatch.setattr(cli, "comparison_row", comparison_row)
+        assert main(["table", "--n", "3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"normrisk: usage error: cannot write --out {tmp_path}: ")
+
 
 class TestCurveCommands:
     def test_figure_one_structure(self, tmp_path):

@@ -13,11 +13,12 @@ from normrisk.numerics import (
     QuadratureConfig,
     QuadratureError,
     _check_sample_size,
+    _scaled_chi_support,
     gamma_half_ratio,
     integrate,
     kummer_m_half,
     normal_mass,
-    scaled_chi_interval,
+    scaled_chi_expectation,
     scaled_chi_inverse_mean,
     scaled_chi_pdf,
     std_normal_cdf,
@@ -306,10 +307,11 @@ class TestScaledChi:
             ref = mpmath.sqrt(nu / 2) * mpmath.gamma((nu - 1) / 2) / mpmath.gamma(nu / 2)
             assert abs(scaled_chi_inverse_mean(n) / ref - 1) < 1e-15
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**4, 10**6])
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**4, 10**6, 10**8])
     def test_pdf_against_mpmath(self, n):
-        # the exponent's O(n) parts cancel before rounding; what remains
-        # grows like sqrt(n) ulps, from log z against (z^2 - 1)/2
+        # the exponent's O(n) parts cancel before rounding and log1p(d) - d
+        # is summed without cancellation, so the error is a few ulps of the
+        # exponent at every n, not sqrt(n) ulps
         if n <= 10:
             zs = [0.05, 0.5, 1.0, 2.0]
         else:  # -5 to 5 standard deviations
@@ -320,7 +322,7 @@ class TestScaledChi:
             for z in zs:
                 zm = mpmath.mpf(z)
                 ref = mpmath.exp(log_c + (nu - 1) * mpmath.log(zm) - nu * zm * zm / 2)
-                assert abs(scaled_chi_pdf(n, z) / ref - 1) < 1e-15 * (10 + math.sqrt(n)), z
+                assert abs(scaled_chi_pdf(n, z) / ref - 1) < 1e-14, z
 
     # at exactly n = 30 the mass is 0.978741 (chi-square cdf oracle); the
     # 0.98 threshold holds from n = 31 on
@@ -342,14 +344,42 @@ class TestScaledChi:
         mass, _ = scipy_quad(lambda z: scaled_chi_pdf(n, z), 0.7, 1.3, epsabs=1e-12)
         assert mass > 0.98
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 10, 1000])
-    def test_interval_captures_mass(self, n):
-        lo, hi = scaled_chi_interval(n)
-        assert 0.0 <= lo < hi
-        inside, _ = scipy_quad(
-            lambda z: scaled_chi_pdf(n, z), max(lo, 0.0), hi, epsabs=1e-13, limit=300
+
+class TestScaledChiExpectation:
+    @pytest.mark.parametrize("n", [3, 4, 10, 1000, 10**6])
+    def test_known_moments(self, n):
+        one, second, inverse = scaled_chi_expectation(
+            lambda z: np.stack((np.ones_like(z), z * z, 1.0 / z)), n
         )
-        assert inside == pytest.approx(1.0, abs=1e-12)
+        assert one == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert second == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert inverse == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-12, abs=0)
+
+    def test_scalar_integrand_gives_float(self):
+        value = scaled_chi_expectation(lambda z: z, 10)
+        assert type(value) is float
+        # E Z = Gamma(n/2) / (sqrt((n-1)/2) Gamma((n-1)/2))
+        assert value == pytest.approx(gamma_half_ratio(4.5) / math.sqrt(4.5), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 1000, 10**6])
+    def test_support_ends_lie_40_below_the_peak(self, n):
+        lo, mode, hi = _scaled_chi_support(n)
+        assert 0.0 < lo < mode < hi
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(n - 1)
+            peak = mpmath.sqrt((nu - 1) / nu)
+
+            def log_density(z):
+                return (nu - 1) * mpmath.log(z) - nu * z * z / 2
+
+            for end in (lo, hi):
+                drop = log_density(peak) - log_density(mpmath.mpf(end))
+                assert abs(drop - 40) < 1e-9, end
+
+    @pytest.mark.parametrize("n", [2, 10.5, 10.0])
+    def test_rejects_bad_sample_size(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            scaled_chi_expectation(lambda z: z, n)
 
 
 class TestSampling:

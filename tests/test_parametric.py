@@ -1,6 +1,8 @@
 """Plug-in and unbiased parametric estimator risk."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,13 @@ class TestExactMise:
         report = exact_mise_plugin(STD_NORMAL, n)
         assert report.method == "quadrature"
         assert report.value == pytest.approx(BENCHMARK_EXACT[n], abs=2e-9)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_large_n_against_oracle(self, n):
+        # the 40-digit values the benchmark checks its large-n table against
+        oracle = json.loads((Path(__file__).parents[1] / "bench" / "oracle.json").read_text())
+        reference = oracle["table"][str(n)]["plugin_mise"]
+        assert exact_mise_plugin(STD_NORMAL, n).value == pytest.approx(reference, rel=1e-10, abs=0)
 
     def test_scale_equivariance(self):
         p = NormalParams(5.0, 0.25)
