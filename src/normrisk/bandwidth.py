@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401 -- loaded with the package, not lazily on the first draw
 from numpy.polynomial.legendre import leggauss
 
 from .kernels import (
@@ -42,7 +43,6 @@ from .numerics import (
     QuadratureConfig,
     _bisect,
     _check_sample_size,
-    _philox_counter,
     integrate,
     kummer_m_half,
     scaled_chi_expectation,
@@ -320,35 +320,51 @@ def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
     """Monte Carlo estimate of the same real MISE, with standard error.
 
     Replicate i draws n + m standard normals (m = `eval_points`) from the
-    Philox stream with key `seed` and counter [0, 0, i, 0], which is
-    `substream(seed, i)`, so its draws depend only on (seed, i) and results
-    are bit-identical however replicates are grouped.  It scores the
-    estimator at its m fresh observations through the importance-weighted
-    squared-error average.  Replicates are drawn and scored in blocks of
-    about 2**14 / (m n), each block as one (block, m, n) array, so the draw
-    and scoring buffers stay flat in the replicate count and the sample
-    size; only the scores, one float per replicate, grow with the count.
+    stream of `Philox(key=seed).jumped(i)`, whose counter starts at
+    [0, 0, i, 0]; the counter is set there directly rather than jumped to.
+    So its draws depend only on (seed, i), and results are bit-identical
+    however replicates are grouped.  It scores the estimator at its m fresh
+    observations through the importance-weighted squared-error average.
+    Replicates are drawn and scored in blocks of about 2**14 / (m n), each
+    block in place in one (block, m, n) buffer of scaled differences and
+    one of kernel values, so the draw and scoring buffers stay flat in the
+    replicate count and the sample size; only the scores, one float per
+    replicate, grow with the count.
     """
     _check_sample_size(n, 2)
     m = mc.eval_points
-    block = max(1, 2**14 // (m * n))
+    block = min(max(1, 2**14 // (m * n)), mc.replicates)
     bits = np.random.Philox(key=mc.seed)
-    rng = np.random.Generator(bits)
-    state = bits.state  # a fresh buffer: nothing drawn yet
-    draws = np.empty((min(block, mc.replicates), n + m))
+    draw = np.random.Generator(bits).standard_normal
+    # a fresh Philox state as plain ints, which the state setter reads
+    # faster than numpy arrays; only the counter changes between replicates
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [mc.seed % 2**64, mc.seed >> 64]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = np.empty((block, n + m))
+    rows = list(draws)
+    diffs = np.empty((block, m, n))
+    kernel_values = np.empty_like(diffs)
     scores = np.empty(mc.replicates)
     for start in range(0, mc.replicates, block):
-        rows = draws[: min(block, mc.replicates - start)]
-        for i, row in enumerate(rows, start):
-            state["state"]["counter"] = _philox_counter(i)
+        count = min(block, mc.replicates - start)
+        for i, row in enumerate(rows[:count], start):
+            counter[2], counter[3] = i % 2**64, i >> 64
             bits.state = state
-            rng.standard_normal(out=row)
-        sample, fresh = rows[:, :n], rows[:, n:]
+            draw(out=row)
+        sample, fresh = draws[:count, :n], draws[:count, n:]
         h = rule.multiplier * sample.std(axis=1, ddof=1)
-        u = (sample[:, None, :] - fresh[:, :, None]) / h[:, None, None]
-        estimate = kernel_eval(rule.kernel, u).sum(axis=2) / (n * h)[:, None]
+        u = np.subtract(sample[:, None, :], fresh[:, :, None], out=diffs[:count])
+        u /= h[:, None, None]
+        estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2) / (n * h)[:, None]
         root_truth = np.sqrt(std_normal_pdf(fresh))
-        scores[start : start + len(rows)] = np.mean((estimate / root_truth - root_truth) ** 2, axis=1)
+        scores[start : start + count] = np.mean((estimate / root_truth - root_truth) ** 2, axis=1)
     value = float(scores.mean())
     std_error = float(scores.std(ddof=1) / math.sqrt(mc.replicates)) if mc.replicates > 1 else math.inf
     return MiseReport(value=value, method="monte_carlo", std_error=std_error)

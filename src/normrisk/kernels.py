@@ -26,6 +26,7 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     _check_sample_size,
+    _check_out,
     integrate,
     normal_mass,
     std_normal_pdf,
@@ -60,15 +61,26 @@ def _check_kernel(kernel: Kernel) -> None:
         raise ValueError(f"unknown kernel {kernel.name!r}")
 
 
-def kernel_eval(kernel: Kernel, u):
-    """Kernel density K(u); elementwise on arrays."""
+def kernel_eval(kernel: Kernel, u, out: np.ndarray | None = None):
+    """Kernel density K(u); elementwise on arrays.
+
+    With `out`, an array of u's shape that does not overlap u, the values
+    are written there in place and `out` is returned.  The arithmetic is
+    the same either way, so the two results agree bit for bit.
+    """
     _check_kernel(kernel)
     u = np.asarray(u, dtype=float)
     if kernel.name == "normal":
-        out = std_normal_pdf(u)
-        return out
-    out = np.where(np.abs(u) <= 0.5, 1.5 * (1.0 - 4.0 * u * u), 0.0)
-    return float(out) if out.ndim == 0 else out
+        return std_normal_pdf(u, out)
+    _check_out(u, out)
+    # 1.5 (1 - 4u^2) is negative exactly where |u| > 1/2, and fmax also
+    # sends NaN to 0
+    k = np.multiply(u, 4.0, out=out)
+    k = np.multiply(k, u, out=out)
+    k = np.subtract(1.0, k, out=out)
+    k = np.multiply(k, 1.5, out=out)
+    k = np.fmax(k, 0.0, out=out)
+    return float(k) if out is None and np.ndim(k) == 0 else k
 
 
 def gk_epanechnikov(u):

@@ -4,8 +4,7 @@ Provides adaptive Gauss-Kronrod quadrature over finite and infinite
 intervals, standard-normal special functions, the gamma-function ratio and
 the Kummer function the risk formulas need, the sampling density of the
 scaled sample standard deviation and every expectation over it (one
-adaptive integral each, `scaled_chi_expectation`), and seeded normal
-sampling with reproducible substreams.
+adaptive integral each, `scaled_chi_expectation`).
 
 The quadrature takes array-valued integrands only: f maps a 1-D array of
 nodes to an array whose last axis runs over those nodes, and any leading
@@ -31,7 +30,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401 -- loaded with the package, not lazily on the first draw
 from numpy.polynomial.hermite import hermgauss
 
 
@@ -228,11 +226,30 @@ def integrate(
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def std_normal_pdf(x):
-    """Standard normal density, elementwise on arrays."""
+def _check_out(x: np.ndarray, out: np.ndarray | None) -> None:
+    """Reject an `out` array that an elementwise formula in x cannot write to."""
+    if out is None:
+        return
+    if out.shape != x.shape:
+        raise ValueError(f"out has shape {out.shape}, the input {x.shape}")
+    if np.may_share_memory(out, x):
+        raise ValueError("out must not overlap the input")
+
+
+def std_normal_pdf(x, out: np.ndarray | None = None):
+    """Standard normal density, elementwise on arrays.
+
+    With `out`, an array of x's shape that does not overlap x, the density
+    is written there in place and `out` is returned.  The arithmetic is the
+    same either way, so the two results agree bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-    return float(out) if out.ndim == 0 else out
+    _check_out(x, out)
+    pdf = np.multiply(x, -0.5, out=out)
+    pdf = np.multiply(pdf, x, out=out)
+    pdf = np.subtract(pdf, _LOG_SQRT_2PI, out=out)
+    pdf = np.exp(pdf, out=out)
+    return float(pdf) if out is None and np.ndim(pdf) == 0 else pdf
 
 
 def _elementwise(f: Callable[[float], float], x):
@@ -335,24 +352,39 @@ def _lgamma_correction(x: float) -> float:
     return series / x
 
 
+def _gamma_half_excess(x: float) -> float:
+    """log(Gamma(x + 1/2) / Gamma(x)) - log(x) / 2 for x > 0, about -1/(8x).
+
+    From x = 10 on it is x log1p(t) - 1/2 + c(x + 1/2) - c(x), with t = 1/(2x)
+    and c the Stirling series, so no two large log-gamma values are
+    subtracted; x log1p(t) - 1/2 is summed as its series
+    -t/4 + t^2/6 - t^3/8 + ..., whose first omitted term is below 1e-19 of
+    it, since the direct difference would leave an absolute error of 1e-16.
+    Below x = 10 the recurrence e(x) = e(x + 1) + log1p(1/x)/2 - log1p(1/(2x))
+    first steps up to where the series hold.
+    """
+    x = float(x)  # a numpy integer would overflow in the series' x * x
+    shift = 0.0
+    while x < 10.0:
+        shift += 0.5 * math.log1p(1.0 / x) - math.log1p(0.5 / x)
+        x += 1.0
+    t = 0.5 / x
+    series = 0.0
+    for k in range(14, 0, -1):
+        series = -t * (0.5 / (k + 1) + series)
+    return shift + series + _lgamma_correction(x + 0.5) - _lgamma_correction(x)
+
+
 def gamma_half_ratio(x: float) -> float:
     """Gamma(x + 1/2) / Gamma(x) for x > 0, to within 1e-15 relative.
 
-    Formed as sqrt(x) exp(x log1p(1/(2x)) - 1/2 + c(x + 1/2) - c(x)) with c
-    the Stirling series, so no two large log-gamma values are subtracted:
-    that difference loses about log10(x) digits (1.5e-10 relative at
-    x = 5e5).  Below x = 10 the recurrence R(x) = R(x + 1) x / (x + 1/2)
-    first steps up to where the series holds.
+    Formed as sqrt(x) exp(e(x)) with e from `_gamma_half_excess`: the
+    difference of two large log-gamma values would lose about log10(x)
+    digits (1.5e-10 relative at x = 5e5).
     """
     if not x > 0:
         raise ValueError(f"gamma_half_ratio requires x > 0, got {x!r}")
-    scale = 1.0
-    while x < 10.0:
-        scale *= x / (x + 0.5)
-        x += 1.0
-    return scale * math.sqrt(x) * math.exp(
-        x * math.log1p(0.5 / x) - 0.5 + _lgamma_correction(x + 0.5) - _lgamma_correction(x)
-    )
+    return math.sqrt(x) * math.exp(_gamma_half_excess(x))
 
 
 #: above this exp(-x) I0(x) is summed from its large-x series
@@ -528,23 +560,3 @@ def scaled_chi_expectation(
     _check_sample_size(n, 3)
     lo, mode, hi = _scaled_chi_support(n)
     return integrate(lambda z: fn(z) * scaled_chi_pdf(n, z), lo, hi, cfg, points=(mode,))
-
-
-def _philox_counter(index: int) -> np.ndarray:
-    # the Philox counter at which Philox(key=seed).jumped(index) starts: a
-    # jump adds 2**128 to the 256-bit counter, so index fills words 2 and 3
-    return np.array([0, 0, index % 2**64, index >> 64], dtype=np.uint64)
-
-
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible generator for one replicate index.
-
-    It draws what `Philox(key=seed).jumped(index)` draws, but starts the
-    counter at [0, 0, index, 0] directly instead of jumping there.  Streams
-    with distinct indices never overlap; results are therefore independent
-    of how replicates are scheduled across workers.
-    """
-    if index < 0:
-        raise ValueError("substream index must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=seed, counter=_philox_counter(index)))
-

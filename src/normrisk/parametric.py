@@ -26,10 +26,10 @@ from .numerics import (
     NumericsError,
     QuadratureConfig,
     _check_sample_size,
+    _gamma_half_excess,
     gamma_half_ratio,
     integrate,
     scaled_chi_expectation,
-    scaled_chi_inverse_mean,
     std_normal_pdf,
 )
 
@@ -233,20 +233,20 @@ def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
     """Exact MISE of the unbiased density estimator, in closed form.
 
     At n = 3 the value is infinite (reported as such, not an error);
-    the estimator requires n >= 3 to be defined at all.
+    the estimator requires n >= 3 to be defined at all.  For n >= 4,
+    2 sqrt(pi) sigma MISE = expm1(log1p((2n-3)/((n-1)(n-3)))/2 + e((n-2)/2) - e(n-3))
+    with e(x) = log(Gamma(x + 1/2)/Gamma(x)) - log(x)/2: every term is
+    O(1/n), so nothing cancels as n grows.
     """
     _check_sample_size(n, 3)
     if n == 3:
         return MiseReport(value=math.inf, method="closed_form")
-    log_first = (
-        math.log(scaled_chi_inverse_mean(n))
-        + 2.0 * _log_support_const(n)
-        + math.log(n - 1)
-        - 0.5 * math.log(n)
-        + 0.5 * math.log(math.pi)
-        - math.log(gamma_half_ratio(n - 3))
+    exponent = (
+        0.5 * math.log1p((2.0 * n - 3.0) / ((n - 1.0) * (n - 3.0)))
+        + _gamma_half_excess(0.5 * (n - 2))
+        - _gamma_half_excess(n - 3)
     )
-    value = (math.exp(log_first) - NORMAL_ROUGHNESS) / p.sigma
+    value = math.expm1(exponent) / TWO_SQRT_PI / p.sigma
     return MiseReport(value=value, method="closed_form")
 
 

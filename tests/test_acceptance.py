@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from ancillary import ancillary_densities
+from substreams import substream
 from tests.conftest import PUBLISHED_TABLE, VERIFIED_CORRECTIONS
 
 from normrisk.bandwidth import (
@@ -41,7 +42,7 @@ from normrisk.kernels import (
     mise_exact_generic,
     mise_fixed_bandwidth,
 )
-from normrisk.numerics import integrate, normal_mass, std_normal_pdf, substream
+from normrisk.numerics import integrate, normal_mass, std_normal_pdf
 from normrisk.parametric import (
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,

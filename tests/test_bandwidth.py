@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from ancillary import ancillary_densities
+from substreams import substream
 from normrisk import bandwidth, kernels, numerics, parametric
 from normrisk.bandwidth import (
     BandwidthRule,
@@ -20,7 +21,7 @@ from normrisk.bandwidth import (
     rule_of_thumb,
 )
 from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval, mise_exact_generic
-from normrisk.numerics import integrate, scaled_chi_inverse_mean, substream, std_normal_pdf
+from normrisk.numerics import integrate, scaled_chi_inverse_mean, std_normal_pdf
 from normrisk.parametric import STD_NORMAL, exact_mise_plugin, exact_mse_plugin
 
 # real-MISE ratios frozen from an independent high-precision evaluation of
@@ -441,10 +442,8 @@ class TestRealMiseMc:
             ratios.append(large.std_error / small.std_error)
         assert np.median(ratios) == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
-    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
-    def test_blocks_match_one_replicate_at_a_time(self, kernel):
-        # n = 50, m = 3 gives blocks of 109 replicates, so the last of 300 is partial
-        n, mc = 50, McConfig(replicates=300, eval_points=3, seed=2**64 + 9)
+    @staticmethod
+    def _check_blocks_match_one_replicate_at_a_time(kernel, n, mc):
         rule = rule_of_thumb(kernel, n)
         scores = []
         for i in range(mc.replicates):
@@ -458,6 +457,24 @@ class TestRealMiseMc:
         report = real_mise_mc(rule, n, mc)
         assert report.value == scores.mean()
         assert report.std_error == scores.std(ddof=1) / math.sqrt(mc.replicates)
+
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
+    def test_blocks_match_one_replicate_at_a_time(self, kernel):
+        # n = 50, m = 3 gives blocks of 109 replicates, so the last of 300 is
+        # partial; a seed of 2**64 and up fills the second word of the Philox key
+        mc = McConfig(replicates=300, eval_points=3, seed=2**64 + 9)
+        self._check_blocks_match_one_replicate_at_a_time(kernel, 50, mc)
+
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
+    @pytest.mark.parametrize(
+        "n,m,seed",
+        [(2, 1, 0), (2, 1, 2**64 + 9), (2, 1, 2**128 - 1), (50, 3, 0), (50, 3, 2**128 - 1)],
+    )
+    def test_blocks_match_across_seeds_and_sizes(self, kernel, n, m, seed):
+        # the smallest sample and a single evaluation point, and the seeds at
+        # both ends of the Philox key range
+        mc = McConfig(replicates=300, eval_points=m, seed=seed)
+        self._check_blocks_match_one_replicate_at_a_time(kernel, n, mc)
 
     def test_scratch_memory_is_flat_in_replicates(self):
         # one unblocked (replicates, eval_points, n) array would be 24 MB here

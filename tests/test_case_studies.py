@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from substreams import substream
+
 from normrisk.case_studies import (
     CrossoverResult,
     LognormalParams,
@@ -18,7 +20,6 @@ from normrisk.case_studies import (
     skew_normal_density,
     skew_normal_score,
 )
-from normrisk.numerics import substream
 from normrisk.parametric import PLUGIN_AMISE_CONSTANT
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)

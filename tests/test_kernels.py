@@ -1,5 +1,6 @@
 """Kernel estimator risk: moments, pointwise MSE, closed and generic MISE."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import minimize_scalar
+
+from substreams import substream
 
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
@@ -25,12 +28,37 @@ from normrisk.kernels import (
     mise_fixed_bandwidth,
     truncated_normal_moments,
 )
-from normrisk.numerics import integrate, substream
+from normrisk.numerics import integrate, std_normal_pdf
 from normrisk.parametric import NormalParams, STD_NORMAL
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 RF = 1.0 / (2.0 * math.sqrt(math.pi))
 BOTH_KERNELS = (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+
+# signed zeros, the support edge and its neighbouring doubles, subnormals,
+# large values, infinities, NaN, and values whose results round
+EDGE_CASES = np.array([
+    0.0, -0.0, 0.5, -0.5,
+    np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), np.nextafter(-0.5, -1.0), np.nextafter(-0.5, 0.0),
+    1e-310, -1e-310, 1e3, -1e3, math.inf, -math.inf, math.nan, 0.1, -0.3, 0.4321, 2.7,
+])
+
+
+def _normal_reference(u):
+    return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi))
+
+
+def _parabolic_reference(u):
+    return np.where(np.abs(u) <= 0.5, 1.5 * (1.0 - 4.0 * u * u), 0.0)
+
+
+# each function that can write in place, and the formula it had before it
+# could: with or without `out`, its values must match that bit for bit
+IN_PLACE_CASES = {
+    "std_normal_pdf": (std_normal_pdf, _normal_reference),
+    "normal": (functools.partial(kernel_eval, NORMAL_KERNEL), _normal_reference),
+    "epan": (functools.partial(kernel_eval, EPANECHNIKOV_KERNEL), _parabolic_reference),
+}
 
 
 def phi(x):
@@ -51,6 +79,29 @@ class TestKernelEval:
 
     def test_normal_is_phi(self):
         assert kernel_eval(NORMAL_KERNEL, 1.3) == pytest.approx(phi(1.3), rel=1e-14)
+
+    @pytest.mark.parametrize("evaluate,reference", IN_PLACE_CASES.values(), ids=IN_PLACE_CASES)
+    @pytest.mark.parametrize("shape", [(), (EDGE_CASES.size,), (3, 1, EDGE_CASES.size)])
+    def test_matches_reference_formula_bit_for_bit(self, evaluate, reference, shape):
+        inputs = [np.array(v) for v in EDGE_CASES] if shape == () else [np.resize(EDGE_CASES, shape)]
+        for u in inputs:
+            expected = np.asarray(reference(u)).tobytes()
+            fresh = evaluate(u)
+            assert type(fresh) is (float if shape == () else np.ndarray)
+            assert np.asarray(fresh).tobytes() == expected
+            out = np.full(shape, 7.0)
+            assert evaluate(u, out=out) is out
+            assert out.tobytes() == expected
+
+    @pytest.mark.parametrize("evaluate", [f for f, _ in IN_PLACE_CASES.values()], ids=IN_PLACE_CASES)
+    def test_out_must_not_overlap_or_reshape_the_input(self, evaluate):
+        u = np.linspace(-1.0, 1.0, 6)
+        with pytest.raises(ValueError, match="overlap"):
+            evaluate(u, out=u)
+        with pytest.raises(ValueError, match="overlap"):
+            evaluate(u[:4], out=u[2:])
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(u, out=np.empty(5))
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_normalization(self, kernel):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from substreams import substream
+
 from normrisk.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -24,7 +26,6 @@ from normrisk.numerics import (
     std_normal_cdf,
     std_normal_logcdf,
     std_normal_pdf,
-    substream,
 )
 
 INV_TWO_SQRT_PI = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -172,6 +173,10 @@ class TestSpecialFunctions:
         with mpmath.workdps(30):
             ref = mpmath.gamma(mpmath.mpf(x) + 0.5) / mpmath.gamma(mpmath.mpf(x))
             assert abs(gamma_half_ratio(x) / ref - 1) < 1e-15
+
+    def test_gamma_half_ratio_of_numpy_integer(self):
+        # x * x in the Stirling series passes 2**63 here
+        assert gamma_half_ratio(np.int64(4 * 10**9)) == gamma_half_ratio(4 * 10**9)
 
     def test_gamma_half_ratio_domain(self):
         for bad in (0.0, -1.0, math.nan):

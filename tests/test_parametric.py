@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from substreams import substream
+
 from normrisk.bandwidth import (
     optimal_bandwidth_constant,
     real_mise_exact,
@@ -22,7 +24,7 @@ from normrisk.kernels import (
     exact_mse_kernel,
     mise_closed_epan_kernel,
 )
-from normrisk.numerics import NumericsError, integrate, scaled_chi_pdf, substream
+from normrisk.numerics import NumericsError, integrate, scaled_chi_pdf
 from normrisk.parametric import (
     MiseReport,
     NormalParams,
@@ -337,6 +339,19 @@ class TestUmvu:
         assert exact_mise_umvu(p, 12).value == pytest.approx(
             exact_mise_umvu(STD_NORMAL, 12).value / 4.0, rel=1e-13
         )
+
+    def test_numpy_integer_n_does_not_overflow(self):
+        # (n - 1)(n - 3) passes 2**63 here
+        n = 4 * 10**9
+        assert exact_mise_umvu(STD_NORMAL, np.int64(n)).value == exact_mise_umvu(STD_NORMAL, n).value
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_large_n_ratio_against_oracle(self, n):
+        # a sum of O(log n) logs that cancel to O(1/n) was 1.1e-9 off at 10^6
+        oracle = json.loads((Path(__file__).parents[1] / "bench" / "oracle.json").read_text())
+        reference = oracle["table"][str(n)]["umvu_ratio"]
+        ratio = exact_mise_umvu(STD_NORMAL, n).value / exact_mise_plugin(STD_NORMAL, n).value
+        assert ratio == pytest.approx(reference, rel=1e-10, abs=0)
 
 
 class TestShrinkage:
