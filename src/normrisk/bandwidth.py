@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 import numpy.random  # noqa: F401 -- loaded with the package, not lazily on the first draw
-from numpy.polynomial.legendre import leggauss
 
 from .kernels import (
     EPANECHNIKOV_KERNEL,
@@ -43,6 +42,7 @@ from .numerics import (
     QuadratureConfig,
     _bisect,
     _check_sample_size,
+    _legendre_rule,
     integrate,
     kummer_m_half,
     scaled_chi_expectation,
@@ -55,13 +55,6 @@ from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI, _log_support_
 CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
 
 _REAL_MISE_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=2048)
-
-
-@lru_cache(maxsize=None)
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    # the 32-point Gauss-Legendre rule on [-1, 1]: the parabolic kernel's
-    # slope and, panel by panel, the kernel sum of real_mise_nested
-    return leggauss(32)
 
 
 @dataclass(frozen=True)

@@ -266,8 +266,8 @@ def _kernel(args: argparse.Namespace) -> Kernel:
         raise ValueError("kernel estimators require --kernel")
     if (args.h is None) == (not args.rule):
         raise ValueError("specify exactly one of --h and --rule")
-    if args.h is not None and args.h <= 0:
-        raise ValueError("--h must be positive")
+    if args.h is not None and not 0 < args.h < math.inf:
+        raise ValueError("--h must be positive and finite")
     return KERNELS[args.kernel]
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 
+import mpmath
 import pytest
 
 import normrisk
@@ -227,6 +228,10 @@ class TestMiseCommand:
             ["figure", "--which", "1", "--x-max", "inf"],
             ["figure", "--which", "1", "--x-min", "nan"],
             ["figure", "--which", "1", "--x-step", "nan"],
+            ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "5", "--h", "inf"],
+            ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "5", "--h", "inf"],
+            ["mse-curve", "--estimator", "kernel", "--kernel", "normal", "--n", "5", "--h", "inf"],
+            ["mse-curve", "--estimator", "kernel", "--kernel", "epan", "--n", "5", "--h", "inf"],
         ],
     )
     def test_out_of_domain_inputs(self, args, capsys):
@@ -347,6 +352,30 @@ class TestCurveCommands:
             obj = json.loads(line)
             want = exact_mse_kernel(KERNELS[kernel], obj["x"], NormalParams(0.0, 1.5), 7, 0.6)
             assert obj["bias"] == want.bias and obj["sd"] == want.sd
+
+    def test_mse_curve_tail_against_mpmath(self, tmp_path):
+        # the closed-form moments cancelled out here: sd was 49% off at
+        # x = 6, and at x = 6.5 it read 0 with rmse nan
+        n, h = 10, 0.25
+        code, text = run_cli(
+            ["mse-curve", "--estimator", "kernel", "--kernel", "epan", "--h", str(h), "--n", str(n),
+             "--x-min", "5", "--x-max", "6.5", "--x-step", "0.5", "--format", "json"],
+            tmp_path,
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert [row["x"] for row in rows] == [5.0, 5.5, 6.0, 6.5]
+        for row in rows:
+            assert all(math.isfinite(row[key]) for key in ("bias", "sd", "rmse"))
+            with mpmath.workdps(40):
+                def moment(power):
+                    return mpmath.quad(
+                        lambda u: (1.5 * (1 - 4 * u * u)) ** power * mpmath.npdf(row["x"] + h * u),
+                        [-0.5, 0.5],
+                    )
+
+                sd = float(mpmath.sqrt((moment(2) / h - moment(1) ** 2) / n))
+            assert row["sd"] == pytest.approx(sd, rel=1e-12, abs=0)
 
     def test_mse_curve_plugin_rejects_kernel_flags(self):
         assert main(

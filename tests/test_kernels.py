@@ -1,8 +1,11 @@
 """Kernel estimator risk: moments, pointwise MSE, closed and generic MISE."""
 
 import functools
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,11 +14,11 @@ from scipy.optimize import minimize_scalar
 
 from substreams import substream
 
+from normrisk.bandwidth import rule_of_thumb
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
     MISE_SERIES_H,
     NORMAL_KERNEL,
-    SMALL_H,
     asymptotic_kernel_risk,
     exact_moments,
     exact_mse_kernel,
@@ -26,7 +29,6 @@ from normrisk.kernels import (
     mise_closed_normal_kernel,
     mise_exact_generic,
     mise_fixed_bandwidth,
-    truncated_normal_moments,
 )
 from normrisk.numerics import integrate, std_normal_pdf
 from normrisk.parametric import NormalParams, STD_NORMAL
@@ -119,31 +121,30 @@ class TestKernelEval:
         assert k2 == pytest.approx(kernel.second_moment, abs=1e-11)
 
 
-class TestTruncatedMoments:
-    def test_small_window_limit(self):
-        x = 1.0
-        m = truncated_normal_moments(x, 1e-3)
-        for j, val in enumerate(m):
-            assert val == pytest.approx(x**j * phi(x), abs=5e-7)
+def _parabolic_moments_mpmath(x: float, h: float) -> tuple[float, float]:
+    """e0 = int K(u) phi(x + h u) du and a0 = int K(u)^2 phi(x + h u) du from
+    the closed-form truncated-moment recursion at 60 digits.
 
-    def test_odd_moment_vanishes_at_center(self):
-        assert truncated_normal_moments(0.0, 1.7).n1 == 0.0
-
-    def test_wide_window_value(self):
-        m = truncated_normal_moments(0.0, 2.0)
-        oracle = math.erf(1.0 / math.sqrt(2.0)) / 2.0
-        assert m.n0 == pytest.approx(oracle, abs=1e-14)
-        assert m.n0 == pytest.approx(0.3413447, abs=5e-8)
-
-    @pytest.mark.parametrize("x", [-1.4, 0.0, 0.3, 2.2])
-    @pytest.mark.parametrize("h", [0.3, 1.0, 2.9])
-    def test_recursion_against_quadrature(self, x, h):
-        m = truncated_normal_moments(x, h)
-        for j, val in enumerate(m):
-            oracle, _ = scipy_quad(
-                lambda v: v**j * phi(v), x - h / 2.0, x + h / 2.0, epsabs=1e-14
-            )
-            assert val == pytest.approx(oracle / h, abs=1e-12)
+    Its terms reach 16/h^4 times the window's normal mass, and cancel by up
+    to 37 digits at h = 1e-8 and x = 8; the mass is a difference of upper
+    tails for x > 0, so that it keeps its own digits.  That leaves at least
+    15 correct digits on the grid the tests use.
+    """
+    with mpmath.workdps(60):
+        x, h = mpmath.mpf(x), mpmath.mpf(h)
+        a, b = x - h / 2, x + h / 2
+        pa, pb = mpmath.npdf(a), mpmath.npdf(b)
+        i0 = mpmath.ncdf(-a) - mpmath.ncdf(-b) if x > 0 else mpmath.ncdf(b) - mpmath.ncdf(a)
+        i1 = pa - pb
+        i2 = a * pa - b * pb + i0
+        i3 = a * a * pa - b * b * pb + 2 * i1
+        i4 = a**3 * pa - b**3 * pb + 3 * i2
+        m0, m1, m2, m3, m4 = (i / h for i in (i0, i1, i2, i3, i4))
+        quad = m2 - 2 * x * m1 + x * x * m0
+        quart = m4 - 4 * x * m3 + 6 * x * x * m2 - 4 * x**3 * m1 + x**4 * m0
+        e0 = 1.5 * (m0 - 4 / h**2 * quad)
+        a0 = 2.25 * (m0 - 8 / h**2 * quad + 16 / h**4 * quart)
+        return float(e0), float(a0)
 
 
 class TestExactMoments:
@@ -172,30 +173,26 @@ class TestExactMoments:
         assert m.mean == pytest.approx(e_oracle, abs=1e-10)
         assert m.kernel_sq_mean == pytest.approx(a_oracle, abs=1e-10)
 
-    def test_series_and_closed_forms_agree_at_threshold(self):
-        # straddle the branch switch closely enough that the function's own
-        # slope contributes nothing
-        x = 0.5
-        for fn in (
-            lambda h: exact_moments(EPANECHNIKOV_KERNEL, x, STD_NORMAL, 6, h).mean,
-            lambda h: exact_moments(EPANECHNIKOV_KERNEL, x, STD_NORMAL, 6, h).kernel_sq_mean,
-        ):
-            below = fn(SMALL_H * (1.0 - 1e-9))
-            above = fn(SMALL_H * (1.0 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-9)
+    @pytest.mark.parametrize("h", [1e-8, 0.1, 0.2, 0.25, 1.0, 4.24, 8.0, 12.0, 1e4])
+    def test_parabolic_moments_against_mpmath(self, h):
+        # the closed forms cancelled: up to 8e6 relative off on this grid at
+        # h = 0.2 and 350 at h = 1, both at x = 8
+        for x in (0.0, 1.1, -1.1, 2.7, 4.5, 6.0, 8.0):
+            m = exact_moments(EPANECHNIKOV_KERNEL, x, STD_NORMAL, 7, h)
+            e0, a0 = _parabolic_moments_mpmath(x, h)
+            assert m.mean == pytest.approx(e0, rel=1e-14, abs=0), x
+            assert m.kernel_sq_mean == pytest.approx(a0, rel=1e-14, abs=0), x
 
-    @pytest.mark.parametrize("h", [0.03, 0.1, 0.19])
-    def test_series_branch_against_quadrature(self, h):
-        x = 0.5
-        m = exact_moments(EPANECHNIKOV_KERNEL, x, STD_NORMAL, 6, h)
-        e_oracle, _ = scipy_quad(
-            lambda u: 1.5 * (1.0 - 4.0 * u * u) * phi(x + h * u), -0.5, 0.5, epsabs=1e-14
-        )
-        a_oracle, _ = scipy_quad(
-            lambda u: (1.5 * (1.0 - 4.0 * u * u)) ** 2 * phi(x + h * u), -0.5, 0.5, epsabs=1e-14
-        )
-        assert m.mean == pytest.approx(e_oracle, abs=1e-11)
-        assert m.kernel_sq_mean == pytest.approx(a_oracle, abs=1e-11)
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+    def test_bandwidth_must_be_positive_and_finite(self, h):
+        for call in (
+            lambda: exact_moments(EPANECHNIKOV_KERNEL, 0.3, STD_NORMAL, 5, h),
+            lambda: mise_closed_normal_kernel(5, h),
+            lambda: mise_closed_epan_kernel(5, h),
+            lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 5, h),
+        ):
+            with pytest.raises(ValueError, match="h must be positive and finite"):
+                call()
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_variance_formula_against_quadrature(self, kernel):
@@ -247,6 +244,17 @@ class TestExactMseKernel:
             each = np.array([exact_mse_kernel(kernel, float(x), p, n, h) for x in xs])
             assert arr.mse.shape == arr.sd.shape == xs.shape
             assert np.abs(np.array(arr).T - each).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 14, 100, 1000])
+    def test_figure_points_against_oracle(self, n):
+        # every stored 40-digit parabolic-kernel point of the figures, at the
+        # rule-of-thumb bandwidth the figures use
+        oracle = json.loads((Path(__file__).parents[1] / "bench" / "oracle.json").read_text())
+        index, bias, sd = np.array(oracle["curves"][str(n)]["epan_kernel"]).T
+        h = rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier
+        got = exact_mse_kernel(EPANECHNIKOV_KERNEL, -3.0 + 0.02 * index, STD_NORMAL, n, h)
+        np.testing.assert_allclose(got.sd, sd, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.bias, bias, rtol=0, atol=1e-15)
 
     def test_rmse_decomposition(self):
         r = exact_mse_kernel(EPANECHNIKOV_KERNEL, 0.6, STD_NORMAL, 14, 2.96)
