@@ -98,21 +98,25 @@ def lognormal_variance_ratio_limit(log_sd: float) -> float:
     return (math.exp(b2) - 1.0) / (b2 + 0.5 * b2 * b2)
 
 
-def lognormal_crossover(
-    log_sd: float, max_n: int = 10**6, verify_window: int = 200
-) -> CrossoverResult:
+# the crossover scan's largest sample size, and how many sizes past a
+# crossover the plug-in must stay ahead
+_MAX_N = 10**6
+_VERIFY_WINDOW = 200
+
+
+def lognormal_crossover(log_sd: float) -> CrossoverResult:
     """Largest n at which the sample mean beats the parametric estimator.
 
     Scans upward from n = 2 using the exact MSE formulas (an infinite
     parametric MSE counts as a loss), then re-verifies that the parametric
-    estimator stays ahead over the next `verify_window` sample sizes.
+    estimator stays ahead over the next `_VERIFY_WINDOW` sample sizes.
     """
     p = LognormalParams(0.0, log_sd)
     n = 2
-    while n <= max_n:
+    while n <= _MAX_N:
         if lognormal_mse_parametric(p, n) < lognormal_mse_nonparametric(p, n):
             n_crossover = n - 1
-            for k in range(n + 1, n + 1 + verify_window):
+            for k in range(n + 1, n + 1 + _VERIFY_WINDOW):
                 if not lognormal_mse_parametric(p, k) < lognormal_mse_nonparametric(p, k):
                     raise NumericsError(
                         f"crossover at n={n_crossover} is not clean: parametric "
@@ -120,7 +124,7 @@ def lognormal_crossover(
                     )
             return CrossoverResult(log_sd=log_sd, n_crossover=n_crossover)
         n += 1
-    raise NumericsError(f"no crossover found below n={max_n} for log_sd={log_sd}")
+    raise NumericsError(f"no crossover found below n={_MAX_N} for log_sd={log_sd}")
 
 
 def skew_normal_density(x, theta) -> float:
@@ -180,5 +184,5 @@ def skew_normal_asymptotic_mise(
     theta = (0.0, sigma, 1.0)
     span = 12.0 * sigma
     return asymptotic_mise_general(
-        skew_normal_score, skew_normal_density, theta, cfg=cfg, support=(-span, span)
+        skew_normal_score, skew_normal_density, theta, (-span, span), cfg
     )

@@ -1,8 +1,8 @@
 """Self-contained numerical kernel used by the risk modules.
 
-Provides adaptive Gauss-Kronrod quadrature over finite and infinite
-intervals, the one fixed 32-point Gauss-Legendre rule (`_legendre_rule`)
-that the kernel and bandwidth modules share, standard-normal special
+Provides adaptive Gauss-Kronrod quadrature over finite intervals, the
+one fixed 32-point Gauss-Legendre rule (`_legendre_rule`) that the
+kernel and bandwidth modules share, standard-normal special
 functions, the gamma-function ratio and the Kummer function the risk
 formulas need, the sampling density of the scaled sample standard
 deviation and every expectation over it (one adaptive integral each,
@@ -61,12 +61,13 @@ class QuadratureConfig:
     max_subdivisions: int = 512
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol!r}")
+        m = self.max_subdivisions
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"max_subdivisions must be an integer of at least 1, got {m!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -133,41 +134,6 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], cuts) -> tuple[np.ndarray, list
     return half * kronrod, (half * err).tolist()
 
 
-def _map_infinite(f, lo: float, hi: float, points: Sequence[float]):
-    """Transform an infinite integration range onto a finite one.
-
-    (-inf, inf) maps through x = t/(1-t^2) on (-1, 1); half-infinite ranges
-    map through x = a + t/(1-t) on (0, 1).  Interior breakpoints are carried
-    through the inverse map.
-    """
-    if math.isinf(lo) and math.isinf(hi):
-        def g(t):
-            d = 1.0 - t * t
-            return f(t / d) * (1.0 + t * t) / (d * d)
-
-        def inv(x):
-            if x == 0.0:
-                return 0.0
-            return (-1.0 + math.sqrt(1.0 + 4.0 * x * x)) / (2.0 * x)
-
-        return g, -1.0, 1.0, [inv(p) for p in points]
-    if math.isinf(hi):
-        a = lo
-
-        def g(t):
-            d = 1.0 - t
-            return f(a + t / d) / (d * d)
-
-        return g, 0.0, 1.0, [(p - a) / (1.0 + (p - a)) for p in points]
-    b = hi
-
-    def g(t):
-        d = 1.0 - t
-        return f(b - t / d) / (d * d)
-
-    return g, 0.0, 1.0, [(b - p) / (1.0 + (b - p)) for p in points]
-
-
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -177,8 +143,8 @@ def integrate(
 ) -> float | np.ndarray:
     """Adaptively integrate f over (lo, hi).
 
-    Endpoints may be infinite.  f maps a 1-D array of nodes to values of any
-    leading shape with the node axis last, shape (..., nodes); the result
+    Both limits must be finite.  f maps a 1-D array of nodes to values of
+    any leading shape with the node axis last, shape (..., nodes); the result
     has that leading shape, and a float when there is none.  All components
     share one panel tree, and a panel's error bound is the largest among
     them.  `points` lists interior locations of known structure (kinks,
@@ -189,12 +155,11 @@ def integrate(
     Raises QuadratureError when the summed error bound cannot be brought
     below max(abs_tol, rel_tol * min_j |I_j|) within cfg.max_subdivisions,
     so that every component I_j meets its own target; TypeError when f does
-    not return the node axis last (a scalar-only f, for one).
+    not return the node axis last (a scalar-only f, for one); ValueError
+    unless lo < hi, both finite.
     """
-    if not lo < hi:
-        raise ValueError(f"invalid interval: lo={lo!r} must be < hi={hi!r}")
-    if math.isinf(lo) or math.isinf(hi):
-        f, lo, hi, points = _map_infinite(f, lo, hi, points)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"invalid interval: need finite lo={lo!r} < hi={hi!r}")
 
     cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
     vals, errs = _gk15(f, cuts)

@@ -192,14 +192,6 @@ def exact_mise_plugin(
     return MiseReport(value=value, method="quadrature")
 
 
-def plugin_mise_expansion_residual(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Scaled gap between the MISE coefficient and its two-term expansion
-    7/8 + (271/96)/n, multiplied by n^2."""
-    _check_sample_size(n, 3)
-    coeff = plugin_mise_coefficient(n, cfg)
-    return n * n * abs(coeff - 7.0 / 8.0 - (271.0 / 96.0) / n)
-
-
 def _log_support_const(n: int) -> float:
     # normalizing constant of the standardized-residual density; shared by
     # the unbiased density estimator and the real MISE's ancillary densities
@@ -268,43 +260,26 @@ def shrunk_mise(mise: float, r_f: float) -> float:
     return mise * r_f / (r_f + mise)
 
 
-def _finite_difference_score(
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray], step: float
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def score(x, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.array([
-            (np.log(density(x, theta + e)) - np.log(density(x, theta - e))) / (2.0 * step)
-            for e in step * np.eye(theta.size)
-        ])
-
-    return score
-
-
 def asymptotic_mise_general(
-    score: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     density: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta: Sequence[float],
+    support: tuple[float, float],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    support: tuple[float, float] = (-math.inf, math.inf),
-    fd_step: float = 1e-5,
 ) -> float:
     """Limit of n * MISE for a maximum-likelihood plug-in density estimator.
 
     Returns Tr(J^-1 L) with J the Fisher information and L the squared-
     density-weighted score outer product, both computed at theta by one
-    array-valued quadrature.  The callbacks take an array x of points:
-    density(x, theta) returns the density at each, score(x, theta) one row
-    of log-density derivatives per parameter, shape (len(theta), len(x)).
-    When no analytic score is supplied it is approximated by central
-    differences of log density (step `fd_step`), with a matching loss of
-    accuracy.
+    array-valued quadrature over the finite `support`.  The callbacks take
+    an array x of points: density(x, theta) returns the density at each,
+    score(x, theta) one row of log-density derivatives per parameter, shape
+    (len(theta), len(x)).
     """
     theta = np.asarray(theta, dtype=float)
-    score_fn = score if score is not None else _finite_difference_score(density, fd_step)
 
     def j_and_l(x):
-        u = score_fn(x, theta)
+        u = score(x, theta)
         f = density(x, theta)
         return np.stack((f, f * f))[:, None, None] * (u[:, None] * u[None, :])
 

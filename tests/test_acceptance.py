@@ -51,7 +51,6 @@ from normrisk.parametric import (
     exact_mise_plugin,
     exact_mse_plugin,
     plugin_mise_coefficient,
-    plugin_mise_expansion_residual,
 )
 
 
@@ -211,7 +210,9 @@ def test_c08a_coefficient_monotone(mise_coefficients):
 )
 def test_c08b_expansion_remainder_bounded():
     grid = [20, 35, 50, 100, 200, 350, 500, 750, 1000]
-    residuals = {n: plugin_mise_expansion_residual(n) for n in grid}
+    residuals = {
+        n: n * n * abs(plugin_mise_coefficient(n) - 7.0 / 8.0 - (271.0 / 96.0) / n) for n in grid
+    }
     bound = 1.25 * residuals[20]
     growing = [n for n in grid if residuals[n] > bound]
     report(
@@ -335,7 +336,7 @@ def test_c14_property_suite_spot_checks():
     # the Gaussian shift identity behind the conditional moments
     t, shift = 1.0, 0.7
     lhs = integrate(
-        lambda v: np.exp(-0.5 * t * (v + shift) ** 2) * std_normal_pdf(v), -math.inf, math.inf
+        lambda v: np.exp(-0.5 * t * (v + shift) ** 2) * std_normal_pdf(v), -40.0, 40.0
     )
     rhs = (1.0 + t) ** -0.5 * math.exp(-0.5 * shift * shift * t / (1.0 + t))
     checks["shift_identity"] = abs(lhs - rhs) < 1e-10

@@ -107,7 +107,7 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_normalization(self, kernel):
-        lo, hi = (-0.5, 0.5) if kernel.halfwidth < math.inf else (-math.inf, math.inf)
+        lo, hi = (-0.5, 0.5) if kernel.halfwidth < math.inf else (-40.0, 40.0)
         assert integrate(lambda u: kernel_eval(kernel, u), lo, hi) == pytest.approx(
             1.0, abs=1e-10
         )
@@ -359,7 +359,8 @@ class TestMise:
         st.floats(0.15, 2.0),
         st.integers(2, 60),
     )
-    # bandwidths just above 0.2, where the closed form's terms cancel to 1e-10
+    # bandwidths just above 0.2, where an earlier closed form's terms
+    # cancelled to 1e-10; the pins guard against that cancellation
     @example(sigma=0.3, h_std=0.2421875, n=14)
     @example(sigma=0.3, h_std=0.232421875, n=14)
     def test_scale_identity(self, sigma, h_std, n):

@@ -33,7 +33,7 @@ INV_TWO_SQRT_PI = 1.0 / (2.0 * math.sqrt(math.pi))
 
 class TestIntegrate:
     def test_normal_pdf_normalizes(self):
-        assert integrate(std_normal_pdf, -math.inf, math.inf) == pytest.approx(1.0, abs=1e-9)
+        assert integrate(std_normal_pdf, -40.0, 40.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_epanechnikov_second_moment(self):
         def f(u):
@@ -42,14 +42,8 @@ class TestIntegrate:
         assert integrate(f, -0.5, 0.5) == pytest.approx(0.05, abs=1e-12)
 
     def test_squared_normal_pdf(self):
-        val = integrate(lambda x: std_normal_pdf(x) ** 2, -math.inf, math.inf)
+        val = integrate(lambda x: std_normal_pdf(x) ** 2, -40.0, 40.0)
         assert val == pytest.approx(INV_TWO_SQRT_PI, abs=1e-10)
-
-    def test_half_infinite_ranges(self):
-        assert integrate(std_normal_pdf, 0.0, math.inf) == pytest.approx(0.5, abs=1e-10)
-        assert integrate(std_normal_pdf, -math.inf, 1.0) == pytest.approx(
-            std_normal_cdf(1.0), abs=1e-10
-        )
 
     def test_scalar_only_integrand_rejected(self):
         # math.exp rejects arrays; there is no pointwise fallback
@@ -81,8 +75,8 @@ class TestIntegrate:
 
     def test_vector_matches_componentwise(self):
         ts = np.array([-1.0, 0.5, 1.0, 2.0, 3.0])
-        val = integrate(lambda x: np.exp(-0.5 * np.outer(ts, x) ** 2), -math.inf, math.inf)
-        each = [integrate(lambda x: np.exp(-0.5 * (t * x) ** 2), -math.inf, math.inf) for t in ts]
+        val = integrate(lambda x: np.exp(-0.5 * np.outer(ts, x) ** 2), -40.0, 40.0)
+        each = [integrate(lambda x: np.exp(-0.5 * (t * x) ** 2), -40.0, 40.0) for t in ts]
         assert val.shape == ts.shape
         assert np.abs(val - each).max() < 2e-10
         assert np.abs(val - math.sqrt(2.0 * math.pi) / np.abs(ts)).max() < 1e-10
@@ -102,8 +96,10 @@ class TestIntegrate:
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(std_normal_pdf, 1.0, 1.0)
+        # both limits must be finite
+        for lo, hi in [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (-math.inf, 0.0), (0.0, math.inf)]:
+            with pytest.raises(ValueError, match="invalid interval"):
+                integrate(std_normal_pdf, lo, hi)
 
     def test_nonconvergence_raises(self):
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=8)
@@ -130,12 +126,21 @@ class TestIntegrate:
         assert combined == pytest.approx(separate, abs=2 * DEFAULT_QUADRATURE.abs_tol)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+        # an infinite abs_tol would stop after the first pass and return
+        # 4.496 for the integral of sin(50 x)^2 over (0, 10), which is 4.996
+        for kwargs in [
+            {"abs_tol": 0.0},
+            {"abs_tol": math.inf},
+            {"abs_tol": math.nan},
+            {"rel_tol": -1.0},
+            {"rel_tol": math.inf},
+            {"rel_tol": math.nan},
+            {"max_subdivisions": 0},
+            {"max_subdivisions": 2.5},
+            {"max_subdivisions": True},
+        ]:
+            with pytest.raises(ValueError):
+                QuadratureConfig(**kwargs)
 
 
 class TestSpecialFunctions:
