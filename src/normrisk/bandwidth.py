@@ -43,18 +43,20 @@ from .numerics import (
     _bisect,
     _check_sample_size,
     _legendre_rule,
+    gamma_half_ratio,
     integrate,
     kummer_m_half,
     scaled_chi_expectation,
     scaled_chi_inverse_mean,
     std_normal_pdf,
 )
-from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI, _log_support_const
+from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI
 
 #: search brackets for the bandwidth constant, per kernel
 CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
 
-_REAL_MISE_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=2048)
+#: the real MISE's own tolerance, a digit below the package default
+REAL_MISE_QUADRATURE = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,13 @@ def _ancillary_shape(n: int) -> tuple[float, float, float]:
     pair_edge / residual_edge, so under t = edge * sin(theta) both densities
     carry the same weight const * edge * cos(theta)^(n-3).
     """
-    return math.exp(_log_support_const(n)), (n - 1) / math.sqrt(n), math.sqrt(2.0 * (n - 1))
+    log_const = (
+        math.log(gamma_half_ratio(0.5 * (n - 2)))
+        - 0.5 * math.log(math.pi)
+        + 0.5 * math.log(n)
+        - math.log(n - 1)
+    )
+    return math.exp(log_const), (n - 1) / math.sqrt(n), math.sqrt(2.0 * (n - 1))
 
 
 def _support_expectation(
@@ -235,7 +243,7 @@ def _real_mise(
 
 
 def real_mise_exact(
-    rule: BandwidthRule, n: int, cfg: QuadratureConfig | None = None
+    rule: BandwidthRule, n: int, cfg: QuadratureConfig = REAL_MISE_QUADRATURE
 ) -> MiseReport:
     """Exact MISE actually incurred by the bandwidth rule h = a * sigma_hat.
 
@@ -262,12 +270,12 @@ def real_mise_exact(
         s2 = 1.0 + 1.0 / n + (a * z) ** 2
         return kummer_m_half(b, z * z * e2 / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
 
-    truth = scaled_chi_expectation(truth_overlap, n, cfg if cfg is not None else _REAL_MISE_CFG)
+    truth = scaled_chi_expectation(truth_overlap, n, cfg)
     return _real_mise(rule, n, pair_overlap, truth)
 
 
 def real_mise_nested(
-    rule: BandwidthRule, n: int, cfg: QuadratureConfig | None = None
+    rule: BandwidthRule, n: int, cfg: QuadratureConfig = REAL_MISE_QUADRATURE
 ) -> MiseReport:
     """The real MISE of any kernel by quadrature against the ancillary densities.
 
@@ -276,21 +284,26 @@ def real_mise_nested(
     (f: `expected_density_at`) are one integral of shape (2,): under the
     sine map both laws carry the same weight, and at each theta
     S = R * pair_edge / residual_edge.  The inner integral over u is a fixed
-    32-point Gauss-Legendre sum on each panel of the kernel's support: one
-    panel for a bounded kernel, eight equal ones of |u| <= 8.5 for the
-    normal kernel.  Defined from n = 3 on: the ancillary densities are then
-    edge-singular but integrable, and the sine substitution absorbs the
-    singularity exactly.  The normal kernel's `real_mise_exact` is checked
-    against it.
+    32-point Gauss-Legendre sum on equal panels of the kernel's support, or
+    of |u| <= 8.5 for the normal kernel: ceil(a/4.5) panels for a bounded
+    kernel, 8 ceil(a/3) for the normal one, so that they resolve f(R + a u)
+    (checked for a from 0.001 to 1000).  Defined from n = 3 on: the
+    ancillary densities are then edge-singular but integrable, and the sine
+    substitution absorbs the singularity exactly.  The normal kernel's
+    `real_mise_exact` is checked against it.
     """
     _check_sample_size(n, 3)
-    cfg = cfg if cfg is not None else _REAL_MISE_CFG
     kernel = rule.kernel
     a = rule.multiplier
     k_const, r_edge, s_edge = _ancillary_shape(n)
     pair_scale = s_edge / (r_edge * a)
 
-    span, panels = (8.5, 8) if kernel.name == "normal" else (kernel.halfwidth, 1)
+    # f(R + a u) narrows like 1/a in u, so past a = 4.5 (bounded kernel) or
+    # a = 3 (normal kernel) the panels multiply with a
+    if kernel.name == "normal":
+        span, panels = 8.5, 8 * math.ceil(a / 3.0)
+    else:
+        span, panels = kernel.halfwidth, math.ceil(a / 4.5)
     x, w = _legendre_rule()
     half = span / panels
     u = (half * (2 * np.arange(panels) + 1 - panels)[:, None] + half * x).ravel()

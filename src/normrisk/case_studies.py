@@ -90,14 +90,6 @@ def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
     )
 
 
-def lognormal_variance_ratio_limit(log_sd: float) -> float:
-    """Large-n limit of Var(sample mean) / Var(plug-in); always above one."""
-    if not log_sd > 0:
-        raise ValueError("log_sd must be positive")
-    b2 = log_sd**2
-    return (math.exp(b2) - 1.0) / (b2 + 0.5 * b2 * b2)
-
-
 # the crossover scan's largest sample size, and how many sizes past a
 # crossover the plug-in must stay ahead
 _MAX_N = 10**6

@@ -21,6 +21,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bandwidth import (
+    REAL_MISE_QUADRATURE,
     McConfig,
     optimal_bandwidth_constant,
     real_mise_exact,
@@ -88,7 +89,8 @@ def comparison_row(n: int, cfg: Optional[QuadratureConfig] = None) -> Comparison
     None keeps each term's own default (plug-in 1e-10, real MISE 1e-11).
     """
     _check_sample_size(n, 3)
-    bench = exact_mise_plugin(STD_NORMAL, n, DEFAULT_QUADRATURE if cfg is None else cfg).value
+    plugin_cfg, real_cfg = (DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE) if cfg is None else (cfg, cfg)
+    bench = exact_mise_plugin(STD_NORMAL, n, plugin_cfg).value
     normal = rule_of_thumb(NORMAL_KERNEL, n)
     epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n)
     return ComparisonRow(
@@ -97,10 +99,10 @@ def comparison_row(n: int, cfg: Optional[QuadratureConfig] = None) -> Comparison
         umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / bench,
         b_n=optimal_bandwidth_constant(NORMAL_KERNEL, n),
         normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / bench,
-        normal_ratio2=real_mise_exact(normal, n, cfg).value / bench,
+        normal_ratio2=real_mise_exact(normal, n, real_cfg).value / bench,
         c_n=optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
         epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / bench,
-        epan_ratio2=real_mise_exact(epan, n, cfg).value / bench,
+        epan_ratio2=real_mise_exact(epan, n, real_cfg).value / bench,
     )
 
 
@@ -216,22 +218,17 @@ def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
 
 
 def _quad_config(
-    tol: Optional[float], default: Optional[QuadratureConfig] = DEFAULT_QUADRATURE
-) -> Optional[QuadratureConfig]:
-    """The configuration --tol asks for, or `default` when it is not given.
-
-    A default of None is no override: each quadrature keeps its own.
-    """
-    if tol is None:
-        return default
-    return QuadratureConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=4096)
+    tol: Optional[float], default: QuadratureConfig = DEFAULT_QUADRATURE
+) -> QuadratureConfig:
+    """The configuration --tol asks for, or `default` when it is not given."""
+    return default if tol is None else QuadratureConfig(abs_tol=tol, rel_tol=tol)
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
     for n in ns:
         _check_sample_size(n, 3)
-    cfg = _quad_config(args.tol, default=None)
+    cfg = None if args.tol is None else _quad_config(args.tol)
     records = [asdict(comparison_row(n, cfg)) for n in ns]
     for record in records:
         if math.isinf(record["umvu_ratio"]):
@@ -311,7 +308,7 @@ def _cmd_mise(args: argparse.Namespace) -> None:
                 mc = McConfig(replicates=args.replicates, eval_points=args.eval_points, seed=args.seed)
                 std = real_mise_mc(rule, args.n, mc)
             else:
-                std = real_mise_exact(rule, args.n, _quad_config(args.tol, default=None))
+                std = real_mise_exact(rule, args.n, _quad_config(args.tol, REAL_MISE_QUADRATURE))
             # the risk of the rule at a normal of scale sigma is the standard one over sigma
             std_error = None if std.std_error is None else std.std_error / args.sigma
             report = MiseReport(value=std.value / args.sigma, method=std.method, std_error=std_error)

@@ -58,19 +58,18 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 512
 
     def __post_init__(self) -> None:
         if not 0 < self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
         if not 0 <= self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol!r}")
-        m = self.max_subdivisions
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"max_subdivisions must be an integer of at least 1, got {m!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+#: panel splits after which `integrate` gives up on a target it cannot reach
+_MAX_SUBDIVISIONS = 4096
 
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre, nodes/weights for
@@ -153,10 +152,10 @@ def integrate(
     must be bracketed by a pair of points, not merely marked at its center.
 
     Raises QuadratureError when the summed error bound cannot be brought
-    below max(abs_tol, rel_tol * min_j |I_j|) within cfg.max_subdivisions,
-    so that every component I_j meets its own target; TypeError when f does
-    not return the node axis last (a scalar-only f, for one); ValueError
-    unless lo < hi, both finite.
+    below max(abs_tol, rel_tol * min_j |I_j|) within 4096 panel splits, so
+    that every component I_j meets its own target, or when f returns a NaN
+    or an infinity; TypeError when f does not return the node axis last (a
+    scalar-only f, for one); ValueError unless lo < hi, both finite.
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"invalid interval: need finite lo={lo!r} < hi={hi!r}")
@@ -172,10 +171,18 @@ def integrate(
         heapq.heappush(heap, (-err, a, b, vals[..., i], err))
 
     splits = 0
-    while err_total > max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf)):
-        if splits >= cfg.max_subdivisions:
+    # a NaN or an infinity in a panel makes its bound NaN or infinite too (its
+    # spread |y - mean| is then NaN or infinite), and the summed bound stays
+    # so for good; `not <=` lets a NaN bound into the loop to be caught
+    while not err_total <= max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf)):
+        if splits >= _MAX_SUBDIVISIONS or not math.isfinite(err_total):
+            cause = (
+                f"no convergence after {splits} subdivisions"
+                if math.isfinite(err_total)
+                else "non-finite integrand values"
+            )
             raise QuadratureError(
-                f"no convergence after {splits} subdivisions: "
+                f"{cause}: "
                 f"estimate {np.array2string(np.asarray(total), precision=6)}, "
                 f"error bound {err_total:.3g}"
             )

@@ -2,8 +2,8 @@
 
 Covers the plug-in estimator (estimated mean and standard deviation
 substituted into the normal density), the minimum-variance unbiased
-density estimator, the shrinkage correction, and the asymptotic trace
-formula for general smooth parametric families.
+density estimator, and the asymptotic trace formula for general smooth
+parametric families.
 
 Every risk here reduces to the standard normal estimand: a general
 (mu, sigma) target only rescales the answer, so the quadrature work is
@@ -27,7 +27,6 @@ from .numerics import (
     QuadratureConfig,
     _check_sample_size,
     _gamma_half_excess,
-    gamma_half_ratio,
     integrate,
     scaled_chi_expectation,
     std_normal_pdf,
@@ -61,18 +60,6 @@ STD_NORMAL = NormalParams(0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class PluginEstimate:
-    """Estimated location and scale plugged into the normal density."""
-
-    mu_hat: float
-    sigma_hat: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma_hat > 0:
-            raise ValueError(f"sigma_hat must be positive, got {self.sigma_hat!r}")
-
-
-@dataclass(frozen=True)
 class MiseReport:
     """Integrated squared error expectation and how it was obtained."""
 
@@ -93,11 +80,6 @@ class MseParts(NamedTuple):
     bias: float
     variance: float
     mse: float
-
-
-def plugin_density(x, est: PluginEstimate):
-    """Normal density with estimated parameters, evaluated at x."""
-    return std_normal_pdf((np.asarray(x, dtype=float) - est.mu_hat) / est.sigma_hat) / est.sigma_hat
 
 
 def asymptotic_mse_plugin(x: float, p: NormalParams, n: int) -> float:
@@ -192,35 +174,6 @@ def exact_mise_plugin(
     return MiseReport(value=value, method="quadrature")
 
 
-def _log_support_const(n: int) -> float:
-    # normalizing constant of the standardized-residual density; shared by
-    # the unbiased density estimator and the real MISE's ancillary densities
-    return (
-        math.log(gamma_half_ratio(0.5 * (n - 2)))
-        - 0.5 * math.log(math.pi)
-        + 0.5 * math.log(n)
-        - math.log(n - 1)
-    )
-
-
-def umvu_density(x, est: PluginEstimate, n: int):
-    """Unbiased estimator of the normal density value at x.
-
-    A polynomial in the standardized residual, supported on the random
-    interval |x - mu_hat| <= sigma_hat * (n-1)/sqrt(n) and zero outside.
-    For n = 4 the exponent vanishes and the estimate is a rescaled
-    indicator of that interval; n < 4 is rejected.
-    """
-    _check_sample_size(n, 4)
-    x = np.asarray(x, dtype=float)
-    r = (x - est.mu_hat) / est.sigma_hat
-    edge = (n - 1) / math.sqrt(n)
-    const = math.exp(_log_support_const(n)) / est.sigma_hat
-    t = np.maximum(1.0 - n * r * r / (n - 1) ** 2, 0.0)
-    out = np.where(np.abs(r) <= edge, const * np.power(t, 0.5 * n - 2.0), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
     """Exact MISE of the unbiased density estimator, in closed form.
 
@@ -240,24 +193,6 @@ def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
     )
     value = math.expm1(exponent) / TWO_SQRT_PI / p.sigma
     return MiseReport(value=value, method="closed_form")
-
-
-def shrink_factor(mise: float, r_f: float) -> float:
-    """Optimal multiplicative shrinkage for an unbiased density estimator."""
-    if mise < 0 or not r_f > 0:
-        raise ValueError("mise must be nonnegative and r_f positive")
-    if math.isinf(mise):
-        return 0.0
-    return r_f / (mise + r_f)
-
-
-def shrunk_mise(mise: float, r_f: float) -> float:
-    """MISE after optimal shrinkage; never exceeds the original."""
-    if mise < 0 or not r_f > 0:
-        raise ValueError("mise must be nonnegative and r_f positive")
-    if math.isinf(mise):
-        return r_f
-    return mise * r_f / (r_f + mise)
 
 
 def asymptotic_mise_general(

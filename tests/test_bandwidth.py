@@ -144,19 +144,32 @@ REAL_MISE_MPMATH = {
 #
 #       s_edge = mp.sqrt(2 * (n - 1))
 #       pair = (1 - 1 / n) * inv_scale * sine_mean(lambda s: g(s / a) / a, s_edge, mp.asin(min(1, a / s_edge)))
-#       inner = lambda r: mp.quad(lambda u: mp.mpf(3) / 2 * (1 - 4 * u * u) * f(r + a * u), [-0.5, 0, 0.5])
+#       # f(r + a u) peaks at u = -r/a, about 1/a wide: a cut there for large a
+#       cuts = lambda r: sorted({mp.mpf(-0.5), mp.mpf(0), mp.mpf(0.5), *([-r / a] if abs(r / a) < 0.5 else [])})
+#       inner = lambda r: mp.quad(lambda u: mp.mpf(3) / 2 * (1 - 4 * u * u) * f(r + a * u), cuts(r))
 #       truth = sine_mean(inner, (n - 1) / mp.sqrt(n), mp.pi / 2)
 #       return rough + pair - 2 * truth + 1 / (2 * mp.sqrt(mp.pi))
 #
 #   for n, a in ((10, 3.1944), (100, 1.9324), (1000, 1.1961)):
 #       print(n, mp.nstr(real_mise(n, a), 30))
+#   for n, a in ((3, 10), (3, 30), (3, 100), (10, 10), (10, 30), (10, 100)):
+#       print((n, a), mp.nstr(real_mise(n, a), 30))
 #
-# It takes about 10 s per sample size; at 40 digits the n = 1000 value
-# agrees to 29 digits.
+# It takes about 10 s per sample size at the rule-of-thumb multiplier and
+# 15-60 s at the large ones; at 40 digits the n = 1000 value agrees to 29
+# digits and every large-multiplier value to all 30.
 EPAN_REAL_MISE_MPMATH = {
     10: (3.1944, "0.03042872677585011274783021241"),
     100: (1.9324, "0.00546966065183985620832831727405"),
     1000: (1.1961, "0.000997967983525208416121575913354"),
+}
+EPAN_LARGE_MULTIPLIER_MPMATH = {
+    (3, 10): "0.131971323237390254915312833383",
+    (3, 30): "0.198269545981309960117261569932",
+    (3, 100): "0.252345503917098855774030521194",
+    (10, 10): "0.108705817074851526530311396493",
+    (10, 30): "0.217273123438734743227588821135",
+    (10, 100): "0.262420354204422650210612203745",
 }
 
 
@@ -301,7 +314,9 @@ class TestRealMiseExact:
     def test_kummer_route_matches_nested(self, n):
         # two independent exact routes for the normal kernel: Kummer functions
         # with one integral over sigma_hat, and the nested ancillary quadrature
-        for a in (0.3, rule_of_thumb(NORMAL_KERNEL, n).multiplier, 2.0):
+        # the large multipliers need more panels in u: on a fixed eight,
+        # a = 100 was 1.2e-4 off at n = 3
+        for a in (0.3, rule_of_thumb(NORMAL_KERNEL, n).multiplier, 2.0, 10.0, 30.0, 100.0):
             rule = BandwidthRule(NORMAL_KERNEL, a)
             closed = real_mise_exact(rule, n).value
             nested = real_mise_nested(rule, n).value
@@ -318,6 +333,13 @@ class TestRealMiseExact:
         a, reference = EPAN_REAL_MISE_MPMATH[n]
         value = real_mise_exact(BandwidthRule(EPANECHNIKOV_KERNEL, a), n).value
         assert abs(value / float(reference) - 1) <= 1e-11
+
+    @pytest.mark.parametrize("n,a", sorted(EPAN_LARGE_MULTIPLIER_MPMATH))
+    def test_parabolic_kernel_large_multiplier_against_mpmath(self, n, a):
+        # f(R + a u) narrows like 1/a: on one panel in u, (3, 10) was 6.5e-10
+        # off and (10, 100) 3.5%
+        value = real_mise_nested(BandwidthRule(EPANECHNIKOV_KERNEL, float(a)), n).value
+        assert abs(value / float(EPAN_LARGE_MULTIPLIER_MPMATH[n, a]) - 1) <= 1e-11
 
     def test_integrands_take_arrays(self, monkeypatch):
         # every integrand of both routes is evaluated on whole node arrays,

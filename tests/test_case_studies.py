@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from estimators import lognormal_variance_ratio_limit
 from substreams import substream
 
 from normrisk.case_studies import (
@@ -15,7 +16,6 @@ from normrisk.case_studies import (
     lognormal_crossover,
     lognormal_mse_nonparametric,
     lognormal_mse_parametric,
-    lognormal_variance_ratio_limit,
     skew_normal_asymptotic_mise,
     skew_normal_density,
     skew_normal_score,

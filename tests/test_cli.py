@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes, golden values."""
 
+import ast
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import normrisk
 from normrisk import cli
+from normrisk.bandwidth import REAL_MISE_QUADRATURE
 from normrisk.cli import main
 from normrisk.kernels import KERNELS, exact_mse_kernel
 from normrisk.numerics import DEFAULT_QUADRATURE, QuadratureConfig
@@ -97,7 +99,7 @@ class TestTableCommand:
 
     def test_tol_reaches_every_quadrature_term(self, monkeypatch, capsys):
         # the plug-in term and both real-MISE terms: with --tol all three
-        # take it, without it each keeps its own default (None: 1e-11)
+        # take it, without it each keeps its own default (real MISE: 1e-11)
         seen = []
 
         def recording(fn):
@@ -110,10 +112,10 @@ class TestTableCommand:
         monkeypatch.setattr(cli, "exact_mise_plugin", recording(cli.exact_mise_plugin))
         monkeypatch.setattr(cli, "real_mise_exact", recording(cli.real_mise_exact))
         assert main(["table", "--n", "5", "--tol", "1e-9"]) == 0
-        assert seen == [QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=4096)] * 3
+        assert seen == [QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)] * 3
         seen.clear()
         assert main(["table", "--n", "5"]) == 0
-        assert seen == [DEFAULT_QUADRATURE, None, None]
+        assert seen == [DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE, REAL_MISE_QUADRATURE]
 
     def test_rejects_tiny_n(self, capsys):
         assert main(["table", "--n", "2"]) == 2
@@ -617,3 +619,43 @@ def test_package_root_exports_the_documented_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(normrisk.__all__)
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_public_name_has_a_caller_or_is_exported():
+    # a public name that no code of the package uses outside its own
+    # definition, and that the package root does not export, serves tests
+    # alone and belongs in a test helper such as tests/estimators.py
+    src = os.path.dirname(normrisk.__file__)
+    trees = {}
+    for filename in sorted(os.listdir(src)):
+        if filename.endswith(".py"):
+            with open(os.path.join(src, filename), encoding="utf-8") as fh:
+                trees[filename[:-3]] = ast.parse(fh.read())
+    unused = []
+    for module in ("numerics", "parametric", "kernels", "bandwidth", "case_studies", "cli"):
+        for definition in trees[module].body:
+            for name in _defined_names(definition):
+                if name.startswith("_") or name in normrisk.__all__:
+                    continue
+                used = any(
+                    isinstance(ref, ast.Name) and ref.id == name
+                    or isinstance(ref, ast.Attribute) and ref.attr == name
+                    for tree in trees.values()
+                    for statement in tree.body
+                    if statement is not definition
+                    for ref in ast.walk(statement)
+                )
+                if not used:
+                    unused.append(f"{module}.{name}")
+    assert unused == []

@@ -102,15 +102,27 @@ class TestIntegrate:
                 integrate(std_normal_pdf, lo, hi)
 
     def test_nonconvergence_raises(self):
-        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=8)
-        with pytest.raises(QuadratureError):
+        # a target below the roundoff floor is never met: the one cap of
+        # 4096 subdivisions ends the run
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=0.0)
+        with pytest.raises(QuadratureError, match="after 4096 subdivisions"):
             integrate(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, cfg)
 
     def test_vector_nonconvergence_raises(self):
         # the smooth component converges at once; the oscillating one cannot
-        cfg = QuadratureConfig(max_subdivisions=8)
-        with pytest.raises(QuadratureError):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=0.0)
+        with pytest.raises(QuadratureError, match="after 4096 subdivisions"):
             integrate(lambda x: np.array([np.exp(-x), np.sin(50.0 * x) ** 2]), 0.0, 10.0, cfg)
+
+    def test_non_finite_values_raise(self):
+        # a NaN once came back as the integral, with no warning
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate(lambda x: np.where(x > 5.0, np.nan, 1.0), 0.0, 10.0)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate(lambda x: np.stack((np.ones_like(x), np.where(x > 5.0, np.nan, 1.0))), 0.0, 10.0)
+        # an infinity draws numpy's invalid-value warning on the way
+        with pytest.warns(RuntimeWarning), pytest.raises(QuadratureError, match="non-finite"):
+            integrate(lambda x: np.where(x > 5.0, np.inf, 1.0), 0.0, 10.0)
 
     @given(
         st.lists(st.floats(-3, 3), min_size=3, max_size=3),
@@ -135,9 +147,6 @@ class TestIntegrate:
             {"rel_tol": -1.0},
             {"rel_tol": math.inf},
             {"rel_tol": math.nan},
-            {"max_subdivisions": 0},
-            {"max_subdivisions": 2.5},
-            {"max_subdivisions": True},
         ]:
             with pytest.raises(ValueError):
                 QuadratureConfig(**kwargs)

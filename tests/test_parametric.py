@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from estimators import PluginEstimate, plugin_density, shrink_factor, shrunk_mise, umvu_density
 from substreams import substream
 
 from normrisk.bandwidth import (
@@ -29,7 +30,6 @@ from normrisk.parametric import (
     MiseReport,
     NormalParams,
     PLUGIN_AMISE_CONSTANT,
-    PluginEstimate,
     STD_NORMAL,
     asymptotic_mise_general,
     asymptotic_mise_plugin,
@@ -38,11 +38,7 @@ from normrisk.parametric import (
     exact_mise_plugin,
     exact_mise_umvu,
     exact_mse_plugin,
-    plugin_density,
     plugin_mise_coefficient,
-    shrink_factor,
-    shrunk_mise,
-    umvu_density,
 )
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
