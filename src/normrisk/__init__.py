@@ -29,7 +29,7 @@ from .kernels import (
     mise_exact_generic,
     mise_fixed_bandwidth,
 )
-from .numerics import MinimizationError, NumericsError, QuadratureConfig, QuadratureError
+from .numerics import MinimizationError, NumericsError, QuadratureError
 from .parametric import (
     STD_NORMAL,
     MiseReport,
@@ -55,7 +55,7 @@ __all__ = [
     # side studies
     "lognormal_crossover", "skew_normal_asymptotic_mise",
     # numerics
-    "QuadratureConfig", "NumericsError", "QuadratureError", "MinimizationError",
+    "NumericsError", "QuadratureError", "MinimizationError",
 ]
 
 __version__ = "0.1.0"

@@ -184,7 +184,6 @@ def _support_expectation(
     const: float,
     edge: float,
     n: int,
-    cfg: QuadratureConfig,
     points: tuple[float, ...] = (),
 ) -> float | np.ndarray:
     """Integral of fn against a bounded-power density via the sine map.
@@ -193,7 +192,7 @@ def _support_expectation(
     times fn, a smooth integrand; fn may return any leading shape.  For
     large n the cosine power localizes near zero; the integration range is
     clipped where the weight has fallen by e^-45 relative to its peak.
-    `points` are in theta.
+    `points` are in theta.  The tolerance is the real MISE's own.
     """
     if n > 3:
         theta_cap = math.acos(math.exp(-45.0 / (n - 3)))
@@ -204,7 +203,7 @@ def _support_expectation(
     def integrand(theta):
         return fn(edge * np.sin(theta)) * const * edge * np.cos(theta) ** (n - 3)
 
-    return integrate(integrand, -theta_max, theta_max, cfg, points=points)
+    return integrate(integrand, -theta_max, theta_max, REAL_MISE_QUADRATURE, points=points)
 
 
 def expected_density_at(n: int, w):
@@ -242,9 +241,7 @@ def _real_mise(
     return MiseReport(value=value, method="quadrature")
 
 
-def real_mise_exact(
-    rule: BandwidthRule, n: int, cfg: QuadratureConfig = REAL_MISE_QUADRATURE
-) -> MiseReport:
+def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
     """Exact MISE actually incurred by the bandwidth rule h = a * sigma_hat.
 
     Standard normal estimand, defined from n = 3 on.  For the normal kernel,
@@ -260,7 +257,7 @@ def real_mise_exact(
     """
     _check_sample_size(n, 3)
     if rule.kernel.name != "normal":
-        return real_mise_nested(rule, n, cfg)
+        return real_mise_nested(rule, n)
     a = rule.multiplier
     b = 0.5 * (n - 1)
     e2 = (n - 1) ** 2 / n
@@ -270,13 +267,11 @@ def real_mise_exact(
         s2 = 1.0 + 1.0 / n + (a * z) ** 2
         return kummer_m_half(b, z * z * e2 / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
 
-    truth = scaled_chi_expectation(truth_overlap, n, cfg)
+    truth = scaled_chi_expectation(truth_overlap, n, REAL_MISE_QUADRATURE)
     return _real_mise(rule, n, pair_overlap, truth)
 
 
-def real_mise_nested(
-    rule: BandwidthRule, n: int, cfg: QuadratureConfig = REAL_MISE_QUADRATURE
-) -> MiseReport:
+def real_mise_nested(rule: BandwidthRule, n: int) -> MiseReport:
     """The real MISE of any kernel by quadrature against the ancillary densities.
 
     The pair overlap E_S K*K(S/a)/a over the pair difference S and the
@@ -317,7 +312,7 @@ def real_mise_nested(
     # a bounded kernel's pair term leaves its support where |S| = 2 a halfwidth
     edge = math.asin(min(1.0, 2.0 * kernel.halfwidth * a / s_edge))
     pair_overlap, truth = _support_expectation(
-        overlaps, k_const, r_edge, n, cfg, points=(-edge, 0.0, edge)
+        overlaps, k_const, r_edge, n, points=(-edge, 0.0, edge)
     ).tolist()
     return _real_mise(rule, n, pair_overlap, truth)
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    NumericsError,
-    QuadratureConfig,
-    _check_sample_size,
-    std_normal_logcdf,
-)
+from .numerics import NumericsError, _check_sample_size, std_normal_logcdf
 from .parametric import asymptotic_mise_general
 
 
@@ -163,9 +157,7 @@ def skew_normal_score(x, theta) -> np.ndarray:
     return np.array([u_loc, u_scale, u_shape])
 
 
-def skew_normal_asymptotic_mise(
-    sigma: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def skew_normal_asymptotic_mise(sigma: float) -> float:
     """Limit of n * MISE for the skew-extended family at a normal truth.
 
     Roughly 0.342/sigma: about 1.386 times the two-parameter normal value,
@@ -175,6 +167,4 @@ def skew_normal_asymptotic_mise(
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     theta = (0.0, sigma, 1.0)
     span = 12.0 * sigma
-    return asymptotic_mise_general(
-        skew_normal_score, skew_normal_density, theta, (-span, span), cfg
-    )
+    return asymptotic_mise_general(skew_normal_score, skew_normal_density, theta, (-span, span))

@@ -21,7 +21,6 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bandwidth import (
-    REAL_MISE_QUADRATURE,
     McConfig,
     optimal_bandwidth_constant,
     real_mise_exact,
@@ -39,7 +38,7 @@ from .kernels import (
     mise_closed_normal_kernel,
     mise_fixed_bandwidth,
 )
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureConfig, _check_sample_size
+from .numerics import NumericsError, _check_sample_size
 from .parametric import (
     MiseReport,
     NormalParams,
@@ -82,15 +81,14 @@ class RiskCurve:
     points: tuple[tuple[float, float, float, float], ...]  # (x, bias, sd, rmse)
 
 
-def comparison_row(n: int, cfg: Optional[QuadratureConfig] = None) -> ComparisonRow:
+def comparison_row(n: int) -> ComparisonRow:
     """Compute one table row from scratch.
 
-    cfg, when given, sets the tolerance of all three quadrature terms;
-    None keeps each term's own default (plug-in 1e-10, real MISE 1e-11).
+    Each quadrature term runs at its own tolerance: 1e-10 for the plug-in
+    MISE, 1e-11 for the two real MISE values.
     """
     _check_sample_size(n, 3)
-    plugin_cfg, real_cfg = (DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE) if cfg is None else (cfg, cfg)
-    bench = exact_mise_plugin(STD_NORMAL, n, plugin_cfg).value
+    bench = exact_mise_plugin(STD_NORMAL, n).value
     normal = rule_of_thumb(NORMAL_KERNEL, n)
     epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n)
     return ComparisonRow(
@@ -99,10 +97,10 @@ def comparison_row(n: int, cfg: Optional[QuadratureConfig] = None) -> Comparison
         umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / bench,
         b_n=optimal_bandwidth_constant(NORMAL_KERNEL, n),
         normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / bench,
-        normal_ratio2=real_mise_exact(normal, n, real_cfg).value / bench,
+        normal_ratio2=real_mise_exact(normal, n).value / bench,
         c_n=optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
         epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / bench,
-        epan_ratio2=real_mise_exact(epan, n, real_cfg).value / bench,
+        epan_ratio2=real_mise_exact(epan, n).value / bench,
     )
 
 
@@ -111,14 +109,9 @@ def _risk_curve(label: str, xs: np.ndarray, bias, sd, mse) -> RiskCurve:
     return RiskCurve(label, tuple(zip(*(c.tolist() for c in columns))))
 
 
-def parametric_risk_curve(
-    n: int,
-    xs: Sequence[float],
-    p: NormalParams = STD_NORMAL,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> RiskCurve:
+def parametric_risk_curve(n: int, xs: Sequence[float], p: NormalParams = STD_NORMAL) -> RiskCurve:
     xs = np.asarray(xs, dtype=float)
-    bias, variance, mse = exact_mse_plugin(xs, p, n, cfg)
+    bias, variance, mse = exact_mse_plugin(xs, p, n)
     return _risk_curve("parametric_plugin", xs, bias, np.sqrt(np.maximum(variance, 0.0)), mse)
 
 
@@ -129,13 +122,7 @@ def kernel_risk_curve(
     return _risk_curve(f"{kernel.name}_kernel", xs, *exact_mse_kernel(kernel, xs, p, n, h))
 
 
-def figure_curves(
-    which: int,
-    n: int,
-    xs: Sequence[float],
-    sigma: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[RiskCurve]:
+def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -> list[RiskCurve]:
     """Risk curves behind the two figures.
 
     Figure 1 contrasts the parametric plug-in with the parabolic kernel at
@@ -149,7 +136,7 @@ def figure_curves(
     h_epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier * sigma
     epan = kernel_risk_curve(EPANECHNIKOV_KERNEL, n, h_epan, xs, p)
     if which == 1:
-        return [parametric_risk_curve(n, xs, p, cfg), epan]
+        return [parametric_risk_curve(n, xs, p), epan]
     h_norm = rule_of_thumb(NORMAL_KERNEL, n).multiplier * sigma
     return [kernel_risk_curve(NORMAL_KERNEL, n, h_norm, xs, p), epan]
 
@@ -165,13 +152,8 @@ _TABLE_COLUMNS = {"n": "d", "plugin_mise": ".5f"} | dict.fromkeys(
 _CURVE_COLUMNS = {"estimator": "", "x": ".6g", "bias": ".12g", "sd": ".12g", "rmse": ".12g"}
 
 
-def _json_value(value, spec: str):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return None
-        if spec.endswith("f"):
-            return round(value, int(spec[1:-1]))
-    return value
+def _json_value(value):
+    return None if isinstance(value, float) and math.isinf(value) else value
 
 
 def _open_out(path: Optional[str]) -> contextlib.AbstractContextManager[IO[str]]:
@@ -189,8 +171,7 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
     """Write records as CSV or line-delimited JSON to args.stream.
 
     CSV prints the mapped columns, each value as format(value, spec), and
-    None as an empty cell.  JSON prints every key of each record; a
-    fixed-point spec rounds the number there too, any other spec keeps full
+    None as an empty cell.  JSON prints every key of each record at full
     precision.  Infinity prints as inf in CSV and as null in JSON.
     """
     if args.format == "csv":
@@ -199,10 +180,7 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
             for r in records
         ]
     else:
-        lines = [
-            json.dumps({k: _json_value(v, columns.get(k, "")) for k, v in r.items()})
-            for r in records
-        ]
+        lines = [json.dumps({k: _json_value(v) for k, v in r.items()}) for r in records]
     args.stream.write("".join(line + "\n" for line in lines))
 
 
@@ -217,19 +195,11 @@ def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _quad_config(
-    tol: Optional[float], default: QuadratureConfig = DEFAULT_QUADRATURE
-) -> QuadratureConfig:
-    """The configuration --tol asks for, or `default` when it is not given."""
-    return default if tol is None else QuadratureConfig(abs_tol=tol, rel_tol=tol)
-
-
 def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
     for n in ns:
         _check_sample_size(n, 3)
-    cfg = None if args.tol is None else _quad_config(args.tol)
-    records = [asdict(comparison_row(n, cfg)) for n in ns]
+    records = [asdict(comparison_row(n)) for n in ns]
     for record in records:
         if math.isinf(record["umvu_ratio"]):
             record["umvu_ratio_infinite"] = True
@@ -248,7 +218,7 @@ def _x_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
-    curves = figure_curves(args.which, args.n, _x_grid(args), args.sigma, _quad_config(args.tol))
+    curves = figure_curves(args.which, args.n, _x_grid(args), args.sigma)
     _emit(args, _CURVE_COLUMNS, _curve_records(curves))
 
 
@@ -273,7 +243,7 @@ def _cmd_mse_curve(args: argparse.Namespace) -> None:
     p = NormalParams(0.0, args.sigma)
     if args.estimator == "plugin":
         _reject_kernel_flags(args)
-        curve = parametric_risk_curve(args.n, xs, p, _quad_config(args.tol))
+        curve = parametric_risk_curve(args.n, xs, p)
     else:
         kernel = _kernel(args)
         # --h is the bandwidth itself, as in `mise`; the rule scales with sigma
@@ -290,7 +260,7 @@ def _cmd_mise(args: argparse.Namespace) -> None:
         raise ValueError(f"the {args.estimator} estimator is exact-only; --method mc needs a kernel")
     if args.estimator == "plugin":
         _reject_kernel_flags(args)
-        report = exact_mise_plugin(p, args.n, _quad_config(args.tol))
+        report = exact_mise_plugin(p, args.n)
     elif args.estimator == "umvu":
         _reject_kernel_flags(args)
         report = exact_mise_umvu(p, args.n)
@@ -308,7 +278,7 @@ def _cmd_mise(args: argparse.Namespace) -> None:
                 mc = McConfig(replicates=args.replicates, eval_points=args.eval_points, seed=args.seed)
                 std = real_mise_mc(rule, args.n, mc)
             else:
-                std = real_mise_exact(rule, args.n, _quad_config(args.tol, REAL_MISE_QUADRATURE))
+                std = real_mise_exact(rule, args.n)
             # the risk of the rule at a normal of scale sigma is the standard one over sigma
             std_error = None if std.std_error is None else std.std_error / args.sigma
             report = MiseReport(value=std.value / args.sigma, method=std.method, std_error=std_error)
@@ -345,7 +315,7 @@ def _cmd_lognormal(args: argparse.Namespace) -> None:
 
 
 def _cmd_skew_mise(args: argparse.Namespace) -> None:
-    value = skew_normal_asymptotic_mise(args.sigma, _quad_config(args.tol))
+    value = skew_normal_asymptotic_mise(args.sigma)
     record = {
         "sigma": args.sigma,
         "n_mise_limit": value,
@@ -359,20 +329,9 @@ def _cmd_skew_mise(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    sp.add_argument("--tol", type=_tolerance, default=None, help="quadrature tolerance override")
 
 
 def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
@@ -382,7 +341,7 @@ def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
 
 
 #: the one-value float flags, whose values may be negative
-_FLOAT_FLAGS = frozenset({"--x-min", "--x-max", "--x-step", "--sigma", "--h", "--tol"})
+_FLOAT_FLAGS = frozenset({"--x-min", "--x-max", "--x-step", "--sigma", "--h"})
 #: the list-valued float flags, which take every float that follows as a value
 _FLOAT_LIST_FLAGS = frozenset({"--b"})
 

@@ -24,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     _check_sample_size,
     _check_out,
     _legendre_rule,
@@ -274,13 +272,7 @@ def mise_fixed_bandwidth(kernel: Kernel, p: NormalParams, n: int, h: float) -> M
     return MiseReport(value=closed(n, h / p.sigma) / p.sigma, method="closed_form")
 
 
-def mise_exact_generic(
-    kernel: Kernel,
-    p: NormalParams,
-    n: int,
-    h: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> MiseReport:
+def mise_exact_generic(kernel: Kernel, p: NormalParams, n: int, h: float) -> MiseReport:
     """Exact MISE through the general difference-density identity.
 
     Independent of the closed forms: the pair and overlap integrals against
@@ -305,7 +297,6 @@ def mise_exact_generic(
         lambda u: np.stack((kernel_self_convolution(kernel, u), kernel_eval(kernel, u))) * g_diff(h * u),
         lo,
         hi,
-        cfg,
         points=points,
     ).tolist()
     value = (

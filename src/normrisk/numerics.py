@@ -117,6 +117,8 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], cuts) -> tuple[np.ndarray, list
             f"integrand returned shape {y.shape} for {x.size} nodes; "
             "it must map a 1-D node array to values with the node axis last"
         )
+    if not np.isfinite(y).all():
+        raise QuadratureError(f"non-finite integrand values on [{cuts[0]!r}, {cuts[-1]!r}]")
     y = y.reshape(y.shape[:-1] + (half.size, 15))
     # per unit half-width: the Kronrod sum, its gap to the Gauss sum, the
     # panel mean, and the Kronrod sums of |y| and of |y - mean|
@@ -171,18 +173,11 @@ def integrate(
         heapq.heappush(heap, (-err, a, b, vals[..., i], err))
 
     splits = 0
-    # a NaN or an infinity in a panel makes its bound NaN or infinite too (its
-    # spread |y - mean| is then NaN or infinite), and the summed bound stays
-    # so for good; `not <=` lets a NaN bound into the loop to be caught
+    # `not <=`: a bound that overflowed to inf or NaN never counts as met
     while not err_total <= max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf)):
-        if splits >= _MAX_SUBDIVISIONS or not math.isfinite(err_total):
-            cause = (
-                f"no convergence after {splits} subdivisions"
-                if math.isfinite(err_total)
-                else "non-finite integrand values"
-            )
+        if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"{cause}: "
+                f"no convergence after {splits} subdivisions: "
                 f"estimate {np.array2string(np.asarray(total), precision=6)}, "
                 f"error bound {err_total:.3g}"
             )

@@ -22,9 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    DEFAULT_QUADRATURE,
     NumericsError,
-    QuadratureConfig,
     _check_sample_size,
     _gamma_half_excess,
     integrate,
@@ -119,23 +117,21 @@ def conditional_moments(x, n: int, z):
     return mean, second
 
 
-def exact_mse_plugin(
-    x, p: NormalParams, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> MseParts:
+def exact_mse_plugin(x, p: NormalParams, n: int) -> MseParts:
     """Exact pointwise bias, variance and MSE of the plug-in estimator.
 
     Integrates both conditional moments against the scaled-chi law of the
     scale estimate, together as one array-valued integral.  x may be a
     float or an array: an array gives arrays of x's shape, every point and
-    both moments to the configured tolerance.  Requires n >= 3: below that
-    the second moment is not integrable.
+    both moments to the package tolerance of 1e-10.  Requires n >= 3: below
+    that the second moment is not integrable.
     """
     _check_sample_size(n, 3)
     y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
     y_nodes = y[..., None]  # the quadrature nodes z on a last axis of their own
 
     mean0, second0 = scaled_chi_expectation(
-        lambda z: np.stack(conditional_moments(y_nodes, n, z)), n, cfg
+        lambda z: np.stack(conditional_moments(y_nodes, n, z)), n
     )
     if y.ndim == 0:
         mean0, second0 = float(mean0), float(second0)
@@ -145,7 +141,7 @@ def exact_mse_plugin(
 
 
 @lru_cache(maxsize=None)
-def _mise_coefficient(n: int, cfg: QuadratureConfig) -> float:
+def _mise_coefficient(n: int) -> float:
     # n (1 + E(1/Z) - 2 E sqrt(2n / (1 + n (1 + Z^2)))), with no O(1) terms
     # left to cancel: 1/Z - 1 = -d/Z and, since 1 + q = (1 + n (1 + Z^2))/(2n),
     # 1 - sqrt(2n / (1 + n (1 + Z^2))) = -expm1(-log1p(q)/2), both O(d)
@@ -154,23 +150,21 @@ def _mise_coefficient(n: int, cfg: QuadratureConfig) -> float:
         q = (1.0 + n * d * (z + 1.0)) / (2.0 * n)
         return -d / z - 2.0 * np.expm1(-0.5 * np.log1p(q))
 
-    return n * scaled_chi_expectation(f, n, cfg)
+    return n * scaled_chi_expectation(f, n)
 
 
-def plugin_mise_coefficient(n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def plugin_mise_coefficient(n: int) -> float:
     """The stabilized MISE sequence: n * 2*sqrt(pi) * sigma * MISE.
 
     Decreases slowly and monotonically to 7/8 as n grows.
     """
     _check_sample_size(n, 3)
-    return _mise_coefficient(n, cfg)
+    return _mise_coefficient(n)
 
 
-def exact_mise_plugin(
-    p: NormalParams, n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> MiseReport:
+def exact_mise_plugin(p: NormalParams, n: int) -> MiseReport:
     """Exact MISE of the plug-in estimator, by quadrature."""
-    value = plugin_mise_coefficient(n, cfg) / (n * TWO_SQRT_PI * p.sigma)
+    value = plugin_mise_coefficient(n) / (n * TWO_SQRT_PI * p.sigma)
     return MiseReport(value=value, method="quadrature")
 
 
@@ -200,7 +194,6 @@ def asymptotic_mise_general(
     density: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta: Sequence[float],
     support: tuple[float, float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
     """Limit of n * MISE for a maximum-likelihood plug-in density estimator.
 
@@ -218,7 +211,7 @@ def asymptotic_mise_general(
         f = density(x, theta)
         return np.stack((f, f * f))[:, None, None] * (u[:, None] * u[None, :])
 
-    j_mat, l_mat = integrate(j_and_l, *support, cfg)
+    j_mat, l_mat = integrate(j_and_l, *support)
     cond = np.linalg.cond(j_mat)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericsError(

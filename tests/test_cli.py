@@ -1,6 +1,8 @@
 """Command-line interface: formats, determinism, exit codes, golden values."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,12 +15,13 @@ import mpmath
 import pytest
 
 import normrisk
-from normrisk import cli
-from normrisk.bandwidth import REAL_MISE_QUADRATURE
+from normrisk import bandwidth, cli, numerics, parametric
+from normrisk.bandwidth import REAL_MISE_QUADRATURE, optimal_bandwidth_constant
+from normrisk.case_studies import skew_normal_asymptotic_mise
 from normrisk.cli import main
-from normrisk.kernels import KERNELS, exact_mse_kernel
-from normrisk.numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from normrisk.parametric import NormalParams
+from normrisk.kernels import EPANECHNIKOV_KERNEL, KERNELS, NORMAL_KERNEL, exact_mse_kernel
+from normrisk.numerics import DEFAULT_QUADRATURE, QuadratureError
+from normrisk.parametric import PLUGIN_AMISE_CONSTANT, STD_NORMAL, NormalParams, exact_mise_plugin
 from tests.conftest import PUBLISHED_TABLE
 
 # the full comparison table as printed before the normal-kernel real MISE
@@ -97,25 +100,31 @@ class TestTableCommand:
         assert obj["umvu_ratio"] is None
         assert obj["umvu_ratio_infinite"] is True
 
-    def test_tol_reaches_every_quadrature_term(self, monkeypatch, capsys):
-        # the plug-in term and both real-MISE terms: with --tol all three
-        # take it, without it each keeps its own default (real MISE: 1e-11)
+    def test_tol_reaches_every_quadrature_term(self, monkeypatch):
+        # each of a row's three quadrature terms runs at its own fixed
+        # tolerance: the plug-in MISE at 1e-10, both real MISE values at 1e-11
         seen = []
+        integrate = numerics.integrate
+        signature = inspect.signature(integrate)
 
-        def recording(fn):
-            def wrapper(*args):
-                seen.append(args[2] if len(args) > 2 else None)
-                return fn(*args)
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["cfg"])
+            return integrate(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(cli, "exact_mise_plugin", recording(cli.exact_mise_plugin))
-        monkeypatch.setattr(cli, "real_mise_exact", recording(cli.real_mise_exact))
-        assert main(["table", "--n", "5", "--tol", "1e-9"]) == 0
-        assert seen == [QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)] * 3
-        seen.clear()
-        assert main(["table", "--n", "5"]) == 0
+        for module in (numerics, parametric, bandwidth):
+            monkeypatch.setattr(module, "integrate", recording)
+        parametric._mise_coefficient.cache_clear()  # the plug-in term is cached per n
+        cli.comparison_row(5)
         assert seen == [DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE, REAL_MISE_QUADRATURE]
+
+    def test_json_keeps_full_precision(self, capsys):
+        # the CSV prints 0.00000 here; JSON once rounded the same way, to 0.0
+        assert main(["table", "--n", "100000", "--format", "json"]) == 0
+        plugin_mise = json.loads(capsys.readouterr().out)["plugin_mise"]
+        assert plugin_mise == exact_mise_plugin(STD_NORMAL, 100000).value
+        assert plugin_mise == pytest.approx(2.468376040660353e-06, rel=1e-12)
 
     def test_rejects_tiny_n(self, capsys):
         assert main(["table", "--n", "2"]) == 2
@@ -210,9 +219,8 @@ class TestMiseCommand:
             ["mise", "--estimator", "plugin", "--n", "5", "--kernel", "normal"],
             ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "5",
              "--h", "0.5", "--method", "mc"],
-            # a zero tolerance is rejected on the rule path as on every other
-            ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "5",
-             "--rule", "thumb", "--tol", "0"],
+            # the quadrature tolerance is fixed: --tol is no option
+            ["table", "--n", "5", "--tol", "1e-9"],
         ],
     )
     def test_invalid_combinations(self, args):
@@ -269,23 +277,25 @@ class TestMiseCommand:
         ],
     )
     def test_tolerance_checked_at_parse_time(self, args, tol, capsys):
-        # on every subcommand, whether or not it runs a quadrature
+        # each number has one fixed tolerance: every subcommand, whether or
+        # not it runs a quadrature, rejects --tol as an unknown option
         assert main([*args, f"--tol={tol}"]) == 2
-        assert "--tol: must be a positive finite number" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_tight_tolerance_on_the_nested_route(self, capsys):
-        # the ancillary normalization check once ran at a tenth of --tol,
-        # below what double precision can resolve, and failed with exit 3
-        args = ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10",
-                "--rule", "thumb", "--tol", "1e-13"]
+        # the parabolic real MISE takes the nested route at the real MISE's
+        # own 1e-11, a digit below the package default
+        args = ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10", "--rule", "thumb"]
         assert main(args) == 0
         assert capsys.readouterr().out.splitlines()[1] == "kernel,10,epan,0.03042866464,quadrature,"
 
-    def test_numerical_failure_exit_code(self, capsys):
-        # a tolerance below machine resolution cannot converge
-        code = main(["mise", "--estimator", "plugin", "--n", "5", "--tol", "1e-300"])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        def failing(*args):
+            raise QuadratureError("no convergence after 4096 subdivisions")
+
+        monkeypatch.setattr(cli, "exact_mise_plugin", failing)
+        assert main(["mise", "--estimator", "plugin", "--n", "5"]) == 3
+        assert "normrisk: numerical failure: no convergence" in capsys.readouterr().err
 
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
         # a directory cannot be opened as the output file
@@ -435,24 +445,32 @@ class TestOtherCommands:
         assert out.startswith("n,b_n,c_n")
 
 
-# Stdout bytes of the parent emitters.  Only outputs printed far coarser
-# than the 1e-10 quadrature tolerance are pinned digit for digit.
+def _table_records(*ns):
+    records = [dataclasses.asdict(cli.comparison_row(n)) for n in ns]
+    for record in records:
+        if math.isinf(record["umvu_ratio"]):
+            record.update(umvu_ratio=None, umvu_ratio_infinite=True)
+    return records
+
+
+# Stdout of each command, CSV then JSON.  Only outputs printed far
+# coarser than the 1e-10 quadrature tolerance are pinned digit for digit;
+# JSON prints full precision, so where it carries quadrature digits the
+# golden value is a function giving the records, whose floats it must equal.
 GOLDEN = {
     ("table", "--n", "3", "4"): (
         "n,plugin_mise,umvu_ratio,b_n,normal_ratio1,normal_ratio2,c_n,epan_ratio1,epan_ratio2\n"
         "3,0.23234,inf,1.2871,0.2080,0.6993,5.2821,0.2088,0.7273\n"
         "4,0.11830,1.5095,1.2628,0.3498,0.7271,5.2177,0.3485,0.7474\n",
-        '{"n": 3, "plugin_mise": 0.23234, "umvu_ratio": null, "b_n": 1.2871, "normal_ratio1": 0.208, '
-        '"normal_ratio2": 0.6993, "c_n": 5.2821, "epan_ratio1": 0.2088, "epan_ratio2": 0.7273, '
-        '"umvu_ratio_infinite": true}\n'
-        '{"n": 4, "plugin_mise": 0.1183, "umvu_ratio": 1.5095, "b_n": 1.2628, "normal_ratio1": 0.3498, '
-        '"normal_ratio2": 0.7271, "c_n": 5.2177, "epan_ratio1": 0.3485, "epan_ratio2": 0.7474}\n',
+        lambda: _table_records(3, 4),
     ),
     ("bandwidth-constants", "--n", "2", "10", "1000"): (
         "n,b_n,c_n\n2,1.326978,5.391587\n10,1.202079,5.062829\n1000,1.084210,4.761696\n",
-        '{"n": 2, "b_n": 1.326978, "c_n": 5.391587}\n'
-        '{"n": 10, "b_n": 1.202079, "c_n": 5.062829}\n'
-        '{"n": 1000, "b_n": 1.08421, "c_n": 4.761696}\n',
+        lambda: [
+            {"n": n, "b_n": optimal_bandwidth_constant(NORMAL_KERNEL, n),
+             "c_n": optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n)}
+            for n in (2, 10, 1000)
+        ],
     ),
     ("lognormal", "--b", "0.2", "1.0"): (
         "b,n0\n0.2,312\n1,25\n",
@@ -460,7 +478,10 @@ GOLDEN = {
     ),
     ("skew-mise",): (
         "sigma,n_mise_limit,ratio_to_normal_family\n1,0.342101,1.385961\n",
-        '{"sigma": 1.0, "n_mise_limit": 0.342101, "ratio_to_normal_family": 1.385961}\n',
+        lambda: [
+            {"sigma": 1.0, "n_mise_limit": skew_normal_asymptotic_mise(1.0),
+             "ratio_to_normal_family": skew_normal_asymptotic_mise(1.0) / PLUGIN_AMISE_CONSTANT}
+        ],
     ),
     ("mise", "--estimator", "umvu", "--n", "3"): (
         "estimator,n,value,method,std_error\numvu,3,inf,closed_form,\n",
@@ -513,7 +534,11 @@ class TestEmitter:
     @pytest.mark.parametrize("args", sorted(GOLDEN))
     def test_golden_bytes(self, args, fmt, capsys):
         assert main([*args, "--format", fmt]) == 0
-        assert capsys.readouterr().out == GOLDEN[args][fmt == "json"]
+        out, want = capsys.readouterr().out, GOLDEN[args][fmt == "json"]
+        if callable(want):
+            assert [json.loads(line) for line in out.splitlines()] == want()
+        else:
+            assert out == want
 
     @pytest.mark.parametrize("case", sorted(MC_GOLDEN))
     def test_monte_carlo_golden_bytes(self, case, capsys):
