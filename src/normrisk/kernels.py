@@ -10,8 +10,9 @@ The closed Epanechnikov expressions combine terms of size h^-4 or h^-5
 whose sum is O(1), so double precision loses digits as the standardized
 bandwidth shrinks.  The pointwise moments are therefore one fixed 32-point
 Gauss-Legendre sum of positive terms at every h, within 3e-15 relative of
-60-digit mpmath for |x| <= 8; below h = 2 the MISE is one Taylor series in
-h^2, within 1e-15 relative of 40-digit mpmath.
+60-digit mpmath for |x| <= 8; below h = 4 the MISE is one Taylor series in
+h^2, within 1.1e-15 relative of 40-digit mpmath, and the closed form from
+h = 4 up is within 2.8e-14.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .numerics import (
     _check_out,
     _legendre_rule,
     integrate,
-    normal_mass,
     std_normal_pdf,
 )
 from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, TWO_SQRT_PI
@@ -50,7 +50,7 @@ EPANECHNIKOV_KERNEL = Kernel("epan", 1.2, 0.05, 0.5)
 KERNELS = {k.name: k for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)}
 
 #: standardized bandwidth below which the Epanechnikov MISE is summed as a series
-MISE_SERIES_H = 2.0
+MISE_SERIES_H = 4.0
 
 
 def _check_kernel(kernel: Kernel) -> None:
@@ -194,11 +194,14 @@ def _overlap_term(h: float) -> float:
 
 
 def _pair_term(h: float) -> float:
-    """int g_K(u) g(h u) du for the parabolic kernel."""
+    """int g_K(u) g(h u) du for the parabolic kernel.
+
+    Its normal mass Phi(h/sqrt(2)) - 1/2 is erf(h/2)/2, and h/2 is exact.
+    """
     c = h / math.sqrt(2.0)
     rt2 = math.sqrt(2.0)
     return (12.0 / (5.0 * h)) * (
-        (1.0 - 10.0 / (h * h)) * normal_mass(0.0, c)
+        (1.0 - 10.0 / (h * h)) * 0.5 * math.erf(0.5 * h)
         + (20.0 * rt2 / h**3 - 32.0 * rt2 / h**5) * std_normal_pdf(0.0)
         + (rt2 / h - 12.0 * rt2 / h**3 + 32.0 * rt2 / h**5) * std_normal_pdf(c)
     )
@@ -246,7 +249,8 @@ def mise_closed_epan_kernel(n: int, h: float) -> float:
     """Closed-form exact MISE, parabolic kernel, standard normal estimand.
 
     Below h = MISE_SERIES_H the closed form's terms, as large as 32 sqrt(2)/h^5,
-    would cancel, and the MISE is summed as a series instead.
+    cancel (3.8e-13 relative at h = 2, n = 10^4), and the MISE is summed as a
+    series instead.
     """
     _check_sample_size(n, 1)
     if not 0 < h < math.inf:

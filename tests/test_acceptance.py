@@ -42,7 +42,7 @@ from normrisk.kernels import (
     mise_exact_generic,
     mise_fixed_bandwidth,
 )
-from normrisk.numerics import integrate, normal_mass, std_normal_pdf
+from normrisk.numerics import integrate, std_normal_pdf
 from normrisk.parametric import (
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,
@@ -316,12 +316,6 @@ def test_c14_property_suite_spot_checks():
             (dens.pair_diff_pdf, dens.pair_diff_edge),
         )
     )
-
-    # interval additivity of the normal mass
-    a, b, c = -1.3, 0.2, 2.4
-    checks["mass_additive"] = abs(
-        normal_mass(a, b) + normal_mass(b, c) - normal_mass(a, c)
-    ) < 1e-14
 
     # scale identities
     p = NormalParams(0.0, 2.0)

@@ -77,6 +77,8 @@ OPTIMAL_CONSTANTS_MPMATH = {
 #   mp.mp.dps = 30
 #
 #   def beta_mgf(b, x):  # E exp(-x B), B ~ Beta(1/2, b - 1/2), by quadrature in s = sqrt(B)
+#       if b == 1:  # mp.beta(0.5, b - 0.5) below divides by zero; M(1/2, 1, -x) is this closed form
+#           return mp.exp(-x / 2) * mp.besseli(0, x / 2)
 #       w = 1 / mp.sqrt(b + x)
 #       cuts = sorted({mp.mpf(0), mp.mpf(1), *(k * w for k in (0.5, 1, 2, 4, 8, 16, 32) if k * w < 1)})
 #       return 2 / mp.beta(0.5, b - 0.5) * mp.quad(lambda s: mp.exp(-x * s * s) * (1 - s * s) ** (b - 1.5), cuts)
@@ -99,18 +101,28 @@ OPTIMAL_CONSTANTS_MPMATH = {
 #
 #       return rough + pair - 2 * mp.quad(truth, cuts + [mp.inf]) + 1 / (2 * mp.sqrt(mp.pi))
 #
-#   for n, a in ((10, 0.75846), (1000, 0.27234), (10**4, 0.16951), (10**5, 0.10635), (10**6, 0.06694)):
+#   for n, a in ((3, 1.03322), (10, 0.75846), (1000, 0.27234), (10**4, 0.16951), (10**5, 0.10635),
+#                (10**6, 0.06694)):
 #       print(n, mp.nstr(real_mise(n, a), 30))
+#   for a in (0.3, 2.0, 10.0):
+#       print((3, a), mp.nstr(real_mise(3, a), 30))
 #
 # It takes about a minute per sample size.  The bound on each relative
 # error grows with n because the MISE there is a small difference of terms
 # near 1/(2 sqrt(pi)): at n = 10^6 it is 2e-5 of them.
 REAL_MISE_MPMATH = {
+    3: (1.03322, "0.16248252519684174930019802688", 1e-11),
     10: (0.75846, "0.0307456622004733136067010553395", 1e-11),
     1000: (0.27234, "0.00104267686028007456319333246916", 1e-11),
     10**4: (0.16951, "0.000181317218591790896654990677715", 1e-11),
     10**5: (0.10635, "0.0000304149258048189887612285805178", 1e-9),
     10**6: (0.06694, "0.00000498973076511265317467223634291", 1e-8),
+}
+# n = 3 at multipliers off the rule of thumb, by the same script
+REAL_MISE_N3_MPMATH = {
+    0.3: "0.472767931437982820881589061537",
+    2.0: "0.121976032049911575905066573911",
+    10.0: "0.20756475993253960655984953677",
 }
 
 
@@ -310,7 +322,7 @@ class TestRealMiseExact:
         with pytest.raises(ValueError):
             real_mise_exact(BandwidthRule(NORMAL_KERNEL, 0.7), 2)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 10, 14, 20, 50, 100])
+    @pytest.mark.parametrize("n", [4, 5, 10, 14, 20, 50, 100])
     def test_kummer_route_matches_nested(self, n):
         # two independent exact routes for the normal kernel: Kummer functions
         # with one integral over sigma_hat, and the nested ancillary quadrature
@@ -327,6 +339,12 @@ class TestRealMiseExact:
         a, reference, bound = REAL_MISE_MPMATH[n]
         value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), n).value
         assert abs(value / float(reference) - 1) <= bound
+
+    @pytest.mark.parametrize("a", sorted(REAL_MISE_N3_MPMATH))
+    def test_n3_against_mpmath(self, a):
+        # n = 3 takes the nested route: 2.0e-12 off at a = 2, the largest
+        value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), 3).value
+        assert abs(value / float(REAL_MISE_N3_MPMATH[a]) - 1) <= 1e-11
 
     @pytest.mark.parametrize("n", sorted(EPAN_REAL_MISE_MPMATH))
     def test_parabolic_kernel_against_mpmath(self, n):
@@ -362,6 +380,10 @@ class TestRealMiseExact:
     def test_other_kernels_take_the_nested_route(self):
         rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 7)
         assert real_mise_exact(rule, 7) == real_mise_nested(rule, 7)
+        # and so does the normal kernel at n = 3, where b = 1 is below the
+        # Kummer rule's domain
+        rule = rule_of_thumb(NORMAL_KERNEL, 3)
+        assert real_mise_exact(rule, 3) == real_mise_nested(rule, 3)
 
     def test_report_method(self):
         report = real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 6), 6)

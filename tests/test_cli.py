@@ -262,7 +262,6 @@ class TestMiseCommand:
         assert main([*grid, f"--x-min={value}"]) == 0
         assert spaced == capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf", "x"])
     @pytest.mark.parametrize(
         "args",
         [
@@ -276,10 +275,10 @@ class TestMiseCommand:
             ["skew-mise"],
         ],
     )
-    def test_tolerance_checked_at_parse_time(self, args, tol, capsys):
+    def test_tolerance_checked_at_parse_time(self, args, capsys):
         # each number has one fixed tolerance: every subcommand, whether or
         # not it runs a quadrature, rejects --tol as an unknown option
-        assert main([*args, f"--tol={tol}"]) == 2
+        assert main([*args, "--tol=1e-9"]) == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_tight_tolerance_on_the_nested_route(self, capsys):

@@ -317,13 +317,20 @@ GRID_H = (0.2, 0.5, 1.0)
 
 # parabolic-kernel fixed-bandwidth MISE at 40 digits, from the mpmath
 # `epan_mise(n, h)` quoted in tests/test_bandwidth.py; the (10^4, 0.7481) and
-# (10^6, 0.2962) points are the table's rule bandwidths, rounded
+# (10^6, 0.2962) points are the table's rule bandwidths, rounded.  From
+# h = 2 on the points straddle the switch to the closed form at h = 4.
 EPAN_MISE_MPMATH = {
     (14, 0.208): 0.39196029470584557337,
     (1000, 0.25): 0.0045188601902009157183,
     (10**4, 0.7481): 0.00017298462500944447552,
     (10**6, 0.2962): 4.78369651384200397e-6,
     (10**8, 0.208): 3.01905274842771543e-7,
+    (10**4, 2.0): 0.001815565767825571163608,
+    (10**8, 2.5): 0.003968867307534420745138,
+    (3, 3.5): 0.05302190258499139428258,
+    (10**4, 4.0): 0.01818791268581180875943,
+    (10**8, 6.0): 0.05097718638360140956597,
+    (10, 12.0): 0.140895429285721470671,
 }
 
 
@@ -399,8 +406,10 @@ class TestMise:
 
     @pytest.mark.parametrize("n, h", sorted(EPAN_MISE_MPMATH))
     def test_parabolic_mise_against_mpmath(self, n, h):
-        # the closed form's terms reach 32 sqrt(2)/h^5 and cancel here to
-        # between 6e-11 and 3.5e-4 relative; the series does not cancel
+        # below h = 1 the closed form's terms reach 32 sqrt(2)/h^5 and cancel
+        # to between 6e-11 and 3.5e-4 relative; the series does not cancel.
+        # The closed form is still 3.8e-13 off at (10^4, 2) and 1.3e-13 at
+        # (10^8, 2.5), so the series runs up to h = 4
         assert mise_closed_epan_kernel(n, h) == pytest.approx(EPAN_MISE_MPMATH[n, h], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 10])
