@@ -152,6 +152,16 @@ _TABLE_COLUMNS = {"n": "d", "plugin_mise": ".5f"} | dict.fromkeys(
 _CURVE_COLUMNS = {"estimator": "", "x": ".6g", "bias": ".12g", "sd": ".12g", "rmse": ".12g"}
 
 
+class _Empty:
+    """A CSV cell that formats as the empty string under any spec."""
+
+    def __format__(self, spec: str) -> str:
+        return ""
+
+
+_EMPTY = _Empty()
+
+
 def _json_value(value):
     return None if isinstance(value, float) and math.isinf(value) else value
 
@@ -175,9 +185,10 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
     precision.  Infinity prints as inf in CSV and as null in JSON.
     """
     if args.format == "csv":
+        # one template per call, formatted once per record
+        row = ",".join(f"{{:{spec}}}" for spec in columns.values()).format
         lines = [",".join(columns)] + [
-            ",".join("" if r[k] is None else format(r[k], spec) for k, spec in columns.items())
-            for r in records
+            row(*[_EMPTY if r[k] is None else r[k] for k in columns]) for r in records
         ]
     else:
         lines = [json.dumps({k: _json_value(v) for k, v in r.items()}) for r in records]
@@ -377,27 +388,18 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="normrisk",
-        description="Exact risk of parametric and kernel density estimators of a normal density.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("table", help="estimator comparison table")
+def _n_list_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, nargs="*", default=None)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_table)
 
-    sp = sub.add_parser("figure", help="pointwise risk curves behind the figures")
+
+def _figure_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--which", type=int, choices=(1, 2), required=True)
     sp.add_argument("--n", type=int, default=14)
     sp.add_argument("--sigma", type=float, default=1.0)
     _add_grid_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_figure)
 
-    sp = sub.add_parser("mise", help="one MISE value for one estimator")
+
+def _mise_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--estimator", choices=("plugin", "umvu", "kernel"), required=True)
     sp.add_argument("--kernel", choices=tuple(KERNELS), default=None)
     sp.add_argument("--n", type=int, required=True)
@@ -408,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=1234)
     sp.add_argument("--replicates", type=int, default=10000)
     sp.add_argument("--eval-points", type=int, default=10)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_mise)
 
-    sp = sub.add_parser("mse-curve", help="pointwise risk curve for one estimator")
+
+def _mse_curve_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--estimator", choices=("plugin", "kernel"), required=True)
     sp.add_argument("--kernel", choices=tuple(KERNELS), default=None)
     sp.add_argument("--n", type=int, required=True)
@@ -419,33 +420,71 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rule", choices=("thumb",), default=None)
     sp.add_argument("--sigma", type=float, default=1.0)
     _add_grid_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_mse_curve)
 
-    sp = sub.add_parser("bandwidth-constants", help="optimal bandwidth constants per n")
-    sp.add_argument("--n", type=int, nargs="*", default=None)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_bandwidth_constants)
 
-    sp = sub.add_parser("lognormal", help="lognormal-mean crossover sample sizes")
+def _lognormal_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--b", type=float, nargs="*", action="extend", default=None, help="log-scale spreads"
     )
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_lognormal)
 
-    sp = sub.add_parser("skew-mise", help="asymptotic MISE constant of the skew-extended family")
+
+def _skew_mise_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sigma", type=float, default=1.0)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=_cmd_skew_mise)
 
+
+#: name -> (help, flags, handler) of each subcommand; every one also takes
+#: the output flags
+_SUBCOMMANDS = {
+    "table": ("estimator comparison table", _n_list_flags, _cmd_table),
+    "figure": ("pointwise risk curves behind the figures", _figure_flags, _cmd_figure),
+    "mise": ("one MISE value for one estimator", _mise_flags, _cmd_mise),
+    "mse-curve": ("pointwise risk curve for one estimator", _mse_curve_flags, _cmd_mse_curve),
+    "bandwidth-constants": (
+        "optimal bandwidth constants per n", _n_list_flags, _cmd_bandwidth_constants
+    ),
+    "lognormal": ("lognormal-mean crossover sample sizes", _lognormal_flags, _cmd_lognormal),
+    "skew-mise": (
+        "asymptotic MISE constant of the skew-extended family", _skew_mise_flags, _cmd_skew_mise
+    ),
+}
+
+
+def _define(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give sp the flags and handler of subcommand `name`."""
+    _, add_flags, handler = _SUBCOMMANDS[name]
+    add_flags(sp)
+    _add_output_flags(sp)
+    sp.set_defaults(handler=handler)
+    return sp
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command line, every subcommand included."""
+    parser = argparse.ArgumentParser(
+        prog="normrisk",
+        description="Exact risk of parametric and kernel density estimators of a normal density.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        _define(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, parsing as it does within `build_parser`."""
+    return _define(argparse.ArgumentParser(prog=f"normrisk {name}"), name)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = _attach_float_values(sys.argv[1:] if argv is None else argv)
+    # a named subcommand needs the parser of that subcommand alone; the whole
+    # tree serves --help, no arguments and an unknown command
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser, argv = _subcommand_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
-        args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code
     try:

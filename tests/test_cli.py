@@ -597,6 +597,55 @@ class TestEmitter:
         assert obj["std_error"] is None and obj["infinite"] is False
 
 
+# one argv per subcommand that sets most of its flags
+SUBCOMMAND_ARGS = {
+    "table": ["--n", "3", "10", "--format", "json"],
+    "figure": ["--which", "2", "--n", "20", "--sigma", "2", "--x-min", "-1e0", "--x-step", "0.5"],
+    "mise": ["--estimator", "kernel", "--kernel", "epan", "--n", "10", "--rule", "thumb",
+             "--method", "mc", "--seed", "3", "--replicates", "50", "--eval-points", "4"],
+    "mse-curve": ["--estimator", "kernel", "--kernel", "normal", "--n", "10", "--h", "0.3",
+                  "--x-max", "2", "--out", "curve.csv"],
+    "bandwidth-constants": ["--n", "2", "5"],
+    "lognormal": ["--b", "0.2", "-1e0", "--b", "3"],
+    "skew-mise": ["--sigma", "0.5", "--format", "json"],
+}
+
+
+class TestParsers:
+    """A named subcommand is parsed by its own parser alone; the whole tree
+    serves the rest, and both define each subcommand the same way."""
+
+    def test_every_subcommand_has_a_case(self):
+        assert list(SUBCOMMAND_ARGS) == list(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", list(SUBCOMMAND_ARGS))
+    def test_single_parser_matches_the_tree(self, name, capsys):
+        argv = cli._attach_float_values([name, *SUBCOMMAND_ARGS[name]])
+        whole = vars(cli.build_parser().parse_args(argv))
+        assert whole.pop("command") == name
+        assert vars(cli._subcommand_parser(name).parse_args(argv[1:])) == whole
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([name, "--help"])
+        tree_help = capsys.readouterr().out
+        assert main([name, "--help"]) == 0
+        assert capsys.readouterr().out == tree_help
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["nope", "--n", "3"]])
+    def test_whole_tree_without_a_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        expected = (exc.value.code, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected
+        assert expected[0] == (0 if argv == ["--help"] else 2)
+        assert "usage: normrisk [-h]" in expected[1] + expected[2]
+
+    def test_unknown_flag_prints_the_subcommand_usage(self, capsys):
+        assert main(["table", "--bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: normrisk table ")
+        assert "normrisk table: error: unrecognized arguments: --bogus" in err
+
+
 def run_probe(probe):
     # a fresh interpreter, so that no module this test run has loaded counts
     src = os.path.dirname(os.path.dirname(normrisk.__file__))
@@ -615,6 +664,16 @@ def test_import_loads_no_scipy_and_loads_numpy_random():
         "import sys, normrisk.cli\n"
         "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy'], 'scipy imported'\n"
         "assert 'numpy.random' in sys.modules, 'numpy.random not imported'\n"
+    )
+
+
+def test_import_loads_no_numpy_polynomial():
+    # both Gauss rules are stored, so nothing builds one with numpy.polynomial
+    run_probe(
+        "import sys, numpy\n"
+        "import normrisk.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']]\n"
+        "assert not loaded, loaded\n"
     )
 
 

@@ -15,6 +15,8 @@ from normrisk.numerics import (
     QuadratureConfig,
     QuadratureError,
     _check_sample_size,
+    _kummer_rule,
+    _legendre_rule,
     _scaled_chi_support,
     gamma_half_ratio,
     integrate,
@@ -206,6 +208,80 @@ class TestSpecialFunctions:
         _check_sample_size(np.int64(3), 3)
         with pytest.raises(ValueError, match="at least 3"):
             _check_sample_size(2, 3)
+
+
+def _newton_root(step, x):
+    # four Newton steps from a double carry its ~1e-16 error below 1e-40
+    for _ in range(4):
+        x -= step(x)
+    return x
+
+
+def _legendre_32(x):
+    # P_32(x) and P_31(x) by the three-term recurrence
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, 32):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, p_prev
+
+
+def _hermite_160(x):
+    # the physicists' H_160(x) and H_159(x) by the three-term recurrence
+    h_prev, h = mpmath.mpf(1), 2 * x
+    for k in range(1, 160):
+        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+    return h, h_prev
+
+
+class TestStoredGaussRules:
+    """The stored rules against nodes Newton-refined to 40 digits from them.
+
+    The weights of both are numpy's, about 5e-14 off in the worst case;
+    the nodes are within a few ulp.
+    """
+
+    def test_legendre_rule(self):
+        x, w = _legendre_rule()
+        assert x.shape == w.shape == (32,)
+        assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1 and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        node_err, weight_err = [], []
+        with mpmath.workdps(40):
+            for xi, wi in zip(x.tolist(), w.tolist()):
+                # P_32' = 32 (x P_32 - P_31) / (x^2 - 1)
+                def step(t):
+                    p, p_prev = _legendre_32(t)
+                    return p * (t * t - 1) / (32 * (t * p - p_prev))
+
+                root = _newton_root(step, mpmath.mpf(xi))
+                p, p_prev = _legendre_32(root)
+                slope = 32 * (root * p - p_prev) / (root * root - 1)
+                weight = 2 / ((1 - root * root) * slope * slope)
+                node_err.append(float(abs(xi / root - 1)))
+                weight_err.append(float(abs(wi / weight - 1)))
+        assert max(node_err) < 1.7e-16
+        assert max(weight_err) < 5.9e-14
+
+    def test_kummer_rule(self):
+        # squared positive Hermite nodes and doubled weights, against
+        # w = 2^159 160! sqrt(pi) / (160 H_159(x))^2
+        u2, w2 = _kummer_rule()
+        assert u2.shape == w2.shape == (80,)
+        assert np.all(np.diff(u2) > 0) and u2[0] > 0 and np.all(w2 > 0)
+        node_err, weight_err = [], []
+        with mpmath.workdps(40):
+            scale = 2**159 * mpmath.factorial(160) * mpmath.sqrt(mpmath.pi) / 160**2
+            for ui, wi in zip(u2.tolist(), w2.tolist()):
+                def step(t):
+                    h, h_prev = _hermite_160(t)
+                    return h / (320 * h_prev)
+
+                root = _newton_root(step, mpmath.sqrt(ui))
+                _, h_prev = _hermite_160(root)
+                node_err.append(float(abs(ui / (root * root) - 1)))
+                weight_err.append(float(abs(wi / (2 * scale / (h_prev * h_prev)) - 1)))
+        assert max(node_err) < 3.1e-16
+        assert max(weight_err) < 4.9e-14
 
 
 def _relative_errors(values, reference, xs):
