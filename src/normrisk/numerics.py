@@ -73,6 +73,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 #: panel splits after which `integrate` gives up on a target it cannot reach
 _MAX_SUBDIVISIONS = 4096
+#: integrand values one refinement call may return, unless the first call
+#: or a single split returns more
+_MAX_CALL_VALUES = 2**14
 
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre, nodes/weights for
@@ -104,16 +107,19 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], cuts) -> tuple[np.ndarray, list[float]]:
-    """Gauss-Kronrod panels between consecutive cuts, in one integrand call.
+def _gk15(
+    f: Callable[[np.ndarray], np.ndarray], panels: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, list[float]]:
+    """The Gauss-Kronrod rule on every (a, b) panel, in one integrand call.
 
-    Returns the panel integrals, panel axis last after the integrand's own
-    leading shape, and each panel's error bound as a float: the largest
-    bound among the integrand's components.
+    The panels need not be adjacent.  Returns the panel integrals, panel
+    axis last after the integrand's own leading shape, and each panel's
+    error bound as a float: the largest bound among the integrand's
+    components.
     """
-    mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(cuts[:-1], cuts[1:])])
-    half = mid_half[:, 1]
-    x = (mid_half[:, :1] + mid_half[:, 1:] * _K15_NODES).ravel()
+    ends = np.array(panels)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    x = (0.5 * (ends[:, :1] + ends[:, 1:]) + half[:, None] * _K15_NODES).ravel()
     y = np.asarray(f(x), dtype=float)
     if y.shape[-1:] != x.shape:
         raise TypeError(
@@ -121,7 +127,9 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], cuts) -> tuple[np.ndarray, list
             "it must map a 1-D node array to values with the node axis last"
         )
     if not np.isfinite(y).all():
-        raise QuadratureError(f"non-finite integrand values on [{cuts[0]!r}, {cuts[-1]!r}]")
+        finite = np.isfinite(y).reshape(-1, half.size, 15).all(axis=(0, 2))
+        a, b = panels[int(finite.argmin())]
+        raise QuadratureError(f"non-finite integrand values on the panel [{a!r}, {b!r}]")
     y = y.reshape(y.shape[:-1] + (half.size, 15))
     # per unit half-width: the Kronrod sum, its gap to the Gauss sum, the
     # panel mean, and the Kronrod sums of |y| and of |y - mean|
@@ -156,44 +164,72 @@ def integrate(
     interior nodes, so a feature much narrower than the surrounding panel
     must be bracketed by a pair of points, not merely marked at its center.
 
+    Refinement runs in passes of one integrand call each.  A pass takes the
+    panels of largest bound until the bound left in the others is within
+    the target, and evaluates the halves of all of them together.  So that
+    a wide integrand does not grow its value arrays, a call holds at most
+    2**14 values or as many panels as the first call, whichever is more,
+    and never fewer than one split.
+
     Raises QuadratureError when the summed error bound cannot be brought
     below max(abs_tol, rel_tol * min_j |I_j|) within 4096 panel splits, so
     that every component I_j meets its own target, or when f returns a NaN
-    or an infinity; TypeError when f does not return the node axis last (a
-    scalar-only f, for one); ValueError unless lo < hi, both finite.
+    or an infinity; either message names the panel at fault.  TypeError
+    when f does not return the node axis last (a scalar-only f, for one);
+    ValueError unless lo < hi, both finite.
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"invalid interval: need finite lo={lo!r} < hi={hi!r}")
 
     cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
-    vals, errs = _gk15(f, cuts)
+    panels = list(zip(cuts[:-1], cuts[1:]))
+    vals, errs = _gk15(f, panels)
+    # a split adds two panels of 15 nodes for each component
+    split_values = 30 * (vals.size // len(panels))
+    per_pass = max(1, len(panels) // 2, _MAX_CALL_VALUES // split_values)
     total = 0.0
     err_total = 0.0
     heap: list[tuple[float, float, float, np.ndarray, float]] = []
-    for i, (a, b, err) in enumerate(zip(cuts[:-1], cuts[1:], errs)):
+    for i, ((a, b), err) in enumerate(zip(panels, errs)):
         total += vals[..., i]
         err_total += err
         heapq.heappush(heap, (-err, a, b, vals[..., i], err))
 
     splits = 0
-    # `not <=`: a bound that overflowed to inf or NaN never counts as met
-    while not err_total <= max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf)):
+    while True:
+        target = max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf))
+        # a bound that overflowed to inf or NaN fails `<=`: it never counts as met
+        if err_total <= target:
+            return float(total) if np.ndim(total) == 0 else total
         if splits >= _MAX_SUBDIVISIONS:
+            _, a, b, _, err = heap[0]
             raise QuadratureError(
                 f"no convergence after {splits} subdivisions: "
                 f"estimate {np.array2string(np.asarray(total), precision=6)}, "
-                f"error bound {err_total:.3g}"
+                f"error bound {err_total:.3g}, worst panel [{a!r}, {b!r}] with bound {err:.3g}"
             )
-        _, a, b, val, err = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        vals, (e1, e2) = _gk15(f, (a, mid, b))
-        v1, v2 = vals[..., 0], vals[..., 1]
-        total += v1 + v2 - val
-        err_total += e1 + e2 - err
-        heapq.heappush(heap, (-e1, a, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, b, v2, e2))
-        splits += 1
-    return float(total) if np.ndim(total) == 0 else total
+        # the panels of largest bound, until the bound left in the others
+        # meets the target; the first is always taken
+        popped = []
+        left = err_total
+        cap = min(per_pass, _MAX_SUBDIVISIONS - splits)
+        while heap and len(popped) < cap and not left <= target:
+            popped.append(heapq.heappop(heap))
+            left -= popped[-1][4]
+        halves = []
+        for _, a, b, _, _ in popped:
+            mid = 0.5 * (a + b)
+            halves += ((a, mid), (mid, b))
+        vals, errs = _gk15(f, halves)
+        for i, (_, a, b, val, err) in enumerate(popped):
+            mid = halves[2 * i][1]
+            v1, v2 = vals[..., 2 * i], vals[..., 2 * i + 1]
+            e1, e2 = errs[2 * i : 2 * i + 2]
+            total += v1 + v2 - val
+            err_total += e1 + e2 - err
+            heapq.heappush(heap, (-e1, a, mid, v1, e1))
+            heapq.heappush(heap, (-e2, mid, b, v2, e2))
+        splits += len(popped)
 
 
 # The positive half of the 32-point Gauss-Legendre rule on [-1, 1], nodes

@@ -12,6 +12,7 @@ import sys
 import types
 
 import mpmath
+import numpy as np
 import pytest
 
 import normrisk
@@ -21,7 +22,13 @@ from normrisk.case_studies import skew_normal_asymptotic_mise
 from normrisk.cli import main
 from normrisk.kernels import EPANECHNIKOV_KERNEL, KERNELS, NORMAL_KERNEL, exact_mse_kernel
 from normrisk.numerics import DEFAULT_QUADRATURE, QuadratureError
-from normrisk.parametric import PLUGIN_AMISE_CONSTANT, STD_NORMAL, NormalParams, exact_mise_plugin
+from normrisk.parametric import (
+    PLUGIN_AMISE_CONSTANT,
+    STD_NORMAL,
+    NormalParams,
+    exact_mise_plugin,
+    exact_mse_plugin,
+)
 from tests.conftest import PUBLISHED_TABLE
 
 # the full comparison table as printed before the normal-kernel real MISE
@@ -118,6 +125,57 @@ class TestTableCommand:
         parametric._mise_coefficient.cache_clear()  # the plug-in term is cached per n
         cli.comparison_row(5)
         assert seen == [DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE, REAL_MISE_QUADRATURE]
+
+    def test_quadrature_work_per_table(self, monkeypatch):
+        # each refinement pass is one integrand call: no integral of the
+        # table takes more than 4 (up to 9 when every call split one panel),
+        # and the panels stay within the 778 that one-panel splits took
+        gk15 = numerics._gk15
+        integrate = numerics.integrate
+        panels = []
+        calls = []
+
+        def counting_gk15(f, pieces):
+            panels.append(len(pieces))
+            return gk15(f, pieces)
+
+        def counting_integrate(*args, **kwargs):
+            start = len(panels)
+            value = integrate(*args, **kwargs)
+            calls.append(len(panels) - start)
+            return value
+
+        monkeypatch.setattr(numerics, "_gk15", counting_gk15)
+        for module in (numerics, parametric, bandwidth):
+            monkeypatch.setattr(module, "integrate", counting_integrate)
+        parametric._mise_coefficient.cache_clear()  # the plug-in term is cached per n
+        for n in cli.TABLE_SAMPLE_SIZES:
+            cli.comparison_row(n)
+        assert len(calls) == 3 * len(cli.TABLE_SAMPLE_SIZES)
+        assert max(calls) <= 4, calls
+        assert sum(panels) <= 778
+
+    def test_figure_curve_call_size(self, monkeypatch):
+        # a wide integrand keeps its calls small: the plug-in curve over the
+        # 301-point figure grid integrates 2 x 301 components, and no call
+        # returns more values than two panels of them (18,060), which bounds
+        # the figure command's peak memory
+        gk15 = numerics._gk15
+        sizes = []
+
+        def sizing_gk15(f, pieces):
+            def g(x):
+                y = f(x)
+                sizes.append(np.size(y))
+                return y
+
+            return gk15(g, pieces)
+
+        monkeypatch.setattr(numerics, "_gk15", sizing_gk15)
+        xs = -3.0 + 0.02 * np.arange(301)
+        for n in (3, 14, 100, 1000):
+            exact_mse_plugin(xs, STD_NORMAL, n)
+        assert max(sizes) <= 2 * 2 * 301 * 15
 
     def test_json_keeps_full_precision(self, capsys):
         # the CSV prints 0.00000 here; JSON once rounded the same way, to 0.0

@@ -1,6 +1,7 @@
 """Quadrature, special functions, sampling."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -113,6 +114,32 @@ class TestIntegrate:
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=0.0)
         with pytest.raises(QuadratureError, match="after 4096 subdivisions"):
             integrate(lambda x: np.array([np.exp(-x), np.sin(50.0 * x) ** 2]), 0.0, 10.0, cfg)
+
+    def test_nonconvergence_names_the_worst_panel(self):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=0.0)
+        with pytest.raises(QuadratureError, match=r"worst panel \[\S+, \S+\] with bound \S+$") as info:
+            integrate(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, cfg)
+        found = re.search(r"error bound (\S+), worst panel \[(\S+), (\S+)\] with bound (\S+)$", str(info.value))
+        total, a, b, worst = map(float, found.groups())
+        # one of about 4096 panels on (0, 10), holding part of the total bound
+        assert 0.0 <= a < b <= 10.0 and b - a < 0.01
+        assert 0.0 < worst < total
+
+    def test_non_finite_message_names_the_panel(self):
+        # the NaN appears from the second call on, in (0.65, 0.7): that call
+        # holds non-adjacent halves, and the message names the one evaluated
+        # panel with a NaN, not the span of the call
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            y = np.sin(50.0 * x) ** 2
+            return np.where((x > 0.65) & (x < 0.7), np.nan, y) if len(seen) > 1 else y
+
+        with pytest.raises(QuadratureError, match=r"non-finite integrand values on the panel \[0\.6, 0\.7\]$"):
+            integrate(f, 0.0, 1.0, points=(0.2, 0.4, 0.6, 0.8))
+        # the call evaluated panels on both sides of it
+        assert seen[-1].min() < 0.6 and seen[-1].max() > 0.7
 
     def test_non_finite_values_raise(self):
         # a NaN once came back as the integral, with no warning
