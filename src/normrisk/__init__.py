@@ -26,7 +26,6 @@ from .kernels import (
     NORMAL_KERNEL,
     asymptotic_kernel_risk,
     exact_mse_kernel,
-    mise_exact_generic,
     mise_fixed_bandwidth,
 )
 from .numerics import MinimizationError, NumericsError, QuadratureError
@@ -46,7 +45,7 @@ __all__ = [
     "NormalParams", "STD_NORMAL", "MiseReport", "NORMAL_KERNEL", "EPANECHNIKOV_KERNEL",
     # exact risk
     "exact_mse_plugin", "exact_mse_kernel", "exact_mise_plugin", "exact_mise_umvu",
-    "mise_fixed_bandwidth", "mise_exact_generic",
+    "mise_fixed_bandwidth",
     # large-sample risk
     "asymptotic_mse_plugin", "asymptotic_mise_plugin", "asymptotic_kernel_risk",
     # bandwidth rules and their real MISE

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,14 +158,24 @@ def skew_normal_score(x, theta) -> np.ndarray:
     return np.array([u_loc, u_scale, u_shape])
 
 
+@lru_cache(maxsize=None)
+def _skew_normal_unit_mise() -> float:
+    return asymptotic_mise_general(skew_normal_score, skew_normal_density, (0.0, 1.0, 1.0), (-12.0, 12.0))
+
+
 def skew_normal_asymptotic_mise(sigma: float) -> float:
     """Limit of n * MISE for the skew-extended family at a normal truth.
 
     Roughly 0.342/sigma: about 1.386 times the two-parameter normal value,
-    the price of estimating the extra shape parameter.
+    the price of estimating the extra shape parameter.  By the exact scale
+    identity it is the value at sigma = 1, one quadrature computed once,
+    divided by sigma: the Fisher information at sigma itself scales as
+    1/sigma^2, past the quadrature's absolute target (sigma <= 0.02) or
+    the conditioning check (sigma >= 1e5).
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    theta = (0.0, sigma, 1.0)
-    span = 12.0 * sigma
-    return asymptotic_mise_general(skew_normal_score, skew_normal_density, theta, (-span, span))
+    value = _skew_normal_unit_mise() / sigma
+    if value == math.inf:
+        raise ValueError(f"sigma={sigma!r} is too small: the value overflows")
+    return value

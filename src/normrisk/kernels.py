@@ -2,9 +2,9 @@
 
 Supports the standard normal kernel and the parabolic (Epanechnikov-type)
 kernel on [-1/2, 1/2].  The MISE is available in closed form for both
-kernels, and so are the normal kernel's pointwise moments; a quadrature
-route through the general MISE identity serves as an independent
-cross-check of the closed forms.
+kernels, and so are the normal kernel's pointwise moments; the tests
+cross-check the closed forms against a quadrature route through the
+general MISE identity.
 
 The closed Epanechnikov expressions combine terms of size h^-4 or h^-5
 whose sum is O(1), so double precision loses digits as the standardized
@@ -28,7 +28,6 @@ from .numerics import (
     _check_sample_size,
     _check_out,
     _legendre_rule,
-    integrate,
     std_normal_pdf,
 )
 from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, TWO_SQRT_PI
@@ -274,42 +273,6 @@ def mise_fixed_bandwidth(kernel: Kernel, p: NormalParams, n: int, h: float) -> M
     _check_kernel(kernel)
     closed = mise_closed_normal_kernel if kernel.name == "normal" else mise_closed_epan_kernel
     return MiseReport(value=closed(n, h / p.sigma) / p.sigma, method="closed_form")
-
-
-def mise_exact_generic(kernel: Kernel, p: NormalParams, n: int, h: float) -> MiseReport:
-    """Exact MISE through the general difference-density identity.
-
-    Independent of the closed forms: the pair and overlap integrals against
-    the density of an observation pair difference are one array-valued
-    adaptive quadrature.  Used as a cross-check of the closed-form route.
-    """
-    _check_kernel(kernel)
-    _check_sample_size(n, 1)
-    if not 0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    sd_diff = p.sigma * math.sqrt(2.0)
-
-    def g_diff(y):
-        return std_normal_pdf(np.asarray(y) / sd_diff) / sd_diff
-
-    if kernel.name == "normal":
-        # both kernel factors alone decay, the slower at scale sqrt(2), so a fixed span works
-        lo, hi, points = -18.0, 18.0, ()
-    else:
-        lo, hi, points = -1.0, 1.0, (-0.5, 0.0, 0.5)
-    pair, overlap = integrate(
-        lambda u: np.stack((kernel_self_convolution(kernel, u), kernel_eval(kernel, u))) * g_diff(h * u),
-        lo,
-        hi,
-        points=points,
-    ).tolist()
-    value = (
-        kernel.roughness / (n * h)
-        + (1.0 - 1.0 / n) * pair
-        - 2.0 * overlap
-        + float(g_diff(0.0))
-    )
-    return MiseReport(value=value, method="quadrature")
 
 
 class KernelAsymptotics(NamedTuple):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from ancillary import ancillary_densities
+from estimators import mise_exact_generic
 from substreams import substream
 from tests.conftest import PUBLISHED_TABLE, VERIFIED_CORRECTIONS
 
@@ -39,7 +40,6 @@ from normrisk.kernels import (
     kernel_eval,
     mise_closed_epan_kernel,
     mise_closed_normal_kernel,
-    mise_exact_generic,
     mise_fixed_bandwidth,
 )
 from normrisk.numerics import integrate, std_normal_pdf

@@ -8,8 +8,9 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from ancillary import ancillary_densities
+from estimators import mise_exact_generic
 from substreams import substream
-from normrisk import bandwidth, kernels, numerics, parametric
+from normrisk import bandwidth, numerics, parametric
 from normrisk.bandwidth import (
     BandwidthRule,
     McConfig,
@@ -20,7 +21,7 @@ from normrisk.bandwidth import (
     real_mise_nested,
     rule_of_thumb,
 )
-from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval, mise_exact_generic
+from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval
 from normrisk.numerics import integrate, scaled_chi_inverse_mean, std_normal_pdf
 from normrisk.parametric import STD_NORMAL, exact_mise_plugin, exact_mse_plugin
 
@@ -453,7 +454,7 @@ def test_one_integral_per_value(case, monkeypatch):
         calls.append(args[1:3])
         return integrate(*args, **kwargs)
 
-    for module in (bandwidth, kernels, numerics, parametric):
+    for module in (bandwidth, numerics, parametric):
         monkeypatch.setattr(module, "integrate", counting_integrate)
     ONE_INTEGRAL_CASES[case]()
     assert len(calls) == 1, calls

@@ -234,9 +234,18 @@ class TestSkewFamily:
             skew_normal_asymptotic_mise(1.0) / 2.0, rel=1e-8
         )
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.02, 1e5])
+    def test_scale_identity_far_from_one(self, sigma):
+        # computed at sigma itself, the Fisher information's 1/sigma^2
+        # entries broke the quadrature's target (small sigma) or the
+        # conditioning check (large sigma)
+        assert skew_normal_asymptotic_mise(sigma) == skew_normal_asymptotic_mise(1.0) / sigma
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             skew_normal_density(0.0, (0.0, -1.0, 1.0))
+        with pytest.raises(ValueError, match="overflows"):
+            skew_normal_asymptotic_mise(5e-324)
         with pytest.raises(ValueError):
             skew_normal_asymptotic_mise(0.0)
         with pytest.raises(ValueError, match="finite"):

@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import minimize_scalar
 
+from estimators import mise_exact_generic
 from substreams import substream
 
 from normrisk.bandwidth import rule_of_thumb
@@ -27,7 +28,6 @@ from normrisk.kernels import (
     kernel_self_convolution,
     mise_closed_epan_kernel,
     mise_closed_normal_kernel,
-    mise_exact_generic,
     mise_fixed_bandwidth,
 )
 from normrisk.numerics import integrate, std_normal_pdf
@@ -353,6 +353,14 @@ class TestMise:
     def test_generic_matches_closed_parabolic(self, n, h):
         generic = mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, n, h)
         assert generic.value == pytest.approx(mise_closed_epan_kernel(n, h), abs=1e-10)
+
+    @pytest.mark.parametrize("h", [100.0, 200.0, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_generic_matches_closed_normal_at_wide_bandwidths(self, h, sigma):
+        # g(h u) narrows like 1/h; a fixed span in u missed it from h = 200 on
+        p = NormalParams(0.0, sigma)
+        generic = mise_exact_generic(NORMAL_KERNEL, p, 10, h).value
+        assert generic == pytest.approx(mise_closed_normal_kernel(10, h / sigma) / sigma, rel=1e-12, abs=1e-10)
 
     def test_minimized_values_match_published_products(self):
         # best fixed-bandwidth MISE: 0.801 and 0.982 of the benchmarks

@@ -16,7 +16,6 @@ from normrisk.numerics import (
     QuadratureConfig,
     QuadratureError,
     _check_sample_size,
-    _kummer_rule,
     _legendre_rule,
     _scaled_chi_support,
     gamma_half_ratio,
@@ -180,6 +179,19 @@ class TestIntegrate:
                 QuadratureConfig(**kwargs)
 
 
+def _kummer_reference(b, x):
+    # M(1/2, b, -x) at the working precision: mpmath's hyp1f1, or above
+    # b = 10^6, where hyp1f1 is very slow, the beta integral under
+    # B = sin(theta)^2 with cuts at k/sqrt(x + b) across its bell
+    if b < 1e6:
+        return mpmath.hyp1f1(0.5, b, -mpmath.mpf(x))
+    b, x = mpmath.mpf(b), mpmath.mpf(x)
+    width = 1 / mpmath.sqrt(x + b)
+    cuts = [0, width, 2 * width, 4 * width, 8 * width, 16 * width, mpmath.pi / 2]
+    bell = mpmath.quad(lambda t: mpmath.exp(-x * mpmath.sin(t) ** 2) * mpmath.cos(t) ** (2 * b - 2), cuts)
+    return 2 * mpmath.gamma(b) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(b - 0.5)) * bell
+
+
 class TestSpecialFunctions:
     def test_pdf_at_zero(self):
         assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
@@ -203,21 +215,25 @@ class TestSpecialFunctions:
             with pytest.raises(ValueError):
                 gamma_half_ratio(bad)
 
-    # b = (n-1)/2 for n = 4, 5, 10, 100, 10^4, 10^6, and one b between
-    @pytest.mark.parametrize("b", [1.5, 2.0, 4.5, 7.25, 49.5, 4999.5, 499999.5])
+    # b = (n-1)/2 for n = 4, 5, 10, 100, 10^4, 10^6, 10^7, 10^8, and one b between
+    @pytest.mark.parametrize(
+        "b", [1.5, 2.0, 4.5, 7.25, 49.5, 4999.5, 499999.5, 4999999.5, 49999999.5]
+    )
     def test_kummer_against_mpmath(self, b):
-        # x spans arguments from below b to far beyond it
+        # x spans arguments from below b to far beyond it, and straddles
+        # x + b - 1 = 40, below which the range in theta reaches pi/2
         xs = np.array([0.0, 1e-3, 0.3, 1.0, 3.0, 7.0, 11.0, 15.0, 20.0, 40.0, 80.0, 1e3, 1e5, 1e7])
+        xs = np.append(xs, [x for x in (40.9 - b, 41.1 - b) if x >= 0])
         got = kummer_m_half(b, xs)
         with mpmath.workdps(30):
             for x, value in zip(xs, got):
-                ref = mpmath.hyp1f1(0.5, b, -mpmath.mpf(x))
+                ref = _kummer_reference(b, x)
                 assert abs(value / ref - 1) < 1e-14, x
 
     def test_kummer_scalar_and_domain(self):
         assert kummer_m_half(3.0, 0.0) == pytest.approx(1.0, rel=1e-15)
         assert isinstance(kummer_m_half(3.0, 2.0), float)
-        # at b = 1 (n = 3) the rule would miss the slow e^(-v/2) tail
+        # the domain starts at b = 3/2 (n = 4); n = 3 takes the nested route
         for b in (0.75, 1.0):
             with pytest.raises(ValueError, match="b >= 3/2"):
                 kummer_m_half(b, 1.0)
@@ -252,19 +268,11 @@ def _legendre_32(x):
     return p, p_prev
 
 
-def _hermite_160(x):
-    # the physicists' H_160(x) and H_159(x) by the three-term recurrence
-    h_prev, h = mpmath.mpf(1), 2 * x
-    for k in range(1, 160):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
-    return h, h_prev
-
-
 class TestStoredGaussRules:
-    """The stored rules against nodes Newton-refined to 40 digits from them.
+    """The stored rule against nodes Newton-refined to 40 digits from them.
 
-    The weights of both are numpy's, about 5e-14 off in the worst case;
-    the nodes are within a few ulp.
+    The weights are numpy's, about 5e-14 off in the worst case; the nodes
+    are within a few ulp.
     """
 
     def test_legendre_rule(self):
@@ -288,27 +296,6 @@ class TestStoredGaussRules:
                 weight_err.append(float(abs(wi / weight - 1)))
         assert max(node_err) < 1.7e-16
         assert max(weight_err) < 5.9e-14
-
-    def test_kummer_rule(self):
-        # squared positive Hermite nodes and doubled weights, against
-        # w = 2^159 160! sqrt(pi) / (160 H_159(x))^2
-        u2, w2 = _kummer_rule()
-        assert u2.shape == w2.shape == (80,)
-        assert np.all(np.diff(u2) > 0) and u2[0] > 0 and np.all(w2 > 0)
-        node_err, weight_err = [], []
-        with mpmath.workdps(40):
-            scale = 2**159 * mpmath.factorial(160) * mpmath.sqrt(mpmath.pi) / 160**2
-            for ui, wi in zip(u2.tolist(), w2.tolist()):
-                def step(t):
-                    h, h_prev = _hermite_160(t)
-                    return h / (320 * h_prev)
-
-                root = _newton_root(step, mpmath.sqrt(ui))
-                _, h_prev = _hermite_160(root)
-                node_err.append(float(abs(ui / (root * root) - 1)))
-                weight_err.append(float(abs(wi / (2 * scale / (h_prev * h_prev)) - 1)))
-        assert max(node_err) < 3.1e-16
-        assert max(weight_err) < 4.9e-14
 
 
 def _relative_errors(values, reference, xs):
