@@ -47,6 +47,7 @@ from .parametric import (
     exact_mise_plugin,
     exact_mise_umvu,
     exact_mse_plugin,
+    plugin_mise_coefficients,
 )
 
 TABLE_SAMPLE_SIZES = tuple(range(3, 21)) + (50, 100, 1000)
@@ -208,8 +209,8 @@ def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
 
 def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
-    for n in ns:
-        _check_sample_size(n, 3)
+    # the plug-in column as one integral; each row then reads it from the cache
+    plugin_mise_coefficients(ns)
     records = [asdict(comparison_row(n)) for n in ns]
     for record in records:
         if math.isinf(record["umvu_ratio"]):

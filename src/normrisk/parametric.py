@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .numerics import (
     _check_sample_size,
     _gamma_half_excess,
     integrate,
+    scaled_chi_column,
     scaled_chi_expectation,
     std_normal_pdf,
 )
@@ -140,26 +140,54 @@ def exact_mse_plugin(x, p: NormalParams, n: int) -> MseParts:
     return MseParts(bias=bias, variance=variance, mse=bias * bias + variance)
 
 
-@lru_cache(maxsize=None)
-def _mise_coefficient(n: int) -> float:
-    # n (1 + E(1/Z) - 2 E sqrt(2n / (1 + n (1 + Z^2)))), with no O(1) terms
-    # left to cancel: 1/Z - 1 = -d/Z and, since 1 + q = (1 + n (1 + Z^2))/(2n),
-    # 1 - sqrt(2n / (1 + n (1 + Z^2))) = -expm1(-log1p(q)/2), both O(d)
-    def f(z):
-        d = z - 1.0
-        q = (1.0 + n * d * (z + 1.0)) / (2.0 * n)
-        return -d / z - 2.0 * np.expm1(-0.5 * np.log1p(q))
+def _mise_integrand(n, z, d):
+    # n times the expectation of this is n (1 + E(1/Z) - 2 E(1/r)), where
+    # r = sqrt(1 + q) and q = (Z^2 - 1)/2 + 1/(2n) = d (1 + d/2) + 1/(2n), so
+    # that 1/r = sqrt(2n / (1 + n (1 + Z^2))).  The O(1) and O(d) parts cancel
+    # by hand: 1/Z - 1 + q = d^2 (1/Z + 1/2) + 1/(2n) and
+    # 2 (1 - 1/r) - q = -q^2 (r + 2) / (r (r + 1)^2), so every term left is
+    # O(d^2) or O(1/n); `scaled_chi_column` forms d = Z - 1 without rounding Z
+    q = d * (1.0 + 0.5 * d) + 0.5 / n
+    r = np.sqrt(1.0 + q)
+    return d * d * (1.0 / z + 0.5) + 0.5 / n - q * q * (r + 2.0) / (r * (r + 1.0) ** 2)
 
-    return n * scaled_chi_expectation(f, n)
+
+#: n -> `plugin_mise_coefficient(n)`, filled one scaled-chi column at a time
+_MISE_COEFFICIENTS: dict[int, float] = {}
+
+
+def plugin_mise_coefficients(ns: Sequence[int]) -> list[float]:
+    """`plugin_mise_coefficient` at every n of ns, in order.
+
+    The n not yet cached are integrated together, as one scaled-chi column
+    (`scaled_chi_column`), and cached.  So a value depends, to within
+    1.2e-15 relative, on the column that first computed it: the n = 5 of
+    `plugin_mise_coefficients((5,))` and of the table's column can differ
+    in their last bits, and whichever came first in the process is kept.
+    """
+    for n in ns:
+        _check_sample_size(n, 3)
+    missing = list(dict.fromkeys(int(n) for n in ns if n not in _MISE_COEFFICIENTS))
+    if missing:
+        values = scaled_chi_column(_mise_integrand, missing)
+        for n, value in zip(missing, values.tolist()):
+            _MISE_COEFFICIENTS[n] = n * value
+    return [_MISE_COEFFICIENTS[n] for n in ns]
 
 
 def plugin_mise_coefficient(n: int) -> float:
     """The stabilized MISE sequence: n * 2*sqrt(pi) * sigma * MISE.
 
-    Decreases slowly and monotonically to 7/8 as n grows.
+    Decreases slowly and monotonically to 7/8 as n grows.  It is n E f(Z)
+    over the scaled-chi law of Z = sigma_hat/sigma, with every term of f
+    O((Z-1)^2) or O(1/n), so nothing cancels as n grows; an n not cached is
+    a `scaled_chi_column` of one, and `plugin_mise_coefficients` integrates
+    many n together; the cached value is the one from the first column that
+    held n, which can differ from a column of one by up to 1.2e-15
+    relative.  Within 3e-15 relative of the 40-digit oracle at n = 10^4,
+    10^5 and 10^6.
     """
-    _check_sample_size(n, 3)
-    return _mise_coefficient(n)
+    return plugin_mise_coefficients((n,))[0]
 
 
 def exact_mise_plugin(p: NormalParams, n: int) -> MiseReport:

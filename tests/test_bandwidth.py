@@ -21,6 +21,7 @@ from normrisk.bandwidth import (
     real_mise_nested,
     rule_of_thumb,
 )
+from normrisk.cli import TABLE_SAMPLE_SIZES
 from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval
 from normrisk.numerics import integrate, scaled_chi_inverse_mean, std_normal_pdf
 from normrisk.parametric import STD_NORMAL, exact_mise_plugin, exact_mse_plugin
@@ -208,6 +209,23 @@ class TestOptimalConstants:
         b_n, c_n = OPTIMAL_CONSTANTS_MPMATH[n]
         assert optimal_bandwidth_constant(NORMAL_KERNEL, n) == pytest.approx(float(b_n), rel=1e-12)
         assert optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n) == pytest.approx(float(c_n), rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL], ids=["normal", "epan"])
+    @pytest.mark.parametrize("n", sorted({*TABLE_SAMPLE_SIZES, 10, 50, 661, 673, 10**6}))
+    def test_constant_brackets_a_sign_change_of_the_slope(self, kernel, n):
+        # the computed slope changes sign more than once within 200 ulps of
+        # the root at 455 of the n from 2 to 1000 (normal kernel) and at
+        # n = 661, 673 and 10^6 (parabolic): the constant is the change the
+        # bisection finds, next to a double of the other sign.  The table's n
+        # and the Monte Carlo n (10 and 50) are what MC_GOLDEN pins
+        c = optimal_bandwidth_constant(kernel, n)
+        slope = bandwidth._mise_slope(kernel.name, n)
+        scale = n ** (-0.2)
+        below, above = math.nextafter(c, -math.inf), math.nextafter(c, math.inf)
+        assert (
+            slope(below * scale) < 0.0 <= slope(c * scale)
+            or slope(c * scale) < 0.0 <= slope(above * scale)
+        )
 
     def test_limits(self):
         b_limit = optimal_bandwidth_constant(NORMAL_KERNEL, 10**6)

@@ -65,6 +65,33 @@ def run_cli(args, tmp_path, name="out.txt"):
     return code, path.read_text(encoding="utf-8")
 
 
+def count_quadrature(monkeypatch):
+    """Record the panels of every integrand call and the calls of every integral.
+
+    Also empties the plug-in MISE cache, so that its integral runs again.
+    """
+    gk15 = numerics._gk15
+    integrate = numerics.integrate
+    panels = []
+    calls = []
+
+    def counting_gk15(f, pieces):
+        panels.append(len(pieces))
+        return gk15(f, pieces)
+
+    def counting_integrate(*args, **kwargs):
+        start = len(panels)
+        value = integrate(*args, **kwargs)
+        calls.append(len(panels) - start)
+        return value
+
+    monkeypatch.setattr(numerics, "_gk15", counting_gk15)
+    for module in (numerics, parametric, bandwidth):
+        monkeypatch.setattr(module, "integrate", counting_integrate)
+    monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
+    return panels, calls
+
+
 class TestTableCommand:
     def test_csv_golden_subset(self, tmp_path):
         code, text = run_cli(["table", "--n", "5", "10"], tmp_path)
@@ -122,7 +149,8 @@ class TestTableCommand:
 
         for module in (numerics, parametric, bandwidth):
             monkeypatch.setattr(module, "integrate", recording)
-        parametric._mise_coefficient.cache_clear()  # the plug-in term is cached per n
+        # the plug-in term is cached per n
+        monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
         cli.comparison_row(5)
         assert seen == [DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE, REAL_MISE_QUADRATURE]
 
@@ -130,29 +158,23 @@ class TestTableCommand:
         # each refinement pass is one integrand call: no integral of the
         # table takes more than 4 (up to 9 when every call split one panel),
         # and the panels stay within the 778 that one-panel splits took
-        gk15 = numerics._gk15
-        integrate = numerics.integrate
-        panels = []
-        calls = []
-
-        def counting_gk15(f, pieces):
-            panels.append(len(pieces))
-            return gk15(f, pieces)
-
-        def counting_integrate(*args, **kwargs):
-            start = len(panels)
-            value = integrate(*args, **kwargs)
-            calls.append(len(panels) - start)
-            return value
-
-        monkeypatch.setattr(numerics, "_gk15", counting_gk15)
-        for module in (numerics, parametric, bandwidth):
-            monkeypatch.setattr(module, "integrate", counting_integrate)
-        parametric._mise_coefficient.cache_clear()  # the plug-in term is cached per n
+        panels, calls = count_quadrature(monkeypatch)
         for n in cli.TABLE_SAMPLE_SIZES:
             cli.comparison_row(n)
         assert len(calls) == 3 * len(cli.TABLE_SAMPLE_SIZES)
         assert max(calls) <= 4, calls
+        assert sum(panels) <= 778
+
+    def test_quadrature_work_of_the_table_command(self, monkeypatch, capsys):
+        # the plug-in column is one integral of at most 4 integrand calls, made
+        # before the rows: 43 integrals where one per row and term made 63,
+        # in 128 integrand calls and 533 panels where they took 203 and 778
+        panels, calls = count_quadrature(monkeypatch)
+        assert main(["table"]) == 0
+        assert capsys.readouterr().out == TABLE_CSV
+        assert len(calls) == 1 + 2 * len(cli.TABLE_SAMPLE_SIZES)
+        assert calls[0] <= 4, calls
+        assert len(panels) <= 128
         assert sum(panels) <= 778
 
     def test_figure_curve_call_size(self, monkeypatch):

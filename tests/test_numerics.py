@@ -20,7 +20,9 @@ from normrisk.numerics import (
     _scaled_chi_support,
     gamma_half_ratio,
     integrate,
+    _gamma_half_excess,
     kummer_m_half,
+    scaled_chi_column,
     scaled_chi_expectation,
     scaled_chi_inverse_mean,
     scaled_chi_pdf,
@@ -441,6 +443,60 @@ class TestScaledChiExpectation:
     def test_rejects_bad_sample_size(self, n):
         with pytest.raises(ValueError, match="sample size"):
             scaled_chi_expectation(lambda z: z, n)
+
+
+class TestScaledChiColumn:
+    NS = [3, 4, 10, 1000, 10**6, 10**8]
+
+    def test_known_moments(self):
+        one, second, inverse = scaled_chi_column(
+            lambda n, z, d: np.stack((np.ones_like(z), z * z, 1.0 / z)), self.NS
+        )
+        for i, n in enumerate(self.NS):
+            assert one[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
+            assert second[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
+            assert inverse[i] == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-14, abs=0), n
+
+    def test_d_is_exact_where_z_minus_1_is_not(self):
+        # E Z - 1 = expm1(e((n-1)/2)) is about -1/(4n), and d is O(1/sqrt(n)):
+        # the 15-digit Gauss-Kronrod weights leave 1.1e-12 of it at n = 10^8.
+        # z - 1 from a rounded z, off by up to an ulp of 1, is 2.7e-11 off
+        # there and 4.5e-11 at n = 10^6
+        ns = [10**6, 10**8]
+        means = scaled_chi_column(lambda n, z, d: d, ns)
+        for n, mean in zip(ns, means):
+            exact = math.expm1(_gamma_half_excess(0.5 * (n - 1)))
+            assert mean == pytest.approx(exact, rel=2e-12, abs=0), n
+
+    @pytest.mark.parametrize("ns", [[3, 10**6], [10**6, 3], [5, 5, 3]])
+    def test_order_and_repeats(self, ns):
+        together = scaled_chi_column(lambda n, z, d: np.stack((z * z, 1.0 / z)), ns)
+        assert together.shape == (2, len(ns))
+        for i, n in enumerate(ns):
+            alone = scaled_chi_column(lambda n, z, d: np.stack((z * z, 1.0 / z)), [n])
+            np.testing.assert_allclose(together[:, i], alone[:, 0], rtol=1e-14, atol=0)
+
+    def test_a_single_n_matches_the_scalar_route(self):
+        for n in (3, 14, 10**5):
+            column = scaled_chi_column(lambda m, z, d: np.sqrt(z), [n])[0]
+            assert column == pytest.approx(scaled_chi_expectation(np.sqrt, n), rel=1e-13), n
+
+    @pytest.mark.parametrize(
+        "ns, message",
+        [
+            ([], "at least one sample size"),
+            ((), "at least one sample size"),
+            ([3, 10.5], "must be an integer"),
+            ([10.0], "must be an integer"),
+            ([math.nan], "must be an integer"),
+            ([3, 2], "at least 3"),
+            ([0], "at least 3"),
+            ([-5, 10], "at least 3"),
+        ],
+    )
+    def test_rejects_bad_sample_sizes(self, ns, message):
+        with pytest.raises(ValueError, match=message):
+            scaled_chi_column(lambda n, z, d: z, ns)
 
 
 class TestSampling:

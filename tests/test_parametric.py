@@ -25,7 +25,8 @@ from normrisk.kernels import (
     exact_mse_kernel,
     mise_closed_epan_kernel,
 )
-from normrisk.numerics import NumericsError, integrate, scaled_chi_pdf
+from normrisk import parametric
+from normrisk.numerics import NumericsError, integrate, scaled_chi_column, scaled_chi_pdf
 from normrisk.parametric import (
     MiseReport,
     NormalParams,
@@ -39,6 +40,7 @@ from normrisk.parametric import (
     exact_mise_umvu,
     exact_mse_plugin,
     plugin_mise_coefficient,
+    plugin_mise_coefficients,
 )
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -254,6 +256,41 @@ class TestExactMise:
             exact_mise_plugin(STD_NORMAL, 8).value / p.sigma, rel=1e-12
         )
 
+    def test_large_n_column_against_oracle(self, monkeypatch):
+        # the three large-n rows of the table, integrated together
+        monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
+        oracle = json.loads((Path(__file__).parents[1] / "bench" / "oracle.json").read_text())
+        ns = [10**4, 10**5, 10**6]
+        for n, coefficient in zip(ns, plugin_mise_coefficients(ns)):
+            reference = oracle["table"][str(n)]["plugin_mise"]
+            value = coefficient / (n * 2.0 * math.sqrt(math.pi))
+            assert value == pytest.approx(reference, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("ns", [[3, 10**6], [10**6, 3], [5, 5, 3]])
+    def test_column_mixes(self, ns, monkeypatch):
+        # a shared variable z with only the modes as breakpoints once put the
+        # n = 10^6 spike between two wide panels and its MISE 99.7 % off;
+        # in t every n keeps its value whatever it is integrated with
+        monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
+        together = plugin_mise_coefficients(ns)
+        assert len(together) == len(ns) and together[0] == plugin_mise_coefficient(ns[0])
+        for n, value in zip(ns, together):
+            alone = n * scaled_chi_column(parametric._mise_integrand, [n])[0]
+            assert value == pytest.approx(alone, rel=1e-13, abs=0)
+            if n in BENCHMARK_EXACT:
+                assert value / (n * 2.0 * math.sqrt(math.pi)) == pytest.approx(
+                    BENCHMARK_EXACT[n], abs=2e-9
+                )
+
+    @given(st.lists(st.floats(math.log10(3.0), 8.0).map(lambda e: round(10.0**e)), max_size=6))
+    def test_column_matches_each_n_alone(self, extra):
+        # n from 3 to 10^8, log-uniform, in any order and with repeats
+        ns = [3, *extra]
+        together = scaled_chi_column(parametric._mise_integrand, ns)
+        for n, value in zip(ns, together.tolist()):
+            alone = scaled_chi_column(parametric._mise_integrand, [n])[0]
+            assert value == pytest.approx(alone, rel=1e-13, abs=0), n
+
     def test_coefficient_monotone_decreasing(self):
         values = [plugin_mise_coefficient(n) for n in range(3, 201)]
         diffs = np.diff(values)
@@ -440,6 +477,7 @@ class TestSampleSizeBoundary:
             lambda n: exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, n, 0.5),
             lambda n: lognormal_mse_parametric(LognormalParams(0.0, 0.5), n),
             lambda n: scaled_chi_pdf(n, 1.0),
+            lambda n: plugin_mise_coefficients([3, n]),
         ],
     )
     @pytest.mark.parametrize("n", [10.5, 10.0, math.nan])
