@@ -20,7 +20,13 @@ from .bandwidth import (
     real_mise_nested,
     rule_of_thumb,
 )
-from .case_studies import lognormal_crossover, skew_normal_asymptotic_mise
+from .case_studies import (
+    LognormalParams,
+    lognormal_crossover,
+    lognormal_mse_nonparametric,
+    lognormal_mse_parametric,
+    skew_normal_asymptotic_mise,
+)
 from .kernels import (
     EPANECHNIKOV_KERNEL,
     NORMAL_KERNEL,
@@ -52,6 +58,7 @@ __all__ = [
     "optimal_bandwidth_constant", "rule_of_thumb", "BandwidthRule",
     "real_mise_exact", "real_mise_nested", "real_mise_mc", "McConfig",
     # side studies
+    "LognormalParams", "lognormal_mse_nonparametric", "lognormal_mse_parametric",
     "lognormal_crossover", "skew_normal_asymptotic_mise",
     # numerics
     "NumericsError", "QuadratureError", "MinimizationError",

@@ -53,11 +53,49 @@ class CrossoverResult:
             raise ValueError("n_crossover must be at least 1")
 
 
+def _log_expm1_ratio(y: float) -> float:
+    # log((1 - e^-y)/y) for y >= 0, about -y/2; below y = 1e-3 its series, as
+    # the log of a quotient that near 1 would be off by an ulp of 1
+    if y < 1e-3:
+        return y * (y / 24.0 - 0.5) - y**4 / 2880.0
+    return math.log(-math.expm1(-y) / y)
+
+
+def _nonparametric_exponent(b2: float) -> float:
+    # Each MSE at log mean 0 is written exp(e) (b^2/n) (1 + rho).  Every term
+    # of e and rho is O(b^2) or smaller for small spreads, and finite for
+    # large ones, so two MSEs compare through e and log1p(rho) to a few ulps
+    # of b^2.  The sample mean's, exp(b^2) expm1(b^2) / n, has rho = 0, by
+    # expm1(y) = exp(y) y (1 - e^-y)/y
+    return 2.0 * b2 + _log_expm1_ratio(b2)
+
+
+def _parametric_parts(b2: float, n: int) -> tuple[float, float]:
+    # exp(b^2/n) B expm1(log A - log B) of `lognormal_mse_parametric`, with
+    # log A - log B = b^2/n (1 + rho)
+    if b2 >= 0.5 * (n - 1):
+        return math.inf, 0.0
+    m = n - 1.0
+    x = b2 / m
+    delta = 0.5 * m * math.log1p(x * x / (1.0 - 2.0 * x))
+    gap = b2 / n + delta
+    rho = n * delta / b2 if delta else 0.0  # b^2 may underflow to 0, and delta with it
+    return b2 / n - m * math.log1p(-x) + gap + _log_expm1_ratio(gap), rho
+
+
+def _mse(p: LognormalParams, n: int, exponent: float, rho: float = 0.0) -> float:
+    # 709.78 is the log of the largest double, rounded down
+    log_mse = 2.0 * p.log_mean + exponent + 2.0 * math.log(p.log_sd) - math.log(n) + math.log1p(rho)
+    if exponent < math.inf and not log_mse < 709.78:
+        raise NumericsError(f"the MSE overflows a double at {p!r}, n={n}")
+    return math.exp(log_mse) if exponent < math.inf else math.inf
+
+
 def lognormal_mse_nonparametric(p: LognormalParams, n: int) -> float:
-    """Exact MSE of the sample mean (it is unbiased, so this is its variance)."""
+    """Exact MSE of the sample mean (it is unbiased, so this is its variance);
+    NumericsError where it overflows a double."""
     _check_sample_size(n, 1)
-    b2 = p.log_sd**2
-    return math.exp(2.0 * p.log_mean + b2) * math.expm1(b2) / n
+    return _mse(p, n, _nonparametric_exponent(p.log_sd**2))
 
 
 def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
@@ -65,7 +103,8 @@ def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
 
     Finite only when the squared log-spread is below (n-1)/2; below that
     sample size the estimator has no second moment and the MSE is infinite
-    (returned as a value, not an error).
+    (returned as a value, not an error).  NumericsError where a finite MSE
+    overflows a double.
 
     With m = n - 1 and x = b^2/m the MSE is exp(2a + b^2/n) (A - B), where
     A = exp(b^2/n) (1 - 2x)^(-m/2) and B = (1 - x)^(-m).  For small spreads
@@ -74,15 +113,7 @@ def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
     log A - log B = b^2/n + (m/2) log1p(x^2 / (1 - 2x)), free of cancellation.
     """
     _check_sample_size(n, 2)
-    b2 = p.log_sd**2
-    if b2 >= 0.5 * (n - 1):
-        return math.inf
-    m = n - 1.0
-    x = b2 / m
-    log_b = -m * math.log1p(-x)
-    return math.exp(2.0 * p.log_mean + b2 / n + log_b) * math.expm1(
-        b2 / n + 0.5 * m * math.log1p(x * x / (1.0 - 2.0 * x))
-    )
+    return _mse(p, n, *_parametric_parts(p.log_sd**2, n))
 
 
 # the crossover scan's largest sample size, and how many sizes past a
@@ -94,17 +125,24 @@ _VERIFY_WINDOW = 200
 def lognormal_crossover(log_sd: float) -> CrossoverResult:
     """Largest n at which the sample mean beats the parametric estimator.
 
-    Scans upward from n = 2 using the exact MSE formulas (an infinite
+    Scans upward from n = 2 comparing the logarithms of the exact MSEs, in
+    which the log mean cancels and nothing overflows (an infinite
     parametric MSE counts as a loss), then re-verifies that the parametric
-    estimator stays ahead over the next `_VERIFY_WINDOW` sample sizes.
+    estimator stays ahead over the next `_VERIFY_WINDOW` sample sizes.  The
+    crossover stays exact where the MSEs differ by less than an ulp of either.
     """
-    p = LognormalParams(0.0, log_sd)
+    b2 = LognormalParams(0.0, log_sd).log_sd ** 2  # log_sd checked
+
+    def parametric_wins(n: int) -> bool:
+        exponent, rho = _parametric_parts(b2, n)
+        return exponent - _nonparametric_exponent(b2) + math.log1p(rho) < 0.0
+
     n = 2
     while n <= _MAX_N:
-        if lognormal_mse_parametric(p, n) < lognormal_mse_nonparametric(p, n):
+        if parametric_wins(n):
             n_crossover = n - 1
             for k in range(n + 1, n + 1 + _VERIFY_WINDOW):
-                if not lognormal_mse_parametric(p, k) < lognormal_mse_nonparametric(p, k):
+                if not parametric_wins(k):
                     raise NumericsError(
                         f"crossover at n={n_crossover} is not clean: parametric "
                         f"loses again at n={k}"

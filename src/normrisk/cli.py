@@ -47,7 +47,7 @@ from .parametric import (
     exact_mise_plugin,
     exact_mise_umvu,
     exact_mse_plugin,
-    plugin_mise_coefficients,
+    plugin_mise_column,
 )
 
 TABLE_SAMPLE_SIZES = tuple(range(3, 21)) + (50, 100, 1000)
@@ -82,45 +82,48 @@ class RiskCurve:
     points: tuple[tuple[float, float, float, float], ...]  # (x, bias, sd, rmse)
 
 
-def comparison_row(n: int) -> ComparisonRow:
-    """Compute one table row from scratch.
+def comparison_row(n: int, plugin_mise: float) -> ComparisonRow:
+    """Compute one table row, given its plug-in MISE, the benchmark that
+    every ratio is taken against (`plugin_mise_column` gives a table's).
 
-    Each quadrature term runs at its own tolerance: 1e-10 for the plug-in
-    MISE, 1e-11 for the two real MISE values.
+    Both real MISE values run at their own tolerance of 1e-11.
     """
     _check_sample_size(n, 3)
-    bench = exact_mise_plugin(STD_NORMAL, n).value
     normal = rule_of_thumb(NORMAL_KERNEL, n)
     epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n)
     return ComparisonRow(
         n=n,
-        plugin_mise=bench,
-        umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / bench,
+        plugin_mise=plugin_mise,
+        umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / plugin_mise,
         b_n=optimal_bandwidth_constant(NORMAL_KERNEL, n),
-        normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / bench,
-        normal_ratio2=real_mise_exact(normal, n).value / bench,
+        normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / plugin_mise,
+        normal_ratio2=real_mise_exact(normal, n).value / plugin_mise,
         c_n=optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
-        epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / bench,
-        epan_ratio2=real_mise_exact(epan, n).value / bench,
+        epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / plugin_mise,
+        epan_ratio2=real_mise_exact(epan, n).value / plugin_mise,
     )
 
 
-def _risk_curve(label: str, xs: np.ndarray, bias, sd, mse) -> RiskCurve:
-    columns = (xs, bias, sd, np.sqrt(mse))
-    return RiskCurve(label, tuple(zip(*(c.tolist() for c in columns))))
-
-
-def parametric_risk_curve(n: int, xs: Sequence[float], p: NormalParams = STD_NORMAL) -> RiskCurve:
-    xs = np.asarray(xs, dtype=float)
-    bias, variance, mse = exact_mse_plugin(xs, p, n)
-    return _risk_curve("parametric_plugin", xs, bias, np.sqrt(np.maximum(variance, 0.0)), mse)
-
-
-def kernel_risk_curve(
-    kernel, n: int, h: float, xs: Sequence[float], p: NormalParams = STD_NORMAL
+def risk_curve(
+    n: int, xs: Sequence[float], p: NormalParams, kernel: Optional[Kernel] = None, hs: float = 0.0
 ) -> RiskCurve:
+    """Bias, sd and rmse over xs of the plug-in estimator, or of `kernel` at
+    bandwidth hs * sigma: the standard-scale values at y = (x - mu)/sigma,
+    divided by sigma, so finite wherever they are.  y stops at +-1e150,
+    where every density is 0 and no square overflows."""
     xs = np.asarray(xs, dtype=float)
-    return _risk_curve(f"{kernel.name}_kernel", xs, *exact_mse_kernel(kernel, xs, p, n, h))
+    y = np.clip(xs - p.mu, -1e150 * p.sigma, 1e150 * p.sigma) / p.sigma
+    if kernel is None:
+        bias, variance, mse = exact_mse_plugin(y, STD_NORMAL, n)
+        label, sd = "parametric_plugin", np.sqrt(np.maximum(variance, 0.0))
+    else:
+        bias, sd, mse = exact_mse_kernel(kernel, y, STD_NORMAL, n, hs)
+        label = f"{kernel.name}_kernel"
+    with np.errstate(over="ignore"):
+        columns = (xs, bias / p.sigma, sd / p.sigma, np.sqrt(mse) / p.sigma)
+    if not np.isfinite(columns).all():
+        raise ValueError(f"sigma={p.sigma!r} is too small: the risk overflows a double")
+    return RiskCurve(label, tuple(zip(*(c.tolist() for c in columns))))
 
 
 def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -> list[RiskCurve]:
@@ -134,12 +137,11 @@ def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -
         raise ValueError("figure number must be 1 or 2")
     _check_sample_size(n, 3)
     p = NormalParams(0.0, sigma)
-    h_epan = rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier * sigma
-    epan = kernel_risk_curve(EPANECHNIKOV_KERNEL, n, h_epan, xs, p)
+    # at the standard scale, a rule's bandwidth is its multiplier
+    epan = risk_curve(n, xs, p, EPANECHNIKOV_KERNEL, rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier)
     if which == 1:
-        return [parametric_risk_curve(n, xs, p), epan]
-    h_norm = rule_of_thumb(NORMAL_KERNEL, n).multiplier * sigma
-    return [kernel_risk_curve(NORMAL_KERNEL, n, h_norm, xs, p), epan]
+        return [risk_curve(n, xs, p), epan]
+    return [risk_curve(n, xs, p, NORMAL_KERNEL, rule_of_thumb(NORMAL_KERNEL, n).multiplier), epan]
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +211,8 @@ def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
 
 def _cmd_table(args: argparse.Namespace) -> None:
     ns = args.n if args.n else list(TABLE_SAMPLE_SIZES)
-    # the plug-in column as one integral; each row then reads it from the cache
-    plugin_mise_coefficients(ns)
-    records = [asdict(comparison_row(n)) for n in ns]
+    # the plug-in column as one integral, each row given its value
+    records = [asdict(comparison_row(n, b)) for n, b in zip(ns, plugin_mise_column(STD_NORMAL, ns))]
     for record in records:
         if math.isinf(record["umvu_ratio"]):
             record["umvu_ratio_infinite"] = True
@@ -255,12 +256,12 @@ def _cmd_mse_curve(args: argparse.Namespace) -> None:
     p = NormalParams(0.0, args.sigma)
     if args.estimator == "plugin":
         _reject_kernel_flags(args)
-        curve = parametric_risk_curve(args.n, xs, p)
+        curve = risk_curve(args.n, xs, p)
     else:
         kernel = _kernel(args)
         # --h is the bandwidth itself, as in `mise`; the rule scales with sigma
-        h = rule_of_thumb(kernel, args.n).multiplier * args.sigma if args.rule else args.h
-        curve = kernel_risk_curve(kernel, args.n, h, xs, p)
+        hs = rule_of_thumb(kernel, args.n).multiplier if args.rule else args.h / args.sigma
+        curve = risk_curve(args.n, xs, p, kernel, hs)
     _emit(args, _CURVE_COLUMNS, _curve_records([curve]))
 
 

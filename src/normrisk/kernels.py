@@ -30,7 +30,7 @@ from .numerics import (
     _legendre_rule,
     std_normal_pdf,
 )
-from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, TWO_SQRT_PI
+from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, STD_NORMAL, TWO_SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,8 @@ def exact_moments(kernel: Kernel, x: float, p: NormalParams, n: int, h: float) -
         e0, a0 = _e0_normal(y, hs), _a0_normal(y, hs)
     else:
         e0, a0 = _epan_moments(y, hs)
-    mean = e0 / p.sigma
-    ksq = a0 / p.sigma
-    variance = ksq / (n * h) - mean * mean / n
-    return ExactMoments(mean=mean, kernel_sq_mean=ksq, variance=variance)
+    variance = (a0 / (n * hs) - e0 * e0 / n) / p.sigma / p.sigma
+    return ExactMoments(mean=e0 / p.sigma, kernel_sq_mean=a0 / p.sigma, variance=variance)
 
 
 class KernelMse(NamedTuple):
@@ -176,13 +174,15 @@ class KernelMse(NamedTuple):
 def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> KernelMse:
     """Exact pointwise bias, standard deviation and MSE of the estimator.
 
-    Elementwise in x: an array of points gives arrays of its shape.
+    Elementwise in x: an array of points gives arrays of its shape.  Bias and
+    sd are the standard-scale ones over sigma, finite wherever they are.
     """
-    m = exact_moments(kernel, x, p, n, h)
-    f_true = std_normal_pdf((x - p.mu) / p.sigma) / p.sigma
-    bias = m.mean - f_true
-    sd = np.sqrt(np.maximum(m.variance, 0.0))
-    return KernelMse(bias=bias, sd=sd if sd.ndim else float(sd), mse=bias * bias + m.variance)
+    y = (x - p.mu) / p.sigma
+    m = exact_moments(kernel, y, STD_NORMAL, n, h / p.sigma)
+    bias = (m.mean - std_normal_pdf(y)) / p.sigma
+    sd = np.sqrt(np.maximum(m.variance, 0.0)) / p.sigma
+    mse = bias * bias + m.variance / p.sigma / p.sigma
+    return KernelMse(bias=bias, sd=sd if sd.ndim else float(sd), mse=mse)
 
 
 def _overlap_term(h: float) -> float:

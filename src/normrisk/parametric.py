@@ -136,7 +136,7 @@ def exact_mse_plugin(x, p: NormalParams, n: int) -> MseParts:
     if y.ndim == 0:
         mean0, second0 = float(mean0), float(second0)
     bias = (mean0 - std_normal_pdf(y)) / p.sigma
-    variance = (second0 - mean0 * mean0) / (p.sigma * p.sigma)
+    variance = (second0 - mean0 * mean0) / p.sigma / p.sigma
     return MseParts(bias=bias, variance=variance, mse=bias * bias + variance)
 
 
@@ -152,48 +152,30 @@ def _mise_integrand(n, z, d):
     return d * d * (1.0 / z + 0.5) + 0.5 / n - q * q * (r + 2.0) / (r * (r + 1.0) ** 2)
 
 
-#: n -> `plugin_mise_coefficient(n)`, filled one scaled-chi column at a time
-_MISE_COEFFICIENTS: dict[int, float] = {}
-
-
 def plugin_mise_coefficients(ns: Sequence[int]) -> list[float]:
-    """`plugin_mise_coefficient` at every n of ns, in order.
-
-    The n not yet cached are integrated together, as one scaled-chi column
-    (`scaled_chi_column`), and cached.  So a value depends, to within
-    1.2e-15 relative, on the column that first computed it: the n = 5 of
-    `plugin_mise_coefficients((5,))` and of the table's column can differ
-    in their last bits, and whichever came first in the process is kept.
-    """
-    for n in ns:
-        _check_sample_size(n, 3)
-    missing = list(dict.fromkeys(int(n) for n in ns if n not in _MISE_COEFFICIENTS))
-    if missing:
-        values = scaled_chi_column(_mise_integrand, missing)
-        for n, value in zip(missing, values.tolist()):
-            _MISE_COEFFICIENTS[n] = n * value
-    return [_MISE_COEFFICIENTS[n] for n in ns]
-
-
-def plugin_mise_coefficient(n: int) -> float:
-    """The stabilized MISE sequence: n * 2*sqrt(pi) * sigma * MISE.
+    """The stabilized MISE sequence, n * 2*sqrt(pi) * sigma * MISE, at every
+    n of ns, in order.
 
     Decreases slowly and monotonically to 7/8 as n grows.  It is n E f(Z)
     over the scaled-chi law of Z = sigma_hat/sigma, with every term of f
-    O((Z-1)^2) or O(1/n), so nothing cancels as n grows; an n not cached is
-    a `scaled_chi_column` of one, and `plugin_mise_coefficients` integrates
-    many n together; the cached value is the one from the first column that
-    held n, which can differ from a column of one by up to 1.2e-15
-    relative.  Within 3e-15 relative of the 40-digit oracle at n = 10^4,
-    10^5 and 10^6.
+    O((Z-1)^2) or O(1/n), so nothing cancels as n grows.  The distinct n,
+    in order of first appearance, are integrated together as one
+    scaled-chi column (`scaled_chi_column`).  Within 3e-15 relative of the
+    40-digit oracle at n = 10^4, 10^5 and 10^6.
     """
-    return plugin_mise_coefficients((n,))[0]
+    distinct = list(dict.fromkeys(ns))
+    values = dict(zip(distinct, scaled_chi_column(_mise_integrand, distinct).tolist()))
+    return [int(n) * values[n] for n in ns]
+
+
+def plugin_mise_column(p: NormalParams, ns: Sequence[int]) -> list[float]:
+    """Exact plug-in MISE at every n of ns, in order, from one column of coefficients."""
+    return [c / (n * TWO_SQRT_PI * p.sigma) for n, c in zip(ns, plugin_mise_coefficients(ns))]
 
 
 def exact_mise_plugin(p: NormalParams, n: int) -> MiseReport:
-    """Exact MISE of the plug-in estimator, by quadrature."""
-    value = plugin_mise_coefficient(n) / (n * TWO_SQRT_PI * p.sigma)
-    return MiseReport(value=value, method="quadrature")
+    """Exact MISE of the plug-in estimator, by quadrature: a column of one."""
+    return MiseReport(value=plugin_mise_column(p, (n,))[0], method="quadrature")
 
 
 def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:

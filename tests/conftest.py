@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from normrisk.cli import TABLE_SAMPLE_SIZES, comparison_row
+from normrisk.parametric import STD_NORMAL, plugin_mise_column
 
 settings.register_profile(
     "suite",
@@ -64,5 +65,8 @@ assert tuple(sorted(PUBLISHED_TABLE)) == tuple(sorted(TABLE_SAMPLE_SIZES))
 @pytest.fixture(scope="session")
 def table_rows():
     """Full comparison table, computed once for the whole session."""
-    return {n: comparison_row(n) for n in TABLE_SAMPLE_SIZES}
+    # the plug-in column as `normrisk table` computes it, so that these rows
+    # equal the command's full-precision output
+    benches = plugin_mise_column(STD_NORMAL, TABLE_SAMPLE_SIZES)
+    return {n: comparison_row(n, b) for n, b in zip(TABLE_SAMPLE_SIZES, benches)}
 

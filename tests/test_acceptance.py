@@ -50,7 +50,7 @@ from normrisk.parametric import (
     asymptotic_mise_general,
     exact_mise_plugin,
     exact_mse_plugin,
-    plugin_mise_coefficient,
+    plugin_mise_coefficients,
 )
 
 
@@ -192,7 +192,7 @@ def test_c07_generic_equals_closed():
 
 @pytest.fixture(scope="module")
 def mise_coefficients():
-    return {n: plugin_mise_coefficient(n) for n in range(3, 1001)}
+    return {n: plugin_mise_coefficients([n])[0] for n in range(3, 1001)}
 
 
 def test_c08a_coefficient_monotone(mise_coefficients):
@@ -211,7 +211,8 @@ def test_c08a_coefficient_monotone(mise_coefficients):
 def test_c08b_expansion_remainder_bounded():
     grid = [20, 35, 50, 100, 200, 350, 500, 750, 1000]
     residuals = {
-        n: n * n * abs(plugin_mise_coefficient(n) - 7.0 / 8.0 - (271.0 / 96.0) / n) for n in grid
+        n: n * n * abs(plugin_mise_coefficients([n])[0] - 7.0 / 8.0 - (271.0 / 96.0) / n)
+        for n in grid
     }
     bound = 1.25 * residuals[20]
     growing = [n for n in grid if residuals[n] > bound]

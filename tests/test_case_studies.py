@@ -20,6 +20,7 @@ from normrisk.case_studies import (
     skew_normal_density,
     skew_normal_score,
 )
+from normrisk.numerics import NumericsError
 from normrisk.parametric import PLUGIN_AMISE_CONSTANT
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -31,8 +32,9 @@ def phi(x):
 
 CROSSOVERS = {0.2: 312, 0.4: 87, 0.6: 45, 0.8: 31, 1.0: 25, 1.2: 22}
 # small spreads, beyond the published ones: crossovers of the exact MSE
-# formulas evaluated at 50 digits with mpmath
-SMALL_SPREAD_CROSSOVERS = {0.01: 120012, 0.05: 4812, 0.1: 1212}
+# formulas evaluated at 50 digits with mpmath; at b = 0.004 and 0.005 the two
+# MSEs at the crossover differ by 1.4e-17 and 5.4e-17 relative, under an ulp
+SMALL_SPREAD_CROSSOVERS = {0.004: 750012, 0.005: 480012, 0.01: 120012, 0.05: 4812, 0.1: 1212}
 
 
 class TestLognormalMse:
@@ -61,6 +63,18 @@ class TestLognormalMse:
     def test_params_reject_non_finite(self, a, b):
         with pytest.raises(ValueError):
             LognormalParams(a, b)
+
+    @pytest.mark.parametrize(
+        "p,n", [(LognormalParams(0.0, 20.0), 1011), (LognormalParams(400.0, 1.0), 25)]
+    )
+    def test_overflowing_mse_raises(self, p, n):
+        for mse in (lognormal_mse_nonparametric, lognormal_mse_parametric):
+            with pytest.raises(NumericsError, match="overflows a double"):
+                mse(p, n)
+
+    def test_infinite_parametric_mse_at_a_far_log_mean(self):
+        # an MSE that does not exist stays infinite wherever the log mean is
+        assert lognormal_mse_parametric(LognormalParams(-1e308, 1.0), 2) == math.inf
 
     def test_parametric_blows_up_below_threshold(self):
         assert lognormal_mse_parametric(LognormalParams(0.0, 1.0), 2) == math.inf
@@ -133,24 +147,34 @@ class TestLognormalAgainstMpmath:
     the float forms used to cancel."""
 
     @staticmethod
-    def reference(b, n):
-        with mpmath.workdps(50):
-            b2 = mpmath.mpf(b) ** 2
-            m = mpmath.mpf(n - 1)
-            nonparametric = mpmath.exp(b2) * mpmath.expm1(b2) / n
-            parametric = mpmath.exp(b2 / n) * (
-                mpmath.exp(b2 / n) * (1 - 2 * b2 / m) ** (-m / 2) - (1 - b2 / m) ** (-m)
-            )
-            return float(nonparametric), float(parametric)
+    def exact(b, n):
+        # both MSEs at log mean 0, in mpmath's working precision
+        b2 = mpmath.mpf(b) ** 2
+        m = mpmath.mpf(n - 1)
+        nonparametric = mpmath.exp(b2) * mpmath.expm1(b2) / n
+        parametric = mpmath.exp(b2 / n) * (
+            mpmath.exp(b2 / n) * (1 - 2 * b2 / m) ** (-m / 2) - (1 - b2 / m) ** (-m)
+        )
+        return nonparametric, parametric
 
     @pytest.mark.parametrize(
         "b,n", [(0.01, 120012), (0.05, 4812), (0.1, 1212), (0.2, 30), (1.0, 4), (1.2, 1000)]
     )
     def test_relative_error(self, b, n):
         p = LognormalParams(0.0, b)
-        nonparametric, parametric = self.reference(b, n)
+        with mpmath.workdps(50):
+            nonparametric, parametric = map(float, self.exact(b, n))
         assert lognormal_mse_nonparametric(p, n) == pytest.approx(nonparametric, rel=1e-13)
         assert lognormal_mse_parametric(p, n) == pytest.approx(parametric, rel=1e-13)
+
+    @pytest.mark.parametrize("b,n0", [(13, 431), (15, 572), (20, 1011), (100, 25110)])
+    def test_large_spread_crossovers(self, b, n0):
+        # exp of these MSEs overflows a double; the scan compares their logs
+        assert lognormal_crossover(b).n_crossover == n0
+        with mpmath.workdps(60):
+            for n, parametric_wins in ((n0, False), (n0 + 1, True)):
+                nonparametric, parametric = self.exact(b, n)
+                assert (parametric < nonparametric) == parametric_wins, n
 
 
 class TestSkewFamily:

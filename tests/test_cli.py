@@ -28,6 +28,7 @@ from normrisk.parametric import (
     NormalParams,
     exact_mise_plugin,
     exact_mse_plugin,
+    plugin_mise_column,
 )
 from tests.conftest import PUBLISHED_TABLE
 
@@ -66,10 +67,7 @@ def run_cli(args, tmp_path, name="out.txt"):
 
 
 def count_quadrature(monkeypatch):
-    """Record the panels of every integrand call and the calls of every integral.
-
-    Also empties the plug-in MISE cache, so that its integral runs again.
-    """
+    """Record the panels of every integrand call and the calls of every integral."""
     gk15 = numerics._gk15
     integrate = numerics.integrate
     panels = []
@@ -88,7 +86,6 @@ def count_quadrature(monkeypatch):
     monkeypatch.setattr(numerics, "_gk15", counting_gk15)
     for module in (numerics, parametric, bandwidth):
         monkeypatch.setattr(module, "integrate", counting_integrate)
-    monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
     return panels, calls
 
 
@@ -149,9 +146,7 @@ class TestTableCommand:
 
         for module in (numerics, parametric, bandwidth):
             monkeypatch.setattr(module, "integrate", recording)
-        # the plug-in term is cached per n
-        monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
-        cli.comparison_row(5)
+        cli.comparison_row(5, exact_mise_plugin(STD_NORMAL, 5).value)
         assert seen == [DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE, REAL_MISE_QUADRATURE]
 
     def test_quadrature_work_per_table(self, monkeypatch):
@@ -160,10 +155,20 @@ class TestTableCommand:
         # and the panels stay within the 778 that one-panel splits took
         panels, calls = count_quadrature(monkeypatch)
         for n in cli.TABLE_SAMPLE_SIZES:
-            cli.comparison_row(n)
+            cli.comparison_row(n, exact_mise_plugin(STD_NORMAL, n).value)
         assert len(calls) == 3 * len(cli.TABLE_SAMPLE_SIZES)
         assert max(calls) <= 4, calls
         assert sum(panels) <= 778
+
+    def test_output_does_not_depend_on_earlier_calls(self, capsys):
+        # each table computes its plug-in column afresh: values computed
+        # earlier in the process, one n at a time, do not reach its output,
+        # which equals a fresh process's bit for bit
+        fresh = run_probe("from normrisk.cli import main; main(['table', '--format', 'json'])")
+        for n in cli.TABLE_SAMPLE_SIZES:
+            exact_mise_plugin(STD_NORMAL, n)
+        assert main(["table", "--format", "json"]) == 0
+        assert capsys.readouterr().out == fresh
 
     def test_quadrature_work_of_the_table_command(self, monkeypatch, capsys):
         # the plug-in column is one integral of at most 4 integrand calls, made
@@ -476,6 +481,36 @@ class TestCurveCommands:
     def test_bad_grid(self):
         assert main(["figure", "--which", "1", "--x-min", "2", "--x-max", "-2"]) == 2
 
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e200])
+    def test_figure_at_extreme_sigma(self, which, sigma, capsys):
+        # the scale identity: each field is the sigma = 1 value at x/sigma,
+        # divided by sigma; sd read nan at 1e-160 and 0 at 1e200
+        argv = ["figure", "--which", str(which), "--n", "3", "--sigma", str(sigma)]
+        assert main([*argv, "--x-step", "0.5", "--format", "json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        xs = np.array([r["x"] for r in records[: len(records) // 2]])
+        standard = cli.figure_curves(which, 3, xs / sigma, 1.0)
+        points = [point for curve in standard for point in curve.points]
+        assert len(points) == len(records)
+        for record, (_, *fields) in zip(records, points):
+            for key, field in zip(("bias", "sd", "rmse"), fields):
+                assert math.isfinite(record[key])
+                assert record[key] == pytest.approx(field / sigma, rel=1e-12, abs=0)
+        assert any(record["sd"] > 0 for record in records)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e200])
+    def test_kernel_sd_at_extreme_sigma(self, sigma):
+        for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL):
+            scaled = exact_mse_kernel(kernel, 0.0, NormalParams(0.0, sigma), 3, 0.8 * sigma)
+            standard = exact_mse_kernel(kernel, 0.0, STD_NORMAL, 3, 0.8)
+            assert scaled.bias == pytest.approx(standard.bias / sigma, rel=1e-12, abs=0)
+            assert scaled.sd == pytest.approx(standard.sd / sigma, rel=1e-12, abs=0)
+
+    def test_figure_rejects_an_overflowing_sigma(self, capsys):
+        assert main(["figure", "--which", "1", "--n", "3", "--sigma", "1e-320"]) == 2
+        assert "sigma=1e-320 is too small: the risk overflows a double" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_bandwidth_constants(self, tmp_path):
@@ -506,6 +541,14 @@ class TestOtherCommands:
         assert code == 0
         assert text == "b,n0\n0.2,312\n1,25\n"
 
+    def test_lognormal_large_spreads(self, capsys):
+        # exp of the MSE leaves the double range from b = 13 on: the scan
+        # compares logarithms, confirmed against 60-digit mpmath
+        assert main(["lognormal", "--b", "13", "20", "100"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "b,n0\n13,431\n20,1011\n100,25110\n"
+        assert err == ""
+
     def test_lognormal_empty_list(self, tmp_path):
         code, text = run_cli(["lognormal", "--b"], tmp_path)
         assert code == 0
@@ -525,7 +568,9 @@ class TestOtherCommands:
 
 
 def _table_records(*ns):
-    records = [dataclasses.asdict(cli.comparison_row(n)) for n in ns]
+    # the rows of one table, given its plug-in column as `normrisk table` does
+    benches = plugin_mise_column(STD_NORMAL, ns)
+    records = [dataclasses.asdict(cli.comparison_row(n, b)) for n, b in zip(ns, benches)]
     for record in records:
         if math.isinf(record["umvu_ratio"]):
             record.update(umvu_ratio=None, umvu_ratio_infinite=True)
@@ -735,6 +780,7 @@ def run_probe(probe):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def test_import_loads_no_scipy_and_loads_numpy_random():

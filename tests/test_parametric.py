@@ -39,7 +39,6 @@ from normrisk.parametric import (
     exact_mise_plugin,
     exact_mise_umvu,
     exact_mse_plugin,
-    plugin_mise_coefficient,
     plugin_mise_coefficients,
 )
 
@@ -256,9 +255,8 @@ class TestExactMise:
             exact_mise_plugin(STD_NORMAL, 8).value / p.sigma, rel=1e-12
         )
 
-    def test_large_n_column_against_oracle(self, monkeypatch):
+    def test_large_n_column_against_oracle(self):
         # the three large-n rows of the table, integrated together
-        monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
         oracle = json.loads((Path(__file__).parents[1] / "bench" / "oracle.json").read_text())
         ns = [10**4, 10**5, 10**6]
         for n, coefficient in zip(ns, plugin_mise_coefficients(ns)):
@@ -267,13 +265,12 @@ class TestExactMise:
             assert value == pytest.approx(reference, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("ns", [[3, 10**6], [10**6, 3], [5, 5, 3]])
-    def test_column_mixes(self, ns, monkeypatch):
+    def test_column_mixes(self, ns):
         # a shared variable z with only the modes as breakpoints once put the
         # n = 10^6 spike between two wide panels and its MISE 99.7 % off;
         # in t every n keeps its value whatever it is integrated with
-        monkeypatch.setattr(parametric, "_MISE_COEFFICIENTS", {})
         together = plugin_mise_coefficients(ns)
-        assert len(together) == len(ns) and together[0] == plugin_mise_coefficient(ns[0])
+        assert len(together) == len(ns)
         for n, value in zip(ns, together):
             alone = n * scaled_chi_column(parametric._mise_integrand, [n])[0]
             assert value == pytest.approx(alone, rel=1e-13, abs=0)
@@ -292,7 +289,7 @@ class TestExactMise:
             assert value == pytest.approx(alone, rel=1e-13, abs=0), n
 
     def test_coefficient_monotone_decreasing(self):
-        values = [plugin_mise_coefficient(n) for n in range(3, 201)]
+        values = [plugin_mise_coefficients([n])[0] for n in range(3, 201)]
         diffs = np.diff(values)
         assert np.all(diffs < 0)
 
