@@ -38,11 +38,11 @@ from .kernels import (
     kernel_self_convolution,
 )
 from .numerics import (
+    _LEGENDRE_NODES,
+    _LEGENDRE_WEIGHTS,
     MinimizationError,
-    QuadratureConfig,
     _bisect,
     _check_sample_size,
-    _legendre_rule,
     gamma_half_ratio,
     integrate,
     kummer_m_half,
@@ -55,8 +55,8 @@ from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI
 #: search brackets for the bandwidth constant, per kernel
 CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
 
-#: the real MISE's own tolerance, a digit below the package default
-REAL_MISE_QUADRATURE = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
+#: the real MISE's own quadrature target, a digit below the package default
+REAL_MISE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _epan_slope_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # to 1e-15 for every h the brackets allow (h < 9).  Returned: -u^2/4 at
     # the nodes mapped onto [0, 1], then onto [0, 1/2], and the weights of
     # the two integrals without g(hu)
-    x, w = _legendre_rule()
+    x, w = _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
     u_pair, u_overlap = 0.5 * (x + 1.0), 0.25 * (x + 1.0)
     w_pair = 0.5 * w * u_pair**2 * gk_epanechnikov(u_pair) / TWO_SQRT_PI
     w_overlap = 0.25 * w * u_overlap**2 * kernel_eval(EPANECHNIKOV_KERNEL, u_overlap) / TWO_SQRT_PI
@@ -207,7 +207,7 @@ def _support_expectation(
     def integrand(theta):
         return fn(edge * np.sin(theta)) * const * edge * np.cos(theta) ** (n - 3)
 
-    return integrate(integrand, -theta_max, theta_max, REAL_MISE_QUADRATURE, points=points)
+    return integrate(integrand, -theta_max, theta_max, REAL_MISE_TOL, points=points)
 
 
 def expected_density_at(n: int, w):
@@ -274,7 +274,7 @@ def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
         s2 = 1.0 + 1.0 / n + (a * z) ** 2
         return kummer_m_half(b, z * z * e2 / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
 
-    truth = scaled_chi_expectation(truth_overlap, n, REAL_MISE_QUADRATURE)
+    truth = scaled_chi_expectation(truth_overlap, n, REAL_MISE_TOL)
     return _real_mise(rule, n, pair_overlap, truth)
 
 
@@ -306,10 +306,9 @@ def real_mise_nested(rule: BandwidthRule, n: int) -> MiseReport:
         span, panels = 8.5, 8 * math.ceil(a / 3.0)
     else:
         span, panels = kernel.halfwidth, math.ceil(a / 4.5)
-    x, w = _legendre_rule()
     half = span / panels
-    u = (half * (2 * np.arange(panels) + 1 - panels)[:, None] + half * x).ravel()
-    wk = np.tile(half * w, panels) * kernel_eval(kernel, u)
+    u = (half * (2 * np.arange(panels) + 1 - panels)[:, None] + half * _LEGENDRE_NODES).ravel()
+    wk = np.tile(half * _LEGENDRE_WEIGHTS, panels) * kernel_eval(kernel, u)
 
     def overlaps(r):
         pair = kernel_self_convolution(kernel, r * pair_scale) / a

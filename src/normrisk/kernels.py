@@ -25,9 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (
+    _LEGENDRE_NODES,
+    _LEGENDRE_WEIGHTS,
     _check_sample_size,
     _check_out,
-    _legendre_rule,
     std_normal_pdf,
 )
 from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, STD_NORMAL, TWO_SQRT_PI
@@ -119,11 +120,10 @@ def _epan_moments(y, h: float):
     panels = 1 if h <= 8.0 else 2
     lo = np.maximum(-0.5, (-reach - y) / h)[..., None]
     half = (np.minimum(0.5, (reach - y) / h)[..., None] - lo) / (2 * panels)
-    x, w = _legendre_rule()
-    offsets = (2.0 * np.arange(panels)[:, None] + 1.0 + x).ravel()
+    offsets = (2.0 * np.arange(panels)[:, None] + 1.0 + _LEGENDRE_NODES).ravel()
     u = lo + half * offsets
     k = kernel_eval(EPANECHNIKOV_KERNEL, u)
-    weighted = half * np.tile(w, panels) * k * std_normal_pdf(y[..., None] + h * u)
+    weighted = half * np.tile(_LEGENDRE_WEIGHTS, panels) * k * std_normal_pdf(y[..., None] + h * u)
     e0 = np.sum(weighted, axis=-1)
     a0 = np.sum(weighted * k, axis=-1)
     return (float(e0), float(a0)) if y.ndim == 0 else (e0, a0)

@@ -1,8 +1,8 @@
 """Self-contained numerical kernel used by the risk modules.
 
 Provides adaptive Gauss-Kronrod quadrature over finite intervals, the
-one fixed 32-point Gauss-Legendre rule (`_legendre_rule`) that the
-kernel and bandwidth modules share, the standard normal density and log
+one fixed 32-point Gauss-Legendre rule (`_LEGENDRE_NODES`,
+`_LEGENDRE_WEIGHTS`) that the kernel and bandwidth modules share, the standard normal density and log
 cdf, the gamma-function ratio and the Kummer function the risk formulas
 need, the sampling density of the scaled sample standard deviation and
 every expectation over it: one adaptive integral each
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -52,25 +51,8 @@ class MinimizationError(NumericsError):
     """Scalar minimization failed (bad bracket or edge minimum)."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error targets for adaptive quadrature.
-
-    The integral estimate I is accepted once the accumulated error bound
-    drops below ``max(abs_tol, rel_tol * |I|)``.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        if not 0 <= self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be nonnegative and finite, got {self.rel_tol!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+#: the package's quadrature error target: absolute below 1, relative above
+DEFAULT_TOL = 1e-10
 
 #: panel splits after which `integrate` gives up on a target it cannot reach
 _MAX_SUBDIVISIONS = 4096
@@ -151,7 +133,7 @@ def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
     points: Sequence[float] = (),
 ) -> float | np.ndarray:
     """Adaptively integrate f over (lo, hi).
@@ -173,14 +155,17 @@ def integrate(
     and never fewer than one split.
 
     Raises QuadratureError when the summed error bound cannot be brought
-    below max(abs_tol, rel_tol * min_j |I_j|) within 4096 panel splits, so
-    that every component I_j meets its own target, or when f returns a NaN
-    or an infinity; either message names the panel at fault.  TypeError
-    when f does not return the node axis last (a scalar-only f, for one);
-    ValueError unless lo < hi, both finite.
+    below tol * max(1, min_j |I_j|) within 4096 panel splits, so that every
+    component I_j meets its own target, or when f returns a NaN or an
+    infinity; either message names the panel at fault.  TypeError when f
+    does not return the node axis last (a scalar-only f, for one);
+    ValueError unless lo < hi, both finite, and unless 0 < tol < inf (an
+    infinite target would stop after the first pass).
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"invalid interval: need finite lo={lo!r} < hi={hi!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     cuts = sorted({lo, hi, *(p for p in points if lo < p < hi)})
     panels = list(zip(cuts[:-1], cuts[1:]))
@@ -198,7 +183,7 @@ def integrate(
 
     splits = 0
     while True:
-        target = max(cfg.abs_tol, cfg.rel_tol * min(abs(total).flat, default=math.inf))
+        target = tol * max(1.0, min(abs(total).flat, default=math.inf))
         # a bound that overflowed to inf or NaN fails `<=`: it never counts as met
         if err_total <= target:
             return float(total) if np.ndim(total) == 0 else total
@@ -254,13 +239,6 @@ _LEGENDRE_WEIGHTS_POS = np.array((
 ))
 _LEGENDRE_NODES = np.concatenate((-_LEGENDRE_NODES_POS[::-1], _LEGENDRE_NODES_POS))
 _LEGENDRE_WEIGHTS = np.concatenate((_LEGENDRE_WEIGHTS_POS[::-1], _LEGENDRE_WEIGHTS_POS))
-
-
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    # the 32-point Gauss-Legendre rule on [-1, 1], shared by every fixed
-    # rule of the package: the parabolic kernel's pointwise moments and MISE
-    # slope, the kernel sum of the nested real MISE and the Kummer function
-    return _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -434,11 +412,10 @@ def kummer_m_half(b: float, x):
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise ValueError("kummer_m_half requires x >= 0")
-    nodes, w = _legendre_rule()
     half = 0.5 * np.arcsin(np.sqrt(np.minimum(1.0, 40.0 / (x + b - 1.0))))
-    s2 = np.sin(half[..., None] * (1.0 + nodes)) ** 2
+    s2 = np.sin(half[..., None] * (1.0 + _LEGENDRE_NODES)) ** 2
     bell = np.exp((b - 1.0) * np.log1p(-s2) - x[..., None] * s2)
-    out = 2.0 * gamma_half_ratio(b - 0.5) / math.sqrt(math.pi) * half * (bell @ w)
+    out = 2.0 * gamma_half_ratio(b - 0.5) / math.sqrt(math.pi) * half * (bell @ _LEGENDRE_WEIGHTS)
     return float(out) if out.ndim == 0 else out
 
 
@@ -522,7 +499,7 @@ def _scaled_chi_support(n: int) -> tuple[float, float, float]:
 
 
 def scaled_chi_expectation(
-    fn: Callable[[np.ndarray], np.ndarray], n: int, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    fn: Callable[[np.ndarray], np.ndarray], n: int, tol: float = DEFAULT_TOL
 ) -> float | np.ndarray:
     """E fn(Z) for Z = sigma_hat/sigma from a normal sample of size n >= 3.
 
@@ -537,7 +514,7 @@ def scaled_chi_expectation(
     """
     _check_sample_size(n, 3)
     lo, mode, hi = _scaled_chi_support(n)
-    return integrate(lambda z: fn(z) * scaled_chi_pdf(n, z), lo, hi, cfg, points=(mode,))
+    return integrate(lambda z: fn(z) * scaled_chi_pdf(n, z), lo, hi, tol, points=(mode,))
 
 
 def _expm1_minus_identity(u: np.ndarray) -> np.ndarray:
@@ -576,7 +553,7 @@ def scaled_chi_column(
     carries no rounding of z.  The range is the union of each n's support
     (`scaled_chi_expectation`'s, within e^-40 of the peak) mapped to t, from
     t = -58 at n = 3 to about +-9 for large n, with breakpoints at t = -16,
-    -8, -4, -2, -1, 0, 1, 2, 4, 8, at `DEFAULT_QUADRATURE`.  A single n is
+    -8, -4, -2, -1, 0, 1, 2, 4, 8, at `DEFAULT_TOL`.  A single n is
     a column of one.
     """
     ns = list(ns)
@@ -603,4 +580,4 @@ def scaled_chi_column(
         weight = np.exp(log_peak + 0.5 * u - scale * scale * _expm1_minus_identity(u))
         return fn(column, np.exp(log_z), np.expm1(log_z)) * weight
 
-    return integrate(weighted, min(ends), max(ends), DEFAULT_QUADRATURE, points=_COLUMN_BREAKS)
+    return integrate(weighted, min(ends), max(ends), points=_COLUMN_BREAKS)

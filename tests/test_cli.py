@@ -17,11 +17,11 @@ import pytest
 
 import normrisk
 from normrisk import bandwidth, cli, numerics, parametric
-from normrisk.bandwidth import REAL_MISE_QUADRATURE, optimal_bandwidth_constant
+from normrisk.bandwidth import REAL_MISE_TOL, optimal_bandwidth_constant
 from normrisk.case_studies import skew_normal_asymptotic_mise
 from normrisk.cli import main
 from normrisk.kernels import EPANECHNIKOV_KERNEL, KERNELS, NORMAL_KERNEL, exact_mse_kernel
-from normrisk.numerics import DEFAULT_QUADRATURE, QuadratureError
+from normrisk.numerics import DEFAULT_TOL, QuadratureError
 from normrisk.parametric import (
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,
@@ -141,13 +141,14 @@ class TestTableCommand:
         def recording(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            seen.append(bound.arguments["cfg"])
+            seen.append(bound.arguments["tol"])
             return integrate(*args, **kwargs)
 
         for module in (numerics, parametric, bandwidth):
             monkeypatch.setattr(module, "integrate", recording)
         cli.comparison_row(5, exact_mise_plugin(STD_NORMAL, 5).value)
-        assert seen == [DEFAULT_QUADRATURE, REAL_MISE_QUADRATURE, REAL_MISE_QUADRATURE]
+        assert seen == [DEFAULT_TOL, REAL_MISE_TOL, REAL_MISE_TOL]
+        assert seen == [1e-10, 1e-11, 1e-11]
 
     def test_quadrature_work_per_table(self, monkeypatch):
         # each refinement pass is one integrand call: no integral of the
