@@ -125,19 +125,21 @@ _VERIFY_WINDOW = 200
 def lognormal_crossover(log_sd: float) -> CrossoverResult:
     """Largest n at which the sample mean beats the parametric estimator.
 
-    Scans upward from n = 2 comparing the logarithms of the exact MSEs, in
-    which the log mean cancels and nothing overflows (an infinite
-    parametric MSE counts as a loss), then re-verifies that the parametric
-    estimator stays ahead over the next `_VERIFY_WINDOW` sample sizes.  The
-    crossover stays exact where the MSEs differ by less than an ulp of either.
+    Scans upward comparing the logarithms of the exact MSEs, in which the
+    log mean cancels and nothing overflows, then re-verifies that the
+    parametric estimator stays ahead over the next `_VERIFY_WINDOW` sample
+    sizes.  The parametric MSE is infinite, a loss, up to n = 2 b^2 + 1, so
+    the scan starts at max(2, floor(2 b^2)).  The crossover stays exact
+    where the MSEs differ by less than an ulp of either.
     """
-    b2 = LognormalParams(0.0, log_sd).log_sd ** 2  # log_sd checked
+    p = LognormalParams(0.0, log_sd)  # log_sd checked
+    b2 = p.log_sd * p.log_sd  # inf past b = 1e154, where `**` would raise
 
     def parametric_wins(n: int) -> bool:
         exponent, rho = _parametric_parts(b2, n)
         return exponent - _nonparametric_exponent(b2) + math.log1p(rho) < 0.0
 
-    n = 2
+    n = max(2, math.floor(min(2.0 * b2, _MAX_N + 1.0)))
     while n <= _MAX_N:
         if parametric_wins(n):
             n_crossover = n - 1

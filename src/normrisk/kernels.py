@@ -31,7 +31,7 @@ from .numerics import (
     _check_out,
     std_normal_pdf,
 )
-from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, STD_NORMAL, TWO_SQRT_PI
+from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, TWO_SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -129,46 +129,15 @@ def _epan_moments(y, h: float):
     return (float(e0), float(a0)) if y.ndim == 0 else (e0, a0)
 
 
-def _e0_normal(x: float, h: float) -> float:
-    s = math.sqrt(1.0 + h * h)
-    return std_normal_pdf(x / s) / s
-
-
-def _a0_normal(x: float, h: float) -> float:
-    s = math.sqrt(1.0 + 0.5 * h * h)
-    return NORMAL_ROUGHNESS * std_normal_pdf(x / s) / s
-
-
-class ExactMoments(NamedTuple):
-    mean: float            # expected estimator value at x
-    kernel_sq_mean: float  # int K(u)^2 f(x + h u) du
-    variance: float
-
-
-def exact_moments(kernel: Kernel, x: float, p: NormalParams, n: int, h: float) -> ExactMoments:
-    """Exact mean and variance of the kernel estimator at a point.
-
-    In standardized coordinates: closed forms for the normal kernel, a
-    fixed Gauss-Legendre sum (`_epan_moments`) for the parabolic one.
-    """
-    _check_kernel(kernel)
-    _check_sample_size(n, 1)
-    if not 0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    y = (x - p.mu) / p.sigma
-    hs = h / p.sigma
-    if kernel.name == "normal":
-        e0, a0 = _e0_normal(y, hs), _a0_normal(y, hs)
-    else:
-        e0, a0 = _epan_moments(y, hs)
-    variance = (a0 / (n * hs) - e0 * e0 / n) / p.sigma / p.sigma
-    return ExactMoments(mean=e0 / p.sigma, kernel_sq_mean=a0 / p.sigma, variance=variance)
-
-
 class KernelMse(NamedTuple):
     bias: float
     sd: float
     mse: float
+
+
+#: standardized bandwidth above which the parabolic kernel's pointwise
+#: variance is rejected: its a0/h - e0^2 cancels, 7.8e-11 relative at 32
+EPAN_VARIANCE_MAX_H = 32.0
 
 
 def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> KernelMse:
@@ -176,12 +145,43 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Ke
 
     Elementwise in x: an array of points gives arrays of its shape.  Bias and
     sd are the standard-scale ones over sigma, finite wherever they are.
+    At y = (x - mu)/sigma and h/sigma, e0 = int K(u) phi(y + h u) du and
+    a0 = int K(u)^2 phi(y + h u) du are closed forms for the normal kernel
+    and `_epan_moments` for the parabolic one; n times the variance is
+    a0/h - e0^2.  For the normal kernel that is (a0/h) (-expm1(-E)), with
+    E = log(a0/(h e0^2)) = y^2/((1+h^2)(2+h^2)) + log1p(1/(h^2 (2+h^2)))/2,
+    free of the cancellation that gave sd = 0 at h = 10^4.  The parabolic
+    difference still cancels, so h/sigma > EPAN_VARIANCE_MAX_H raises
+    ValueError.
     """
+    _check_kernel(kernel)
+    _check_sample_size(n, 1)
     y = (x - p.mu) / p.sigma
-    m = exact_moments(kernel, y, STD_NORMAL, n, h / p.sigma)
-    bias = (m.mean - std_normal_pdf(y)) / p.sigma
-    sd = np.sqrt(np.maximum(m.variance, 0.0)) / p.sigma
-    mse = bias * bias + m.variance / p.sigma / p.sigma
+    hs = h / p.sigma
+    if not 0 < hs < math.inf:
+        raise ValueError(f"h must be positive and finite, got {hs!r}")
+    if kernel.name == "normal":
+        h2, r = hs * hs, 1.0 / hs
+        s1, s2 = math.sqrt(1.0 + h2), math.sqrt(1.0 + 0.5 * h2)
+        e0 = std_normal_pdf(y / s1) / s1
+        a0 = NORMAL_ROUGHNESS * std_normal_pdf(y / s2) / s2
+        # r r, not 1/h2: where h2 underflows to 0 (h = 1e-300) r r is inf,
+        # and log1p(inf) = inf sends the variance to a0/(n h) without an error
+        exponent = y * y / ((1.0 + h2) * (2.0 + h2)) + 0.5 * math.log1p(r * r / (2.0 + h2))
+        variance = a0 / (n * hs) * -np.expm1(-exponent)
+        if variance.ndim == 0:
+            variance = float(variance)  # a float, so that mse below overflows to inf without a warning
+    else:
+        if hs > EPAN_VARIANCE_MAX_H:
+            raise ValueError(
+                f"the parabolic kernel's pointwise variance is defined up to "
+                f"h/sigma = {EPAN_VARIANCE_MAX_H:g}, got {hs!r}"
+            )
+        e0, a0 = _epan_moments(y, hs)
+        variance = a0 / (n * hs) - e0 * e0 / n
+    bias = (e0 - std_normal_pdf(y)) / p.sigma
+    sd = np.sqrt(np.maximum(variance, 0.0)) / p.sigma
+    mse = bias * bias + variance / p.sigma / p.sigma
     return KernelMse(bias=bias, sd=sd if sd.ndim else float(sd), mse=mse)
 
 

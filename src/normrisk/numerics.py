@@ -48,7 +48,8 @@ class QuadratureError(NumericsError):
 
 
 class MinimizationError(NumericsError):
-    """Scalar minimization failed (bad bracket or edge minimum)."""
+    """The MISE's slope has no root inside its bracket.  There is no
+    minimizer: a bandwidth constant is that root, bisected."""
 
 
 #: the package's quadrature error target: absolute below 1, relative above

@@ -10,6 +10,7 @@ from scipy.integrate import quad as scipy_quad
 from estimators import lognormal_variance_ratio_limit
 from substreams import substream
 
+from normrisk import case_studies
 from normrisk.case_studies import (
     CrossoverResult,
     LognormalParams,
@@ -136,6 +137,24 @@ class TestCrossover:
     @pytest.mark.parametrize("b,n0", sorted(SMALL_SPREAD_CROSSOVERS.items()))
     def test_small_spreads(self, b, n0):
         assert lognormal_crossover(b).n_crossover == n0
+
+    def test_scan_starts_where_the_plugin_mse_is_finite(self, monkeypatch):
+        # the plug-in MSE is infinite up to n = 2 b^2 + 1, so the scan starts
+        # at floor(2 b^2): at b = 630 it once stepped through all of 996k
+        # sizes from n = 2, and the crossover is the one that scan found
+        calls = []
+        parts = case_studies._parametric_parts
+        monkeypatch.setattr(case_studies, "_parametric_parts", lambda b2, n: calls.append(n) or parts(b2, n))
+        n0 = lognormal_crossover(630.0).n_crossover
+        assert n0 == 996233
+        assert len(calls) <= n0 - math.floor(2.0 * 630.0**2) + 202
+
+    @pytest.mark.parametrize("b", [700.0, 1e100, 1e200])
+    def test_no_crossover_below_the_largest_n(self, b):
+        # b^2 overflows a double at b = 1e200, where `b ** 2` once raised a
+        # bare OverflowError
+        with pytest.raises(NumericsError, match="no crossover found below n=1000000"):
+            lognormal_crossover(b)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):

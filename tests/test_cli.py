@@ -474,6 +474,29 @@ class TestCurveCommands:
                 sd = float(mpmath.sqrt((moment(2) / h - moment(1) ** 2) / n))
             assert row["sd"] == pytest.approx(sd, rel=1e-12, abs=0)
 
+    def test_normal_kernel_curve_at_a_wide_bandwidth(self, tmp_path):
+        # a0/h - e0^2 cancelled here, and sd read 0 at x = 0; the values are
+        # 60-digit mpmath's
+        code, text = run_cli(
+            ["mse-curve", "--estimator", "kernel", "--kernel", "normal", "--n", "10", "--h", "1e4",
+             "--x-min", "-3", "--x-max", "3", "--x-step", "3", "--format", "json"],
+            tmp_path,
+        )
+        assert code == 0
+        sds = [json.loads(line)["sd"] for line in text.splitlines()]
+        assert sds == pytest.approx([3.8884081107986e-13, 8.920620446954e-14, 3.8884081107986e-13], rel=1e-12)
+
+    def test_parabolic_curve_rejects_a_wide_bandwidth(self, capsys):
+        argv = ["mse-curve", "--estimator", "kernel", "--kernel", "epan", "--n", "10"]
+        assert main([*argv, "--h", "100"]) == 2
+        assert "normrisk: usage error: the parabolic kernel's pointwise variance is defined up to h/sigma = 32" in (
+            capsys.readouterr().err
+        )
+        assert main([*argv, "--h", "32", "--x-step", "3"]) == 0
+        # --h is rescaled by --sigma, and the MISE has no such limit
+        assert main([*argv, "--h", "100", "--sigma", "4", "--x-step", "3"]) == 0
+        assert main(["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10", "--h", "100"]) == 0
+
     def test_mse_curve_plugin_rejects_kernel_flags(self):
         assert main(
             ["mse-curve", "--estimator", "plugin", "--n", "5", "--kernel", "epan"]

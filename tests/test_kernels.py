@@ -20,8 +20,9 @@ from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
     MISE_SERIES_H,
     NORMAL_KERNEL,
+    EPAN_VARIANCE_MAX_H,
+    _epan_moments,
     asymptotic_kernel_risk,
-    exact_moments,
     exact_mse_kernel,
     gk_epanechnikov,
     kernel_eval,
@@ -147,46 +148,69 @@ def _parabolic_moments_mpmath(x: float, h: float) -> tuple[float, float]:
         return float(e0), float(a0)
 
 
+def _moments(kernel, x, p, n, h):
+    """The estimator's mean, int K(u)^2 f(x + h u) du and variance at x,
+    recovered from `exact_mse_kernel`: the mean is bias + f(x), the variance
+    sd^2, and the kernel-square integral h (n variance + mean^2)."""
+    r = exact_mse_kernel(kernel, x, p, n, h)
+    mean = r.bias + std_normal_pdf((x - p.mu) / p.sigma) / p.sigma
+    variance = r.sd**2
+    return mean, h * (n * variance + mean * mean), variance
+
+
+def _normal_kernel_sd_mpmath(x: float, h: float, n: int) -> float:
+    """sqrt((a0/h - e0^2)/n) for the normal kernel at 60 digits, from the
+    closed forms e0 = phi(x/s1)/s1 and a0 = phi(x/s2)/(s2 2 sqrt(pi)), with
+    s1^2 = 1 + h^2 and s2^2 = 1 + h^2/2."""
+    with mpmath.workdps(60):
+        x, h = mpmath.mpf(x), mpmath.mpf(h)
+        s1, s2 = mpmath.sqrt(1 + h * h), mpmath.sqrt(1 + h * h / 2)
+        e0 = mpmath.npdf(x / s1) / s1
+        a0 = mpmath.npdf(x / s2) / (s2 * 2 * mpmath.sqrt(mpmath.pi))
+        return float(mpmath.sqrt((a0 / h - e0 * e0) / n))
+
+
 class TestExactMoments:
     def test_normal_kernel_center(self):
-        m = exact_moments(NORMAL_KERNEL, 0.0, STD_NORMAL, 5, 1.0)
-        assert m.mean == pytest.approx(phi(0.0) / math.sqrt(2.0), rel=1e-13)
+        mean, _, _ = _moments(NORMAL_KERNEL, 0.0, STD_NORMAL, 5, 1.0)
+        assert mean == pytest.approx(phi(0.0) / math.sqrt(2.0), rel=1e-13)
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_delta_limit(self, kernel):
         # h -> 0: mean -> f(x), kernel-square factor -> R(K) f(x)
         x = 0.8
-        m = exact_moments(kernel, x, STD_NORMAL, 10, 1e-6)
-        assert m.mean == pytest.approx(phi(x), rel=1e-8)
-        assert m.kernel_sq_mean == pytest.approx(kernel.roughness * phi(x), rel=1e-8)
+        mean, kernel_sq_mean, _ = _moments(kernel, x, STD_NORMAL, 10, 1e-6)
+        assert mean == pytest.approx(phi(x), rel=1e-8)
+        assert kernel_sq_mean == pytest.approx(kernel.roughness * phi(x), rel=1e-8)
 
     @pytest.mark.parametrize("x", [0.0, 0.7, 1.9])
     @pytest.mark.parametrize("h", [0.05, 0.4, 1.0, 2.9])
     def test_parabolic_closed_forms_vs_quadrature(self, x, h):
-        m = exact_moments(EPANECHNIKOV_KERNEL, x, STD_NORMAL, 7, h)
+        e0, a0 = _epan_moments(x, h)
         e_oracle, _ = scipy_quad(
             lambda u: 1.5 * (1.0 - 4.0 * u * u) * phi(x + h * u), -0.5, 0.5, epsabs=1e-14
         )
         a_oracle, _ = scipy_quad(
             lambda u: (1.5 * (1.0 - 4.0 * u * u)) ** 2 * phi(x + h * u), -0.5, 0.5, epsabs=1e-14
         )
-        assert m.mean == pytest.approx(e_oracle, abs=1e-10)
-        assert m.kernel_sq_mean == pytest.approx(a_oracle, abs=1e-10)
+        assert e0 == pytest.approx(e_oracle, abs=1e-10)
+        assert a0 == pytest.approx(a_oracle, abs=1e-10)
 
     @pytest.mark.parametrize("h", [1e-8, 0.1, 0.2, 0.25, 1.0, 4.24, 8.0, 12.0, 1e4])
     def test_parabolic_moments_against_mpmath(self, h):
         # the closed forms cancelled: up to 8e6 relative off on this grid at
         # h = 0.2 and 350 at h = 1, both at x = 8
         for x in (0.0, 1.1, -1.1, 2.7, 4.5, 6.0, 8.0):
-            m = exact_moments(EPANECHNIKOV_KERNEL, x, STD_NORMAL, 7, h)
-            e0, a0 = _parabolic_moments_mpmath(x, h)
-            assert m.mean == pytest.approx(e0, rel=1e-14, abs=0), x
-            assert m.kernel_sq_mean == pytest.approx(a0, rel=1e-14, abs=0), x
+            e0, a0 = _epan_moments(x, h)
+            e0_oracle, a0_oracle = _parabolic_moments_mpmath(x, h)
+            assert e0 == pytest.approx(e0_oracle, rel=1e-14, abs=0), x
+            assert a0 == pytest.approx(a0_oracle, rel=1e-14, abs=0), x
 
     @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
     def test_bandwidth_must_be_positive_and_finite(self, h):
         for call in (
-            lambda: exact_moments(EPANECHNIKOV_KERNEL, 0.3, STD_NORMAL, 5, h),
+            lambda: exact_mse_kernel(EPANECHNIKOV_KERNEL, 0.3, STD_NORMAL, 5, h),
+            lambda: exact_mse_kernel(NORMAL_KERNEL, 0.3, STD_NORMAL, 5, h),
             lambda: mise_closed_normal_kernel(5, h),
             lambda: mise_closed_epan_kernel(5, h),
             lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 5, h),
@@ -213,17 +237,56 @@ class TestExactMoments:
         second, _ = scipy_quad(lambda t: kh(t) ** 2 * f(t), lo, hi, epsabs=1e-13, limit=400)
         first, _ = scipy_quad(lambda t: kh(t) * f(t), lo, hi, epsabs=1e-13, limit=400)
         oracle = (second - first * first) / n
-        m = exact_moments(kernel, x, p, n, h)
-        assert m.variance == pytest.approx(oracle, abs=1e-10)
-        assert m.mean == pytest.approx(first, abs=1e-11)
+        mean, _, variance = _moments(kernel, x, p, n, h)
+        assert variance == pytest.approx(oracle, abs=1e-10)
+        assert mean == pytest.approx(first, abs=1e-11)
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_mean_integrates_to_one(self, kernel):
         p = NormalParams(0.0, 1.3)
-        total = integrate(
-            lambda x: exact_moments(kernel, x, p, 5, 0.8).mean, -14.0, 14.0
-        )
+        total = integrate(lambda x: _moments(kernel, x, p, 5, 0.8)[0], -14.0, 14.0)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("h", [100.0, 1e4, 1e6])
+    def test_normal_kernel_variance_at_wide_bandwidths(self, h):
+        # a0/h - e0^2 cancelled: at h = 1e4 sd read 0 at x = 0, where it is
+        # 8.92e-14, and 3.2155e-13 at x = 3, where it is 3.888e-13
+        xs = np.array([0.0, 1.7, 3.0, -3.0])
+        got = exact_mse_kernel(NORMAL_KERNEL, xs, STD_NORMAL, 10, h).sd
+        want = [_normal_kernel_sd_mpmath(x, h, 10) for x in xs.tolist()]
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+    def test_normal_kernel_variance_over_every_bandwidth(self):
+        # from h = 1e-300, where h^2 underflows, to 1e300, where it overflows:
+        # no warning (an error under this suite) and no ZeroDivisionError
+        xs = np.array([0.0, 2.5])
+        for h in (1e-300, 1e-200, 1e-8, 1e8, 1e200, 1e300):
+            r = exact_mse_kernel(NORMAL_KERNEL, xs, STD_NORMAL, 10, h)
+            assert np.all(np.isfinite(r.sd)) and np.all(r.sd >= 0)
+            assert exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, 10, h).sd == r.sd[0]
+        # below h = 1e-100 the variance is a0/(n h), with a0 = R(K) phi(x)
+        tiny = exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, 10, 1e-200)
+        assert tiny.sd == pytest.approx(math.sqrt(RF * PHI0 / (10 * 1e-200)), rel=1e-15)
+
+    def test_parabolic_variance_domain(self):
+        # a0/h - e0^2 cancels as h grows: sd is 3.8e-11 relative off at
+        # h = 32 (the variance 7.8e-11), so the parabolic kernel's pointwise
+        # variance stops there
+        n, h = 10, EPAN_VARIANCE_MAX_H
+        for x in (0.0, 1.1, 2.7, 6.0):
+            with mpmath.workdps(60):
+                def moment(power):
+                    return mpmath.quad(
+                        lambda u: (1.5 * (1 - 4 * u * u)) ** power * mpmath.npdf(x + h * u),
+                        [-0.5, -x / h, 0.5],
+                    )
+
+                want = float(mpmath.sqrt((moment(2) / h - moment(1) ** 2) / n))
+            got = exact_mse_kernel(EPANECHNIKOV_KERNEL, x, STD_NORMAL, n, h).sd
+            assert got == pytest.approx(want, rel=1e-10, abs=0), x
+        for p in (STD_NORMAL, NormalParams(0.0, 0.5)):
+            with pytest.raises(ValueError, match="defined up to h/sigma = 32"):
+                exact_mse_kernel(EPANECHNIKOV_KERNEL, 0.0, p, n, 33.0 * p.sigma)
 
 
 class TestExactMseKernel:
