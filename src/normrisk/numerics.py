@@ -2,12 +2,12 @@
 
 Provides adaptive Gauss-Kronrod quadrature over finite intervals, the
 one fixed 32-point Gauss-Legendre rule (`_LEGENDRE_NODES`,
-`_LEGENDRE_WEIGHTS`) that the kernel and bandwidth modules share, the standard normal density and log
-cdf, the gamma-function ratio and the Kummer function the risk formulas
-need, the sampling density of the scaled sample standard deviation and
-every expectation over it: one adaptive integral each
-(`scaled_chi_expectation`), or one for a whole column of sample sizes
-(`scaled_chi_column`).
+`_LEGENDRE_WEIGHTS`) that the kernel and bandwidth modules share, the
+standard normal density and log cdf, the gamma-function ratio and the
+Kummer function the risk formulas need, the sampling density of the
+scaled sample standard deviation and every expectation over it: one
+adaptive integral each (`scaled_chi_expectation`), or one for a whole
+column of sample sizes (`scaled_chi_column`).
 
 The one fixed rule, the 32-point Gauss-Legendre rule that `kummer_m_half`
 also sums over, is stored as float literals: the doubles that numpy

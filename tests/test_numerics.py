@@ -263,7 +263,7 @@ class TestStoredGaussRules:
     are within a few ulp.
     """
 
-    def test_legendre_rule(self):
+    def test_legendre_nodes_and_weights(self):
         x, w = _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
         assert x.shape == w.shape == (32,)
         assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1 and np.all(w > 0)
