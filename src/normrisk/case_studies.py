@@ -6,9 +6,10 @@ maximum-likelihood plug-in.  For every log-scale spread there is a largest
 sample size up to which the sample mean has the smaller MSE; the plug-in
 MSE does not even exist until the sample is large enough.
 
-Skew-extended normal family: adding a shape parameter to the normal family
-inflates the asymptotic MISE constant of the plug-in density estimator at
-normal truths by a factor of about 1.386.
+Skew-extended normal family, density shape Phi(y)^(shape-1) phi(y)/scale
+at y = (x - location)/scale: the shape parameter inflates the plug-in's
+asymptotic MISE constant at normal truths by about 1.386, a trace
+tr(J^-1 L) computed from the family's score at the standard normal alone.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import NumericsError, _check_sample_size, std_normal_logcdf
-from .parametric import asymptotic_mise_general
+from .numerics import NumericsError, _check_sample_size, integrate, std_normal_pdf
+
+#: the log of the largest double, rounded down
+_LOG_MAX = 709.78
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,11 @@ class LognormalParams:
 
     @property
     def mean(self) -> float:
-        return math.exp(self.log_mean + 0.5 * self.log_sd**2)
+        """exp(log_mean + log_sd^2/2); NumericsError where it overflows a double."""
+        exponent = self.log_mean + 0.5 * self.log_sd * self.log_sd
+        if not exponent < _LOG_MAX:
+            raise NumericsError(f"the mean overflows a double at {self!r}")
+        return math.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ def _log_expm1_ratio(y: float) -> float:
     # the log of a quotient that near 1 would be off by an ulp of 1
     if y < 1e-3:
         return y * (y / 24.0 - 0.5) - y**4 / 2880.0
-    return math.log(-math.expm1(-y) / y)
+    return math.log(-math.expm1(-y) / y) if y < math.inf else -math.inf
 
 
 def _nonparametric_exponent(b2: float) -> float:
@@ -84,18 +91,18 @@ def _parametric_parts(b2: float, n: int) -> tuple[float, float]:
 
 
 def _mse(p: LognormalParams, n: int, exponent: float, rho: float = 0.0) -> float:
-    # 709.78 is the log of the largest double, rounded down
+    # an exponent of inf, or NaN (inf - inf at b^2 = inf), overflows too
     log_mse = 2.0 * p.log_mean + exponent + 2.0 * math.log(p.log_sd) - math.log(n) + math.log1p(rho)
-    if exponent < math.inf and not log_mse < 709.78:
+    if not log_mse < _LOG_MAX:
         raise NumericsError(f"the MSE overflows a double at {p!r}, n={n}")
-    return math.exp(log_mse) if exponent < math.inf else math.inf
+    return math.exp(log_mse)
 
 
 def lognormal_mse_nonparametric(p: LognormalParams, n: int) -> float:
     """Exact MSE of the sample mean (it is unbiased, so this is its variance);
     NumericsError where it overflows a double."""
     _check_sample_size(n, 1)
-    return _mse(p, n, _nonparametric_exponent(p.log_sd**2))
+    return _mse(p, n, _nonparametric_exponent(p.log_sd * p.log_sd))
 
 
 def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
@@ -113,7 +120,8 @@ def lognormal_mse_parametric(p: LognormalParams, n: int) -> float:
     log A - log B = b^2/n + (m/2) log1p(x^2 / (1 - 2x)), free of cancellation.
     """
     _check_sample_size(n, 2)
-    return _mse(p, n, *_parametric_parts(p.log_sd**2, n))
+    exponent, rho = _parametric_parts(p.log_sd * p.log_sd, n)  # b b, as b**2 raises past 1e154
+    return math.inf if exponent == math.inf else _mse(p, n, exponent, rho)
 
 
 # the crossover scan's largest sample size, and how many sizes past a
@@ -154,53 +162,32 @@ def lognormal_crossover(log_sd: float) -> CrossoverResult:
     raise NumericsError(f"no crossover found below n={_MAX_N} for log_sd={log_sd}")
 
 
-def skew_normal_density(x, theta) -> float:
-    """Density of the skew-extended normal family.
-
-    theta = (location, scale, shape); shape 1 recovers the plain normal.
-    Evaluated through logs so extreme arguments stay finite.
-    """
-    loc, scale, shape = theta
-    if not scale > 0 or not shape > 0:
-        raise ValueError("scale and shape must be positive")
-    x = np.asarray(x, dtype=float)
-    y = (x - loc) / scale
-    # the skew factor Phi(y)^(shape - 1) is 1 at shape 1, the normal family
-    skew = (shape - 1.0) * std_normal_logcdf(y) if shape != 1.0 else 0.0
-    log_val = (
-        math.log(shape)
-        + skew
-        - 0.5 * y * y
-        - 0.5 * math.log(2.0 * math.pi)
-        - math.log(scale)
-    )
-    out = np.exp(log_val)
-    return float(out) if out.ndim == 0 else out
+def _normal_point_score(y: np.ndarray) -> np.ndarray:
+    """Score of the family in (location, scale, shape) at the standard
+    normal: the rows y, y^2 - 1 and 1 + log Phi(y)."""
+    # Phi(y) >= 1.8e-33 on the quadrature's [-12, 12], so its log needs no
+    # tail formula; rounding y/sqrt(2) costs at most 1.6e-14 there
+    log_cdf = [math.log(0.5 * math.erfc(-v / math.sqrt(2.0))) for v in y.tolist()]
+    return np.stack((y, y * y - 1.0, 1.0 + np.array(log_cdf)))
 
 
-def skew_normal_score(x, theta) -> np.ndarray:
-    """Gradient of the log density in (location, scale, shape).
+def _skew_normal_information() -> np.ndarray:
+    """J = int phi u u^T and L = int phi^2 u u^T for the score u at the
+    standard normal, stacked as shape (2, 3, 3): one quadrature over
+    [-12, 12].  Their top-left 2x2 blocks are the normal family's."""
 
-    The shape component is 1/shape + log cdf, which stays accurate far into
-    the left tail through the log-cdf implementation.  At shape 1 the
-    location and scale components reduce to the plain normal scores.
-    """
-    loc, scale, shape = theta
-    if not scale > 0 or not shape > 0:
-        raise ValueError("scale and shape must be positive")
-    y = (np.asarray(x, dtype=float) - loc) / scale
-    logcdf = std_normal_logcdf(y)
-    # phi(y)/Phi(y), computed in logs to survive y << 0
-    hazard = np.exp(-0.5 * y * y - 0.5 * math.log(2.0 * math.pi) - logcdf)
-    u_loc = (y - (shape - 1.0) * hazard) / scale
-    u_scale = (y * y - 1.0 - (shape - 1.0) * y * hazard) / scale
-    u_shape = 1.0 / shape + logcdf
-    return np.array([u_loc, u_scale, u_shape])
+    def j_and_l(y):
+        f = std_normal_pdf(y)
+        u = _normal_point_score(y)
+        return np.stack((f, f * f))[:, None, None] * (u[:, None] * u[None, :])
+
+    return integrate(j_and_l, -12.0, 12.0)
 
 
 @lru_cache(maxsize=None)
 def _skew_normal_unit_mise() -> float:
-    return asymptotic_mise_general(skew_normal_score, skew_normal_density, (0.0, 1.0, 1.0), (-12.0, 12.0))
+    j_mat, l_mat = _skew_normal_information()
+    return float(np.trace(np.linalg.solve(j_mat, l_mat)))
 
 
 def skew_normal_asymptotic_mise(sigma: float) -> float:
@@ -208,10 +195,10 @@ def skew_normal_asymptotic_mise(sigma: float) -> float:
 
     Roughly 0.342/sigma: about 1.386 times the two-parameter normal value,
     the price of estimating the extra shape parameter.  By the exact scale
-    identity it is the value at sigma = 1, one quadrature computed once,
-    divided by sigma: the Fisher information at sigma itself scales as
-    1/sigma^2, past the quadrature's absolute target (sigma <= 0.02) or
-    the conditioning check (sigma >= 1e5).
+    identity it is the value at sigma = 1 divided by sigma: tr(J^-1 L) of
+    `_skew_normal_information`, one quadrature computed once.  Computed at
+    sigma itself, the Fisher information's 1/sigma^2 entries would fall
+    below the quadrature's absolute target for small sigma.
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")

@@ -152,7 +152,8 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Ke
     E = log(a0/(h e0^2)) = y^2/((1+h^2)(2+h^2)) + log1p(1/(h^2 (2+h^2)))/2,
     free of the cancellation that gave sd = 0 at h = 10^4.  The parabolic
     difference still cancels, so h/sigma > EPAN_VARIANCE_MAX_H raises
-    ValueError.
+    ValueError, and so does an h/sigma so small (subnormal, for one) that
+    the variance overflows a double at some point of x.
     """
     _check_kernel(kernel)
     _check_sample_size(n, 1)
@@ -160,25 +161,29 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Ke
     hs = h / p.sigma
     if not 0 < hs < math.inf:
         raise ValueError(f"h must be positive and finite, got {hs!r}")
-    if kernel.name == "normal":
-        h2, r = hs * hs, 1.0 / hs
-        s1, s2 = math.sqrt(1.0 + h2), math.sqrt(1.0 + 0.5 * h2)
-        e0 = std_normal_pdf(y / s1) / s1
-        a0 = NORMAL_ROUGHNESS * std_normal_pdf(y / s2) / s2
-        # r r, not 1/h2: where h2 underflows to 0 (h = 1e-300) r r is inf,
-        # and log1p(inf) = inf sends the variance to a0/(n h) without an error
-        exponent = y * y / ((1.0 + h2) * (2.0 + h2)) + 0.5 * math.log1p(r * r / (2.0 + h2))
-        variance = a0 / (n * hs) * -np.expm1(-exponent)
-        if variance.ndim == 0:
-            variance = float(variance)  # a float, so that mse below overflows to inf without a warning
-    else:
-        if hs > EPAN_VARIANCE_MAX_H:
-            raise ValueError(
-                f"the parabolic kernel's pointwise variance is defined up to "
-                f"h/sigma = {EPAN_VARIANCE_MAX_H:g}, got {hs!r}"
-            )
-        e0, a0 = _epan_moments(y, hs)
-        variance = a0 / (n * hs) - e0 * e0 / n
+    if kernel.name == "epan" and hs > EPAN_VARIANCE_MAX_H:
+        raise ValueError(
+            f"the parabolic kernel's pointwise variance is defined up to "
+            f"h/sigma = {EPAN_VARIANCE_MAX_H:g}, got {hs!r}"
+        )
+    # a0/(n h) overflows where h is tiny; the check below says so
+    with np.errstate(over="ignore"):
+        if kernel.name == "normal":
+            h2, r = hs * hs, 1.0 / hs
+            s1, s2 = math.sqrt(1.0 + h2), math.sqrt(1.0 + 0.5 * h2)
+            e0 = std_normal_pdf(y / s1) / s1
+            a0 = NORMAL_ROUGHNESS * std_normal_pdf(y / s2) / s2
+            # r r, not 1/h2: where h2 underflows to 0 (h = 1e-300) r r is inf,
+            # and log1p(inf) = inf sends the variance to a0/(n h) without an error
+            exponent = y * y / ((1.0 + h2) * (2.0 + h2)) + 0.5 * math.log1p(r * r / (2.0 + h2))
+            variance = a0 / (n * hs) * -np.expm1(-exponent)
+            if variance.ndim == 0:
+                variance = float(variance)  # a float, so that mse below overflows to inf without a warning
+        else:
+            e0, a0 = _epan_moments(y, hs)
+            variance = a0 / (n * hs) - e0 * e0 / n
+    if not np.isfinite(variance).all():
+        raise ValueError(f"h/sigma={hs!r} is too small: the variance overflows a double")
     bias = (e0 - std_normal_pdf(y)) / p.sigma
     sd = np.sqrt(np.maximum(variance, 0.0)) / p.sigma
     mse = bias * bias + variance / p.sigma / p.sigma
@@ -268,11 +273,15 @@ def mise_fixed_bandwidth(kernel: Kernel, p: NormalParams, n: int, h: float) -> M
     """Exact MISE at a deterministic bandwidth, for a general normal estimand.
 
     Scale identity: the general case is the standard one at bandwidth
-    h/sigma, divided by sigma.
+    h/sigma, divided by sigma.  ValueError where the standard one overflows
+    a double: its term 1/(n h) does so for a tiny (subnormal, say) h/sigma.
     """
     _check_kernel(kernel)
     closed = mise_closed_normal_kernel if kernel.name == "normal" else mise_closed_epan_kernel
-    return MiseReport(value=closed(n, h / p.sigma) / p.sigma, method="closed_form")
+    standard = closed(n, h / p.sigma)
+    if standard == math.inf:
+        raise ValueError(f"h/sigma={h / p.sigma!r} is too small: the MISE overflows a double")
+    return MiseReport(value=standard / p.sigma, method="closed_form")
 
 
 class KernelAsymptotics(NamedTuple):

@@ -3,7 +3,7 @@
 Provides adaptive Gauss-Kronrod quadrature over finite intervals, the
 one fixed 32-point Gauss-Legendre rule (`_LEGENDRE_NODES`,
 `_LEGENDRE_WEIGHTS`) that the kernel and bandwidth modules share, the
-standard normal density and log cdf, the gamma-function ratio and the
+standard normal density, the gamma-function ratio and the
 Kummer function the risk formulas need, the sampling density of the
 scaled sample standard deviation and every expectation over it: one
 adaptive integral each (`scaled_chi_expectation`), or one for a whole
@@ -21,9 +21,7 @@ axes are components integrated together over one panel tree.  A function
 that accepts only a float is rejected with TypeError.
 
 Everything is built on `math` and numpy alone; scipy is not needed at run
-time.  The log cdf matches 40-digit mpmath to within 5e-16 relative down
-to x = -1e5, closer than scipy's `log_ndtr` (1.3e-14); plain floats take a
-scalar `math` path, arrays are mapped through it entry by entry.
+time.
 
 All routines are pure functions of their arguments and safe to call from
 any number of concurrent workers.
@@ -269,72 +267,6 @@ def std_normal_pdf(x, out: np.ndarray | None = None):
     pdf = np.subtract(pdf, _LOG_SQRT_2PI, out=out)
     pdf = np.exp(pdf, out=out)
     return float(pdf) if out is None and np.ndim(pdf) == 0 else pdf
-
-
-def _elementwise(f: Callable[[float], float], x):
-    """f on a float, or f mapped over every entry of an array (0-d gives a float)."""
-    if type(x) is float:
-        return f(x)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return f(float(x))
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-# 1/sqrt(2) as a double plus the residual of that rounding, and the double's
-# Dekker split into two 26-bit halves
-_SQRT_HALF = 0.7071067811865476
-_SQRT_HALF_LO = -4.833646656726457e-17
-_DEKKER = 134217729.0  # 2**27 + 1
-_SQRT_HALF_HI_PART = _DEKKER * _SQRT_HALF - (_DEKKER * _SQRT_HALF - _SQRT_HALF)
-_SQRT_HALF_LO_PART = _SQRT_HALF - _SQRT_HALF_HI_PART
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def _ndtr(x: float) -> float:
-    # Phi(x) = erfc(-t)/2 with t = x/sqrt(2).  Rounding t costs up to x^2 ulp
-    # in the left tail, so its residual t_lo (a Dekker two-product plus the
-    # low part of 1/sqrt(2)) is added to first order, times dPhi/dt =
-    # exp(-t^2)/sqrt(pi)
-    if not -40.0 < x < 40.0:  # Phi is 0 or 1 here, to double precision; or x is NaN
-        return 0.5 * math.erfc(-x * _SQRT_HALF)
-    t = x * _SQRT_HALF
-    c = _DEKKER * x
-    hi = c - (c - x)
-    lo = x - hi
-    t_lo = (
-        ((hi * _SQRT_HALF_HI_PART - t) + hi * _SQRT_HALF_LO_PART + lo * _SQRT_HALF_HI_PART)
-        + lo * _SQRT_HALF_LO_PART
-        + x * _SQRT_HALF_LO
-    )
-    return 0.5 * math.erfc(-t) + t_lo * math.exp(-t * t) * _INV_SQRT_PI
-
-
-#: below this the log cdf is summed from its asymptotic series
-_LOG_NDTR_TAIL = -20.0
-
-
-def _log_ndtr(x: float) -> float:
-    if x > 0.0:
-        return math.log1p(-_ndtr(-x))
-    if x >= _LOG_NDTR_TAIL:
-        return math.log(_ndtr(x))
-    # Phi(x) = phi(x)/(-x) (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...); twelve terms
-    # reach 1e-19 at x = -20, and every omitted term is smaller further out
-    r = 1.0 / (x * x)
-    series = 0.0
-    for odd in range(23, 0, -2):
-        series = -odd * r * (1.0 + series)
-    return -0.5 * x * x - _LOG_SQRT_2PI - math.log(-x) + math.log1p(series)
-
-
-def std_normal_logcdf(x):
-    """log of the standard normal cdf, accurate far into the left tail.
-
-    log1p(-Phi(-x)) for x > 0, log Phi(x) down to x = -20, the asymptotic
-    series below; within 5e-16 relative of 40-digit mpmath down to x = -1e5.
-    """
-    return _elementwise(_log_ndtr, x)
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma in 1/x

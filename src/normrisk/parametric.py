@@ -1,9 +1,8 @@
 """Risk of normality-based parametric density estimators.
 
 Covers the plug-in estimator (estimated mean and standard deviation
-substituted into the normal density), the minimum-variance unbiased
-density estimator, and the asymptotic trace formula for general smooth
-parametric families.
+substituted into the normal density) and the minimum-variance unbiased
+density estimator.
 
 Every risk here reduces to the standard normal estimand: a general
 (mu, sigma) target only rescales the answer, so the quadrature work is
@@ -16,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .numerics import (
-    NumericsError,
     _check_sample_size,
     _gamma_half_excess,
-    integrate,
     scaled_chi_column,
     scaled_chi_expectation,
     std_normal_pdf,
@@ -198,33 +195,3 @@ def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
     value = math.expm1(exponent) / TWO_SQRT_PI / p.sigma
     return MiseReport(value=value, method="closed_form")
 
-
-def asymptotic_mise_general(
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    theta: Sequence[float],
-    support: tuple[float, float],
-) -> float:
-    """Limit of n * MISE for a maximum-likelihood plug-in density estimator.
-
-    Returns Tr(J^-1 L) with J the Fisher information and L the squared-
-    density-weighted score outer product, both computed at theta by one
-    array-valued quadrature over the finite `support`.  The callbacks take
-    an array x of points: density(x, theta) returns the density at each,
-    score(x, theta) one row of log-density derivatives per parameter, shape
-    (len(theta), len(x)).
-    """
-    theta = np.asarray(theta, dtype=float)
-
-    def j_and_l(x):
-        u = score(x, theta)
-        f = density(x, theta)
-        return np.stack((f, f * f))[:, None, None] * (u[:, None] * u[None, :])
-
-    j_mat, l_mat = integrate(j_and_l, *support)
-    cond = np.linalg.cond(j_mat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericsError(
-            f"Fisher information matrix is singular or ill-conditioned (cond={cond:.3g})"
-        )
-    return float(np.trace(np.linalg.solve(j_mat, l_mat)))

@@ -31,7 +31,11 @@ from normrisk.bandwidth import (
     real_mise_mc,
     rule_of_thumb,
 )
-from normrisk.case_studies import lognormal_crossover, skew_normal_asymptotic_mise
+from normrisk.case_studies import (
+    _skew_normal_information,
+    lognormal_crossover,
+    skew_normal_asymptotic_mise,
+)
 from normrisk.cli import TABLE_SAMPLE_SIZES, figure_curves
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
@@ -47,7 +51,6 @@ from normrisk.parametric import (
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,
     NormalParams,
-    asymptotic_mise_general,
     exact_mise_plugin,
     exact_mse_plugin,
     plugin_mise_coefficients,
@@ -282,12 +285,9 @@ def test_c12_lognormal_crossovers():
 def test_c13_skew_family_constant():
     value = skew_normal_asymptotic_mise(1.0)
     ratio = value / PLUGIN_AMISE_CONSTANT
-    trace = asymptotic_mise_general(
-        lambda x, th: np.array([x - th[0], ((x - th[0]) ** 2 / th[1] ** 2 - 1.0) / th[1]]),
-        lambda x, th: std_normal_pdf((x - th[0]) / th[1]) / th[1],
-        (0.0, 1.0),
-        support=(-12.0, 12.0),
-    )
+    # the normal family's constant: the top-left 2x2 blocks of the same J and L
+    j_mat, l_mat = _skew_normal_information()[:, :2, :2]
+    trace = float(np.trace(np.linalg.solve(j_mat, l_mat)))
     ok = (
         abs(value - 0.342) <= 0.002
         and abs(ratio - 1.386) <= 0.005

@@ -10,7 +10,7 @@ from scipy.integrate import quad as scipy_quad
 from ancillary import ancillary_densities
 from estimators import mise_exact_generic
 from substreams import substream
-from normrisk import bandwidth, numerics, parametric
+from normrisk import bandwidth, numerics
 from normrisk.bandwidth import (
     BandwidthRule,
     McConfig,
@@ -472,7 +472,7 @@ def test_one_integral_per_value(case, monkeypatch):
         calls.append(args[1:3])
         return integrate(*args, **kwargs)
 
-    for module in (bandwidth, numerics, parametric):
+    for module in (bandwidth, numerics):
         monkeypatch.setattr(module, "integrate", counting_integrate)
     ONE_INTEGRAL_CASES[case]()
     assert len(calls) == 1, calls

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import log_ndtr
 
 from estimators import lognormal_variance_ratio_limit
 from substreams import substream
@@ -17,9 +18,9 @@ from normrisk.case_studies import (
     lognormal_crossover,
     lognormal_mse_nonparametric,
     lognormal_mse_parametric,
+    _normal_point_score,
+    _skew_normal_information,
     skew_normal_asymptotic_mise,
-    skew_normal_density,
-    skew_normal_score,
 )
 from normrisk.numerics import NumericsError
 from normrisk.parametric import PLUGIN_AMISE_CONSTANT
@@ -76,6 +77,23 @@ class TestLognormalMse:
     def test_infinite_parametric_mse_at_a_far_log_mean(self):
         # an MSE that does not exist stays infinite wherever the log mean is
         assert lognormal_mse_parametric(LognormalParams(-1e308, 1.0), 2) == math.inf
+
+    @pytest.mark.parametrize("b", [40.0, 1e100, 1e200])
+    def test_sample_mean_mse_overflows_at_wide_spreads(self, b):
+        # at b = 1e200, where `b ** 2` raised a bare OverflowError, b b is inf
+        # and the exponent 2 b^2 + log((1 - e^-b^2)/b^2) is inf - inf
+        with pytest.raises(NumericsError, match="overflows a double"):
+            lognormal_mse_nonparametric(LognormalParams(0.0, b), 10)
+
+    @pytest.mark.parametrize("b", [40.0, 1e100, 1e200])
+    def test_parametric_mse_infinite_at_wide_spreads(self, b):
+        assert lognormal_mse_parametric(LognormalParams(0.0, b), 10) == math.inf
+
+    def test_mean(self):
+        assert LognormalParams(0.3, 0.5).mean == math.exp(0.3 + 0.125)
+        for b in (40.0, 1e200):
+            with pytest.raises(NumericsError, match="the mean overflows a double"):
+                LognormalParams(0.0, b).mean
 
     def test_parametric_blows_up_below_threshold(self):
         assert lognormal_mse_parametric(LognormalParams(0.0, 1.0), 2) == math.inf
@@ -196,25 +214,30 @@ class TestLognormalAgainstMpmath:
                 assert (parametric < nonparametric) == parametric_wins, n
 
 
+def _skew_log_density(x, theta):
+    # log of shape Phi(y)^(shape - 1) phi(y) / scale, y = (x - location)/scale
+    loc, scale, shape = theta
+    y = (x - loc) / scale
+    return math.log(shape) + (shape - 1.0) * log_ndtr(y) + math.log(phi(y) / scale)
+
+
+def _score(x):
+    # the family's score at the standard normal, written out with scipy's log Phi
+    return np.array([x, x * x - 1.0, 1.0 + log_ndtr(x)])
+
+
+#: tr(J^-1 L) at sigma = 1, and its ratio to 7/(16 sqrt(pi)): mpmath quadrature
+#: of J and L over the whole line at 30 digits, with log Phi from mpmath's ncdf
+SKEW_CONSTANT = 0.342100790033947177091849104991
+SKEW_RATIO = 1.38596082901368926413756371269
+
+
 class TestSkewFamily:
-    def test_density_reduces_to_normal(self):
-        xs = np.linspace(-4.0, 4.0, 17)
-        for x in xs:
-            assert skew_normal_density(float(x), (0.0, 1.0, 1.0)) == pytest.approx(
-                float(phi(x)), rel=1e-12
-            )
-
-    def test_density_normalizes_when_skewed(self):
-        total, _ = scipy_quad(
-            lambda x: skew_normal_density(x, (0.5, 1.3, 2.2)), -np.inf, np.inf, epsabs=1e-11
-        )
-        assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_shape_score_is_centered(self):
-        # E log cdf(Z) = -1 for standard normal Z, so the shape score at the
+        # E log Phi(Z) = -1 for standard normal Z, so the shape score at the
         # normal point integrates to zero
         val, _ = scipy_quad(
-            lambda x: float(phi(x)) * skew_normal_score(x, (0.0, 1.0, 1.0))[2],
+            lambda x: float(phi(x)) * float(_normal_point_score(np.array([x]))[2, 0]),
             -12.0,
             12.0,
             epsabs=1e-12,
@@ -223,30 +246,32 @@ class TestSkewFamily:
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_location_score_reduces_at_normal_point(self):
-        for x in (-2.0, 0.3, 1.7):
-            u = skew_normal_score(x, (0.0, 1.0, 1.0))
-            assert u[0] == pytest.approx(x, rel=1e-12)
-            assert u[1] == pytest.approx(x * x - 1.0, rel=1e-12)
+        xs = np.array([-2.0, 0.3, 1.7])
+        u = _normal_point_score(xs)
+        assert u[0].tolist() == xs.tolist()
+        assert u[1].tolist() == (xs * xs - 1.0).tolist()
+
+    def test_shape_score_against_mpmath(self):
+        # 1 + log Phi(y) over the quadrature's range: rounding y/sqrt(2)
+        # costs up to about 1.6e-14 at y = -12
+        xs = np.linspace(-12.0, 12.0, 97)
+        u = _normal_point_score(xs)[2]
+        with mpmath.workdps(30):
+            errors = [abs(float(1 + mpmath.log(mpmath.ncdf(x)) - v)) for x, v in zip(xs.tolist(), u.tolist())]
+        assert max(errors) < 2e-14
 
     def test_score_matches_finite_differences(self):
+        # central differences of the log density in each parameter at the
+        # normal point (0, 1, 1)
         rng = substream(1812, 0)
         step = 1e-6
-        for _ in range(10):
-            x = float(rng.uniform(-3.0, 3.0))
-            theta = (
-                float(rng.uniform(-1.0, 1.0)),
-                float(rng.uniform(0.5, 2.0)),
-                float(rng.uniform(0.4, 2.5)),
-            )
-            analytic = skew_normal_score(x, theta)
+        for x in rng.uniform(-3.0, 3.0, 10).tolist():
+            analytic = _normal_point_score(np.array([x]))[:, 0]
             for k in range(3):
-                up = list(theta)
-                dn = list(theta)
+                up, dn = [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]
                 up[k] += step
                 dn[k] -= step
-                numeric = (
-                    math.log(skew_normal_density(x, up)) - math.log(skew_normal_density(x, dn))
-                ) / (2.0 * step)
+                numeric = (_skew_log_density(x, up) - _skew_log_density(x, dn)) / (2.0 * step)
                 assert analytic[k] == pytest.approx(numeric, abs=1e-6)
 
     def test_information_matrix_structure(self):
@@ -254,9 +279,7 @@ class TestSkewFamily:
         for i in range(3):
             for k in range(i, 3):
                 j[i, k], _ = scipy_quad(
-                    lambda x: float(phi(x))
-                    * skew_normal_score(x, (0.0, 1.0, 1.0))[i]
-                    * skew_normal_score(x, (0.0, 1.0, 1.0))[k],
+                    lambda x: float(phi(x)) * _score(x)[i] * _score(x)[k],
                     -12.0,
                     12.0,
                     epsabs=1e-12,
@@ -266,11 +289,21 @@ class TestSkewFamily:
         assert np.allclose(j[:2, :2], np.diag([1.0, 2.0]), atol=1e-8)
         eigenvalues = np.linalg.eigvalsh(j)
         assert eigenvalues.min() > 0.0
+        np.testing.assert_allclose(_skew_normal_information()[0], j, rtol=0.0, atol=1e-10)
+
+    def test_information_entries(self):
+        # J_33 = E (1 + log U)^2 = 1 for U = Phi(Z) uniform; L_11 = int phi^2 y^2
+        j_mat, l_mat = _skew_normal_information()
+        for got, exact in ((j_mat[0, 0], 1.0), (j_mat[0, 1], 0.0), (j_mat[1, 1], 2.0), (j_mat[2, 2], 1.0)):
+            assert abs(got - exact) <= 1e-13
+        assert abs(l_mat[0, 0] - 1.0 / (4.0 * math.sqrt(math.pi))) <= 1e-13
 
     def test_asymptotic_mise_constant(self):
         val = skew_normal_asymptotic_mise(1.0)
         assert val == pytest.approx(0.342, abs=2e-3)
         assert val / PLUGIN_AMISE_CONSTANT == pytest.approx(1.386, abs=5e-3)
+        assert val == pytest.approx(SKEW_CONSTANT, rel=1e-13)
+        assert val / PLUGIN_AMISE_CONSTANT == pytest.approx(SKEW_RATIO, rel=1e-13)
 
     def test_scale_behaviour(self):
         assert skew_normal_asymptotic_mise(2.0) == pytest.approx(
@@ -280,13 +313,11 @@ class TestSkewFamily:
     @pytest.mark.parametrize("sigma", [0.01, 0.02, 1e5])
     def test_scale_identity_far_from_one(self, sigma):
         # computed at sigma itself, the Fisher information's 1/sigma^2
-        # entries broke the quadrature's target (small sigma) or the
-        # conditioning check (large sigma)
+        # entries broke the quadrature's target (small sigma) or a
+        # conditioning check (large sigma), since removed
         assert skew_normal_asymptotic_mise(sigma) == skew_normal_asymptotic_mise(1.0) / sigma
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            skew_normal_density(0.0, (0.0, -1.0, 1.0))
         with pytest.raises(ValueError, match="overflows"):
             skew_normal_asymptotic_mise(5e-324)
         with pytest.raises(ValueError):

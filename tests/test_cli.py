@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import normrisk
-from normrisk import bandwidth, cli, numerics, parametric
+from normrisk import bandwidth, cli, numerics
 from normrisk.bandwidth import optimal_bandwidth_constant
 from normrisk.case_studies import skew_normal_asymptotic_mise
 from normrisk.cli import main
@@ -84,7 +84,7 @@ def count_quadrature(monkeypatch):
         return value
 
     monkeypatch.setattr(numerics, "_gk15", counting_gk15)
-    for module in (numerics, parametric, bandwidth):
+    for module in (numerics, bandwidth):
         monkeypatch.setattr(module, "integrate", counting_integrate)
     return panels, calls
 
@@ -144,7 +144,7 @@ class TestTableCommand:
             seen.append(bound.arguments["tol"])
             return integrate(*args, **kwargs)
 
-        for module in (numerics, parametric, bandwidth):
+        for module in (numerics, bandwidth):
             monkeypatch.setattr(module, "integrate", recording)
         cli.comparison_row(5, exact_mise_plugin(STD_NORMAL, 5).value)
         assert seen == [1e-10, 1e-11, 1e-11]
@@ -495,6 +495,17 @@ class TestCurveCommands:
         # --h is rescaled by --sigma, and the MISE has no such limit
         assert main([*argv, "--h", "100", "--sigma", "4", "--x-step", "3"]) == 0
         assert main(["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10", "--h", "100"]) == 0
+
+    @pytest.mark.parametrize("kernel", ["normal", "epan"])
+    @pytest.mark.parametrize("command", ["mse-curve", "mise"])
+    def test_subnormal_bandwidth_is_a_usage_error(self, command, kernel, capsys):
+        # it passed --h's check, then mse-curve warned of an overflow and
+        # blamed sigma, and mise printed inf with exit 0
+        argv = [command, "--estimator", "kernel", "--kernel", kernel, "--n", "10", "--h", "5e-324"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("normrisk: usage error: h/sigma=5e-324 is too small")
 
     def test_mse_curve_plugin_rejects_kernel_flags(self):
         assert main(

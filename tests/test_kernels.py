@@ -268,6 +268,16 @@ class TestExactMoments:
         tiny = exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, 10, 1e-200)
         assert tiny.sd == pytest.approx(math.sqrt(RF * PHI0 / (10 * 1e-200)), rel=1e-15)
 
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_overflowing_variance_names_the_bandwidth(self, kernel):
+        # a0/(n h) leaves the double range at h = 5e-324, where the variance
+        # used to come back inf after numpy's overflow warning
+        for x in (0.0, np.array([40.0, 0.0])):
+            with pytest.raises(ValueError, match=r"h/sigma=5e-324 is too small: the variance overflows"):
+                exact_mse_kernel(kernel, x, STD_NORMAL, 10, 5e-324)
+        # far out, where a0 underflows to 0, nothing overflows
+        assert exact_mse_kernel(kernel, 40.0, STD_NORMAL, 10, 5e-324).sd == 0.0
+
     def test_parabolic_variance_domain(self):
         # a0/h - e0^2 cancels as h grows: sd is 3.8e-11 relative off at
         # h = 32 (the variance 7.8e-11), so the parabolic kernel's pointwise
@@ -490,6 +500,13 @@ class TestMise:
         assert mise_closed_epan_kernel(n, h) == pytest.approx(1.2 / (n * h), rel=1e-12)
         wide = mise_fixed_bandwidth(EPANECHNIKOV_KERNEL, NormalParams(0.0, 1e80), n, 1.0).value
         assert wide == pytest.approx(1.2 / n, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_overflowing_mise_raises(self, kernel):
+        # the term 1/(n h) leaves the double range: it names the bandwidth,
+        # where it used to return inf
+        with pytest.raises(ValueError, match=r"h/sigma=5e-324 is too small: the MISE overflows"):
+            mise_fixed_bandwidth(kernel, STD_NORMAL, 10, 5e-324)
 
     @pytest.mark.parametrize("h", [0.05, 0.15])
     def test_small_bandwidth_mise_against_quadrature(self, h):

@@ -26,7 +26,6 @@ from normrisk.numerics import (
     scaled_chi_expectation,
     scaled_chi_inverse_mean,
     scaled_chi_pdf,
-    std_normal_logcdf,
     std_normal_pdf,
 )
 
@@ -284,50 +283,6 @@ class TestStoredGaussRules:
                 weight_err.append(float(abs(wi / weight - 1)))
         assert max(node_err) < 1.7e-16
         assert max(weight_err) < 5.9e-14
-
-
-def _relative_errors(values, reference, xs):
-    # |value / reference - 1| at 40 digits, for reference a function of one mpf
-    with mpmath.workdps(40):
-        return [float(abs(mpmath.mpf(float(v)) / reference(mpmath.mpf(float(x))) - 1)) for v, x in zip(values, xs)]
-
-
-_RNG = np.random.default_rng(20261018)
-#: the switch points of the log cdf (0 and -20) are approached from both
-#: sides; on [9, 37.5] it is log1p(-Phi(-x)), so the cdf's left tail is
-#: checked down to -37.5, where Phi stops being a normal double
-LOGCDF_XS = np.concatenate((
-    _RNG.uniform(9.0, 37.5, 200), np.linspace(9.0, 37.5, 116),
-    np.linspace(-200.0, 9.0, 419), _RNG.uniform(-40.0, 9.0, 200), -np.logspace(0, 5, 81),
-    [-20.0 - 1e-12, -20.0 + 1e-12, -1e-300, 1e-300],
-))
-
-
-class TestSpecialFunctionsAgainstMpmath:
-    """The in-house log Phi against 40-digit mpmath."""
-
-    def test_logcdf(self):
-        def log_cdf(x):
-            # at 40 digits log Phi(x) rounds to 0 once Phi(-x) < 1e-40
-            return mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))
-
-        errors = _relative_errors(std_normal_logcdf(LOGCDF_XS), log_cdf, LOGCDF_XS)
-        assert max(errors) < 1e-15
-
-    def test_non_finite(self):
-        assert std_normal_logcdf(math.inf) == 0.0 and std_normal_logcdf(-math.inf) == -math.inf
-        assert math.isnan(std_normal_logcdf(math.nan))
-        xs = np.array([-math.inf, math.nan, math.inf])
-        np.testing.assert_array_equal(std_normal_logcdf(xs), [-math.inf, math.nan, 0.0])
-
-    @pytest.mark.parametrize("fn", [std_normal_logcdf])
-    def test_arrays_match_scalars(self, fn):
-        xs = LOGCDF_XS.reshape(-1, 4)
-        out = fn(xs)
-        assert out.shape == xs.shape
-        assert [fn(float(x)) for x in xs.ravel()] == out.ravel().tolist()
-        assert type(fn(0.5)) is float and type(fn(np.float64(0.5))) is float
-        assert type(fn(np.array(0.5))) is float and type(fn(1)) is float
 
 
 class TestScaledChi:
