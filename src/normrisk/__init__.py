@@ -39,6 +39,7 @@ from .parametric import (
     STD_NORMAL,
     MiseReport,
     NormalParams,
+    PointRisk,
     asymptotic_mise_plugin,
     asymptotic_mse_plugin,
     exact_mise_plugin,
@@ -48,7 +49,7 @@ from .parametric import (
 
 __all__ = [
     # estimands, kernels and results
-    "NormalParams", "STD_NORMAL", "MiseReport", "NORMAL_KERNEL", "EPANECHNIKOV_KERNEL",
+    "NormalParams", "STD_NORMAL", "MiseReport", "PointRisk", "NORMAL_KERNEL", "EPANECHNIKOV_KERNEL",
     # exact risk
     "exact_mse_plugin", "exact_mse_kernel", "exact_mise_plugin", "exact_mise_umvu",
     "mise_fixed_bandwidth",

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import NumericsError, _check_sample_size, integrate, std_normal_pdf
+from .parametric import NormalParams
 
 #: the log of the largest double, rounded down
 _LOG_MAX = 709.78
@@ -200,9 +201,4 @@ def skew_normal_asymptotic_mise(sigma: float) -> float:
     sigma itself, the Fisher information's 1/sigma^2 entries would fall
     below the quadrature's absolute target for small sigma.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    value = _skew_normal_unit_mise() / sigma
-    if value == math.inf:
-        raise ValueError(f"sigma={sigma!r} is too small: the value overflows")
-    return value
+    return NormalParams(0.0, sigma).rescale(_skew_normal_unit_mise(), 1)

@@ -52,6 +52,8 @@ from .parametric import (
 
 TABLE_SAMPLE_SIZES = tuple(range(3, 21)) + (50, 100, 1000)
 LOGNORMAL_DEFAULT_SPREADS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
+#: the most points an x grid may hold; the default grid has 301
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -105,25 +107,18 @@ def comparison_row(n: int, plugin_mise: float) -> ComparisonRow:
 
 
 def risk_curve(
-    n: int, xs: Sequence[float], p: NormalParams, kernel: Optional[Kernel] = None, hs: float = 0.0
+    n: int, xs: Sequence[float], p: NormalParams, kernel: Optional[Kernel] = None, h: Optional[float] = None
 ) -> RiskCurve:
     """Bias, sd and rmse over xs of the plug-in estimator, or of `kernel` at
-    bandwidth hs * sigma: the standard-scale values at y = (x - mu)/sigma,
-    divided by sigma, so finite wherever they are.  y stops at +-1e150,
-    where every density is 0 and no square overflows."""
+    bandwidth h, in the units of xs, or by default at its rule of thumb."""
     xs = np.asarray(xs, dtype=float)
-    y = np.clip(xs - p.mu, -1e150 * p.sigma, 1e150 * p.sigma) / p.sigma
     if kernel is None:
-        bias, variance, mse = exact_mse_plugin(y, STD_NORMAL, n)
-        label, sd = "parametric_plugin", np.sqrt(np.maximum(variance, 0.0))
+        label, risk = "parametric_plugin", exact_mse_plugin(xs, p, n)
     else:
-        bias, sd, mse = exact_mse_kernel(kernel, y, STD_NORMAL, n, hs)
-        label = f"{kernel.name}_kernel"
-    with np.errstate(over="ignore"):
-        columns = (xs, bias / p.sigma, sd / p.sigma, np.sqrt(mse) / p.sigma)
-    if not np.isfinite(columns).all():
-        raise ValueError(f"sigma={p.sigma!r} is too small: the risk overflows a double")
-    return RiskCurve(label, tuple(zip(*(c.tolist() for c in columns))))
+        # the rule's multiplier is its bandwidth at the standard scale
+        h = p.rescale(rule_of_thumb(kernel, n).multiplier, -1) if h is None else h
+        label, risk = f"{kernel.name}_kernel", exact_mse_kernel(kernel, xs, p, n, h)
+    return RiskCurve(label, tuple(zip(xs.tolist(), *(c.tolist() for c in risk))))
 
 
 def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -> list[RiskCurve]:
@@ -137,11 +132,8 @@ def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -
         raise ValueError("figure number must be 1 or 2")
     _check_sample_size(n, 3)
     p = NormalParams(0.0, sigma)
-    # at the standard scale, a rule's bandwidth is its multiplier
-    epan = risk_curve(n, xs, p, EPANECHNIKOV_KERNEL, rule_of_thumb(EPANECHNIKOV_KERNEL, n).multiplier)
-    if which == 1:
-        return [risk_curve(n, xs, p), epan]
-    return [risk_curve(n, xs, p, NORMAL_KERNEL, rule_of_thumb(NORMAL_KERNEL, n).multiplier), epan]
+    first = risk_curve(n, xs, p, None if which == 1 else NORMAL_KERNEL)
+    return [first, risk_curve(n, xs, p, EPANECHNIKOV_KERNEL)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +218,11 @@ def _x_grid(args: argparse.Namespace) -> np.ndarray:
         raise ValueError("x-max must exceed x-min")
     if args.x_step <= 0:
         raise ValueError("x-step must be positive")
-    count = int(round((args.x_max - args.x_min) / args.x_step)) + 1
-    return args.x_min + args.x_step * np.arange(count)
+    # min() keeps out of round() the infinite count of an overflowing span or a subnormal step
+    steps = round(min((args.x_max - args.x_min) / args.x_step, MAX_GRID_POINTS))
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"the x grid may hold at most {MAX_GRID_POINTS} points")
+    return args.x_min + args.x_step * np.arange(steps + 1)
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
@@ -246,8 +241,6 @@ def _kernel(args: argparse.Namespace) -> Kernel:
         raise ValueError("kernel estimators require --kernel")
     if (args.h is None) == (not args.rule):
         raise ValueError("specify exactly one of --h and --rule")
-    if args.h is not None and not 0 < args.h < math.inf:
-        raise ValueError("--h must be positive and finite")
     return KERNELS[args.kernel]
 
 
@@ -258,10 +251,8 @@ def _cmd_mse_curve(args: argparse.Namespace) -> None:
         _reject_kernel_flags(args)
         curve = risk_curve(args.n, xs, p)
     else:
-        kernel = _kernel(args)
-        # --h is the bandwidth itself, as in `mise`; the rule scales with sigma
-        hs = rule_of_thumb(kernel, args.n).multiplier if args.rule else args.h / args.sigma
-        curve = risk_curve(args.n, xs, p, kernel, hs)
+        # --h is the bandwidth itself, as in `mise`; without it, the rule of thumb's
+        curve = risk_curve(args.n, xs, p, _kernel(args), args.h)
     _emit(args, _CURVE_COLUMNS, _curve_records([curve]))
 
 
@@ -293,8 +284,8 @@ def _cmd_mise(args: argparse.Namespace) -> None:
             else:
                 std = real_mise_exact(rule, args.n)
             # the risk of the rule at a normal of scale sigma is the standard one over sigma
-            std_error = None if std.std_error is None else std.std_error / args.sigma
-            report = MiseReport(value=std.value / args.sigma, method=std.method, std_error=std_error)
+            std_error = None if std.std_error is None else p.rescale(std.std_error, 1)
+            report = MiseReport(value=p.rescale(std.value, 1), method=std.method, std_error=std_error)
     columns.update(value=".10g", method="", std_error=".6g")
     record.update(
         value=report.value,
@@ -328,11 +319,11 @@ def _cmd_lognormal(args: argparse.Namespace) -> None:
 
 
 def _cmd_skew_mise(args: argparse.Namespace) -> None:
-    value = skew_normal_asymptotic_mise(args.sigma)
     record = {
         "sigma": args.sigma,
-        "n_mise_limit": value,
-        "ratio_to_normal_family": value * args.sigma / PLUGIN_AMISE_CONSTANT,
+        "n_mise_limit": skew_normal_asymptotic_mise(args.sigma),
+        # sigma cancels in the ratio
+        "ratio_to_normal_family": skew_normal_asymptotic_mise(1.0) / PLUGIN_AMISE_CONSTANT,
     }
     _emit(args, {"sigma": "g", "n_mise_limit": ".6f", "ratio_to_normal_family": ".6f"}, [record])
 

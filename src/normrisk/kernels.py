@@ -31,7 +31,7 @@ from .numerics import (
     _check_out,
     std_normal_pdf,
 )
-from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, TWO_SQRT_PI
+from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, PointRisk, TWO_SQRT_PI, _point_risk
 
 
 @dataclass(frozen=True)
@@ -129,23 +129,16 @@ def _epan_moments(y, h: float):
     return (float(e0), float(a0)) if y.ndim == 0 else (e0, a0)
 
 
-class KernelMse(NamedTuple):
-    bias: float
-    sd: float
-    mse: float
-
-
 #: standardized bandwidth above which the parabolic kernel's pointwise
 #: variance is rejected: its a0/h - e0^2 cancels, 7.8e-11 relative at 32
 EPAN_VARIANCE_MAX_H = 32.0
 
 
-def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> KernelMse:
-    """Exact pointwise bias, standard deviation and MSE of the estimator.
+def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> PointRisk:
+    """Exact pointwise bias, sd and root MSE of the estimator at bandwidth h.
 
-    Elementwise in x: an array of points gives arrays of its shape.  Bias and
-    sd are the standard-scale ones over sigma, finite wherever they are.
-    At y = (x - mu)/sigma and h/sigma, e0 = int K(u) phi(y + h u) du and
+    Elementwise in x: an array of points gives arrays of its shape.  At
+    y = (x - mu)/sigma and h/sigma, e0 = int K(u) phi(y + h u) du and
     a0 = int K(u)^2 phi(y + h u) du are closed forms for the normal kernel
     and `_epan_moments` for the parabolic one; n times the variance is
     a0/h - e0^2.  For the normal kernel that is (a0/h) (-expm1(-E)), with
@@ -157,8 +150,8 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Ke
     """
     _check_kernel(kernel)
     _check_sample_size(n, 1)
-    y = (x - p.mu) / p.sigma
-    hs = h / p.sigma
+    y = p.standardize(x)
+    hs = p.rescale(h, 1)
     if not 0 < hs < math.inf:
         raise ValueError(f"h must be positive and finite, got {hs!r}")
     if kernel.name == "epan" and hs > EPAN_VARIANCE_MAX_H:
@@ -177,17 +170,12 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Ke
             # and log1p(inf) = inf sends the variance to a0/(n h) without an error
             exponent = y * y / ((1.0 + h2) * (2.0 + h2)) + 0.5 * math.log1p(r * r / (2.0 + h2))
             variance = a0 / (n * hs) * -np.expm1(-exponent)
-            if variance.ndim == 0:
-                variance = float(variance)  # a float, so that mse below overflows to inf without a warning
         else:
             e0, a0 = _epan_moments(y, hs)
             variance = a0 / (n * hs) - e0 * e0 / n
     if not np.isfinite(variance).all():
         raise ValueError(f"h/sigma={hs!r} is too small: the variance overflows a double")
-    bias = (e0 - std_normal_pdf(y)) / p.sigma
-    sd = np.sqrt(np.maximum(variance, 0.0)) / p.sigma
-    mse = bias * bias + variance / p.sigma / p.sigma
-    return KernelMse(bias=bias, sd=sd if sd.ndim else float(sd), mse=mse)
+    return _point_risk(p, e0 - std_normal_pdf(y), variance)
 
 
 def _overlap_term(h: float) -> float:
@@ -278,10 +266,11 @@ def mise_fixed_bandwidth(kernel: Kernel, p: NormalParams, n: int, h: float) -> M
     """
     _check_kernel(kernel)
     closed = mise_closed_normal_kernel if kernel.name == "normal" else mise_closed_epan_kernel
-    standard = closed(n, h / p.sigma)
+    hs = p.rescale(h, 1)
+    standard = closed(n, hs)
     if standard == math.inf:
-        raise ValueError(f"h/sigma={h / p.sigma!r} is too small: the MISE overflows a double")
-    return MiseReport(value=standard / p.sigma, method="closed_form")
+        raise ValueError(f"h/sigma={hs!r} is too small: the MISE overflows a double")
+    return MiseReport(value=p.rescale(standard, 1), method="closed_form")
 
 
 class KernelAsymptotics(NamedTuple):
@@ -292,15 +281,16 @@ class KernelAsymptotics(NamedTuple):
 def asymptotic_kernel_risk(kernel: Kernel, p: NormalParams, n: int) -> KernelAsymptotics:
     """Large-sample optimal bandwidth and minimized leading-order MISE.
 
-    For the normal estimand the curvature roughness is 3/(8 sqrt(pi))
-    divided by sigma^5, which yields the familiar bandwidth coefficients
-    1.0592 (normal kernel) and 4.6898 (parabolic kernel).
+    For the standard normal estimand the curvature roughness is
+    3/(8 sqrt(pi)), which yields the familiar bandwidth coefficients
+    1.0592 (normal kernel) and 4.6898 (parabolic kernel).  The bandwidth
+    scales as sigma and the AMISE as 1/sigma.
     """
     _check_kernel(kernel)
     _check_sample_size(n, 1)
-    curvature_roughness = 3.0 / (8.0 * math.sqrt(math.pi) * p.sigma**5)
+    curvature_roughness = 3.0 / (8.0 * math.sqrt(math.pi))
     rk, k2 = kernel.roughness, kernel.second_moment
     h_a = (rk / (k2 * k2)) ** 0.2 * curvature_roughness ** (-0.2) * n ** (-0.2)
     d_const = 1.25 * (rk * math.sqrt(k2)) ** 0.8 * curvature_roughness**0.2
-    amise = d_const * n ** (-0.8) - 1.0 / (TWO_SQRT_PI * p.sigma) / n
-    return KernelAsymptotics(bandwidth=h_a, amise=amise)
+    amise = d_const * n ** (-0.8) - 1.0 / TWO_SQRT_PI / n
+    return KernelAsymptotics(bandwidth=p.rescale(h_a, -1), amise=p.rescale(amise, 1))

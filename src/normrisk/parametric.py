@@ -14,6 +14,7 @@ estimate, computed together as one array-valued integral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -39,7 +40,9 @@ PLUGIN_AMISE_CONSTANT = 7.0 / (16.0 * math.sqrt(math.pi))
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Location and scale of the normal density being estimated."""
+    """Location and scale of the normal density being estimated.  Every risk
+    at (mu, sigma) is the standard one at y = (x - mu)/sigma and bandwidth
+    h/sigma, divided by a power of sigma: `standardize` and `rescale`."""
 
     mu: float = 0.0
     sigma: float = 1.0
@@ -49,6 +52,30 @@ class NormalParams:
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+
+    def standardize(self, x):
+        """(x - mu)/sigma, elementwise, and a float for a scalar x.  It stops
+        at +-1e150, where every density is 0 and no square overflows."""
+        y = np.clip(np.asarray(x, dtype=float) - self.mu, -1e150 * self.sigma, 1e150 * self.sigma)
+        return float(y / self.sigma) if y.ndim == 0 else y / self.sigma
+
+    def rescale(self, value, power: int):
+        """value / sigma^power, elementwise, by |power| divisions (or
+        multiplications, for a bandwidth's power -1), never forming sigma^power.
+
+        ValueError where a value that is a normal double leaves the normal
+        range.  Every risk scales as a negative power of sigma, so the risk
+        overflows for a sigma below 1 and underflows for one above.
+        """
+        scaled = value
+        with np.errstate(over="ignore", under="ignore"):
+            for _ in range(abs(power)):
+                scaled = scaled / self.sigma if power > 0 else scaled * self.sigma
+        was, now = (np.isfinite(v) & (np.abs(v) >= sys.float_info.min) for v in (value, scaled))
+        if (was & ~now).any():
+            size, flow = ("small", "overflows") if self.sigma < 1.0 else ("large", "underflows")
+            raise ValueError(f"sigma={self.sigma!r} is too {size}: the risk {flow} a double")
+        return scaled
 
 
 STD_NORMAL = NormalParams(0.0, 1.0)
@@ -71,10 +98,20 @@ class MiseReport:
             raise ValueError("std_error must be nonnegative")
 
 
-class MseParts(NamedTuple):
+class PointRisk(NamedTuple):
+    """Pointwise bias, standard deviation and root MSE of an estimator:
+    floats, or arrays of the shape of x.  Each scales as 1/sigma."""
+
     bias: float
-    variance: float
-    mse: float
+    sd: float
+    rmse: float
+
+
+def _point_risk(p: NormalParams, bias, variance) -> PointRisk:
+    """The PointRisk at the scale of p, from the standard-scale bias and variance."""
+    sd = np.sqrt(np.maximum(variance, 0.0))
+    fields = p.rescale(np.stack((bias, sd, np.sqrt(bias * bias + variance))), 1)
+    return PointRisk(*(fields.tolist() if fields.ndim == 1 else fields))
 
 
 def asymptotic_mse_plugin(x: float, p: NormalParams, n: int) -> float:
@@ -84,15 +121,16 @@ def asymptotic_mse_plugin(x: float, p: NormalParams, n: int) -> float:
     and in the estimated standard deviation.
     """
     _check_sample_size(n, 2)
-    y = (x - p.mu) / p.sigma
+    y = p.standardize(x)
     phi = std_normal_pdf(y)
-    return phi * phi * (y * y + 0.5 * (y * y - 1.0) ** 2) / (n * p.sigma * p.sigma)
+    # phi y and phi (y^2 - 1) are 0 far out, where y^4 would overflow
+    return p.rescale(((phi * y) ** 2 + 0.5 * (phi * (y * y - 1.0)) ** 2) / n, 2)
 
 
 def asymptotic_mise_plugin(p: NormalParams, n: int) -> float:
     """Leading-order MISE of the plug-in estimator."""
     _check_sample_size(n, 2)
-    return PLUGIN_AMISE_CONSTANT / (n * p.sigma)
+    return p.rescale(PLUGIN_AMISE_CONSTANT / n, 1)
 
 
 def conditional_moments(x, n: int, z):
@@ -114,8 +152,8 @@ def conditional_moments(x, n: int, z):
     return mean, second
 
 
-def exact_mse_plugin(x, p: NormalParams, n: int) -> MseParts:
-    """Exact pointwise bias, variance and MSE of the plug-in estimator.
+def exact_mse_plugin(x, p: NormalParams, n: int) -> PointRisk:
+    """Exact pointwise bias, sd and root MSE of the plug-in estimator.
 
     Integrates both conditional moments against the scaled-chi law of the
     scale estimate, together as one array-valued integral.  x may be a
@@ -124,17 +162,13 @@ def exact_mse_plugin(x, p: NormalParams, n: int) -> MseParts:
     that the second moment is not integrable.
     """
     _check_sample_size(n, 3)
-    y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
+    y = np.asarray(p.standardize(x))
     y_nodes = y[..., None]  # the quadrature nodes z on a last axis of their own
 
     mean0, second0 = scaled_chi_expectation(
         lambda z: np.stack(conditional_moments(y_nodes, n, z)), n
     )
-    if y.ndim == 0:
-        mean0, second0 = float(mean0), float(second0)
-    bias = (mean0 - std_normal_pdf(y)) / p.sigma
-    variance = (second0 - mean0 * mean0) / p.sigma / p.sigma
-    return MseParts(bias=bias, variance=variance, mse=bias * bias + variance)
+    return _point_risk(p, mean0 - std_normal_pdf(y), second0 - mean0 * mean0)
 
 
 def _mise_integrand(n, z, d):
@@ -167,7 +201,7 @@ def plugin_mise_coefficients(ns: Sequence[int]) -> list[float]:
 
 def plugin_mise_column(p: NormalParams, ns: Sequence[int]) -> list[float]:
     """Exact plug-in MISE at every n of ns, in order, from one column of coefficients."""
-    return [c / (n * TWO_SQRT_PI * p.sigma) for n, c in zip(ns, plugin_mise_coefficients(ns))]
+    return [p.rescale(c / (n * TWO_SQRT_PI), 1) for n, c in zip(ns, plugin_mise_coefficients(ns))]
 
 
 def exact_mise_plugin(p: NormalParams, n: int) -> MiseReport:
@@ -192,6 +226,5 @@ def exact_mise_umvu(p: NormalParams, n: int) -> MiseReport:
         + _gamma_half_excess(0.5 * (n - 2))
         - _gamma_half_excess(n - 3)
     )
-    value = math.expm1(exponent) / TWO_SQRT_PI / p.sigma
-    return MiseReport(value=value, method="closed_form")
+    return MiseReport(value=p.rescale(math.expm1(exponent) / TWO_SQRT_PI, 1), method="closed_form")
 

@@ -325,7 +325,7 @@ def test_c14_property_suite_spot_checks():
         - mise_closed_normal_kernel(9, 0.5) / 2.0
     ) < 1e-12
     checks["mse_scale"] = abs(
-        exact_mse_plugin(1.0, p, 9).mse - exact_mse_plugin(0.5, STD_NORMAL, 9).mse / 4.0
+        exact_mse_plugin(1.0, p, 9).rmse**2 - exact_mse_plugin(0.5, STD_NORMAL, 9).rmse**2 / 4.0
     ) < 1e-12
 
     # the Gaussian shift identity behind the conditional moments

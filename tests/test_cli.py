@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,13 +21,23 @@ from normrisk import bandwidth, cli, numerics
 from normrisk.bandwidth import optimal_bandwidth_constant
 from normrisk.case_studies import skew_normal_asymptotic_mise
 from normrisk.cli import main
-from normrisk.kernels import EPANECHNIKOV_KERNEL, KERNELS, NORMAL_KERNEL, exact_mse_kernel
+from normrisk.kernels import (
+    EPANECHNIKOV_KERNEL,
+    KERNELS,
+    NORMAL_KERNEL,
+    asymptotic_kernel_risk,
+    exact_mse_kernel,
+    mise_fixed_bandwidth,
+)
 from normrisk.numerics import QuadratureError
 from normrisk.parametric import (
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,
     NormalParams,
+    asymptotic_mise_plugin,
+    asymptotic_mse_plugin,
     exact_mise_plugin,
+    exact_mise_umvu,
     exact_mse_plugin,
     plugin_mise_column,
 )
@@ -515,6 +526,21 @@ class TestCurveCommands:
     def test_bad_grid(self):
         assert main(["figure", "--which", "1", "--x-min", "2", "--x-max", "-2"]) == 2
 
+    def test_grid_is_bounded_before_it_is_allocated(self, capsys):
+        # a span of 2e308 exited 1 with a bare OverflowError, and a step of
+        # 1e-300 exited 2 with numpy's "Maximum allowed size exceeded"
+        for grid, message in (
+            (["--x-min", "-1e308", "--x-max", "1e308"], "the x grid may hold at most 1000000 points"),
+            (["--x-step", "1e-300"], "the x grid may hold at most 1000000 points"),
+            (["--x-step", "5e-324"], "the x grid may hold at most 1000000 points"),
+            # one point over the cap
+            (["--x-min", "0", "--x-max", "1000000", "--x-step", "1"], "at most 1000000 points"),
+        ):
+            assert main(["figure", "--which", "1", *grid]) == 2
+            assert message in capsys.readouterr().err
+        at_cap = types.SimpleNamespace(x_min=0.0, x_max=999999.0, x_step=1.0)
+        assert len(cli._x_grid(at_cap)) == cli.MAX_GRID_POINTS
+
     @pytest.mark.parametrize("which", [1, 2])
     @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e200])
     def test_figure_at_extreme_sigma(self, which, sigma, capsys):
@@ -544,6 +570,158 @@ class TestCurveCommands:
     def test_figure_rejects_an_overflowing_sigma(self, capsys):
         assert main(["figure", "--which", "1", "--n", "3", "--sigma", "1e-320"]) == 2
         assert "sigma=1e-320 is too small: the risk overflows a double" in capsys.readouterr().err
+
+
+SIGMA_CORNERS = [1e-310, 1e-160, 1e-70, 1.0, 1e70, 1e160, 1e308]
+
+
+def _at(sigma):
+    """A point x and an estimand of scale sigma, its mean off 0, with (x - mu)/sigma = 0.3."""
+    return 0.8 * sigma, NormalParams(0.5 * sigma, sigma)
+
+
+# every public function that takes sigma: name -> (its values at scale sigma,
+# and the power of sigma that divides each of them at the standard scale)
+LIBRARY_SCALE_CASES = {
+    "exact_mse_plugin": (lambda s: exact_mse_plugin(*_at(s), 5), 1),
+    **{
+        f"exact_mse_kernel-{k.name}": (lambda s, k=k: exact_mse_kernel(k, *_at(s), 5, 0.7 * s), 1)
+        for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+    },
+    "asymptotic_mse_plugin": (lambda s: [asymptotic_mse_plugin(*_at(s), 10)], 2),
+    "exact_mise_plugin": (lambda s: [exact_mise_plugin(_at(s)[1], 10).value], 1),
+    "plugin_mise_column": (lambda s: plugin_mise_column(_at(s)[1], [3, 10]), 1),
+    "exact_mise_umvu": (lambda s: [exact_mise_umvu(_at(s)[1], 10).value], 1),
+    "asymptotic_mise_plugin": (lambda s: [asymptotic_mise_plugin(_at(s)[1], 10)], 1),
+    **{
+        f"mise_fixed_bandwidth-{k.name}": (
+            lambda s, k=k: [mise_fixed_bandwidth(k, _at(s)[1], 10, 0.5 * s).value], 1
+        )
+        for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+    },
+    # the bandwidth scales as sigma, the AMISE as 1/sigma
+    **{
+        f"asymptotic_kernel_risk-{k.name}": (
+            lambda s, k=k: asymptotic_kernel_risk(k, _at(s)[1], 100), (-1, 1)
+        )
+        for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+    },
+    "skew_normal_asymptotic_mise": (lambda s: [skew_normal_asymptotic_mise(s)], 1),
+}
+
+
+def _grid(sigma):
+    return ["--x-min", repr(-0.5 * sigma), "--x-max", repr(0.5 * sigma), "--x-step", repr(0.25 * sigma)]
+
+
+_KERNEL_MISE = ["mise", "--estimator", "kernel", "--n", "10"]
+_MC = ["--method", "mc", "--replicates", "200", "--eval-points", "5"]
+
+# every command that takes --sigma: name -> its argv at scale sigma, with
+# the x grid and any --h in units of sigma
+CLI_SCALE_CASES = {
+    **{f"figure-{w}": (lambda s, w=w: ["figure", "--which", w, "--n", "5", *_grid(s)]) for w in "12"},
+    "mse-curve-plugin": lambda s: ["mse-curve", "--estimator", "plugin", "--n", "5", *_grid(s)],
+    **{
+        f"mse-curve-{k}-{how}": (
+            lambda s, k=k, how=how: [
+                "mse-curve", "--estimator", "kernel", "--kernel", k, "--n", "5", *_grid(s),
+                *(["--rule", "thumb"] if how == "thumb" else ["--h", repr(0.6 * s)]),
+            ]
+        )
+        for k in KERNELS for how in ("thumb", "h")
+    },
+    "mise-plugin": lambda s: ["mise", "--estimator", "plugin", "--n", "10"],
+    "mise-umvu": lambda s: ["mise", "--estimator", "umvu", "--n", "10"],
+    **{
+        f"mise-{k}-{how}": (
+            lambda s, k=k, how=how: [
+                *_KERNEL_MISE, "--kernel", k,
+                *{"thumb": ["--rule", "thumb"], "mc": ["--rule", "thumb", *_MC], "h": ["--h", repr(0.5 * s)]}[how],
+            ]
+        )
+        for k in KERNELS for how in ("thumb", "mc", "h")
+    },
+    "skew-mise": lambda s: ["skew-mise"],
+}
+
+# the power of sigma that divides each output field at the standard scale
+_FIELD_POWERS = {
+    "bias": 1, "sd": 1, "rmse": 1, "value": 1, "std_error": 1, "n_mise_limit": 1,
+    "ratio_to_normal_family": 0,
+}
+
+
+def _check_scaled(reference, got, powers, sigma):
+    """got is the reference at sigma = 1 divided by sigma**power, to 1e-12."""
+    for want, value, power in zip(reference, got, powers):
+        assert value == 0 or sys.float_info.min <= abs(value) < math.inf, value
+        assert float(mpmath.mpf(value) * mpmath.mpf(sigma) ** power) == pytest.approx(
+            want, rel=1e-12, abs=0
+        )
+
+
+def _in_range(reference, powers, sigma):
+    """Whether every reference value, divided by sigma**power, is well inside
+    the normal doubles, so that a scale error is not allowed."""
+    return all(
+        abs(math.log10(abs(want)) - power * math.log10(sigma)) < 300
+        for want, power in zip(reference, powers)
+        if want != 0
+    )
+
+
+class TestScaleCorners:
+    """At every sigma corner, each risk is the sigma = 1 risk rescaled, to
+    1e-12, or the package's ValueError (exit 2) without a warning; inside
+    the double range it must be the first."""
+
+    @pytest.mark.parametrize("sigma", SIGMA_CORNERS)
+    @pytest.mark.parametrize("case", list(LIBRARY_SCALE_CASES))
+    def test_library(self, case, sigma):
+        compute, power = LIBRARY_SCALE_CASES[case]
+        reference = [float(v) for v in compute(1.0)]
+        powers = power if isinstance(power, tuple) else (power,) * len(reference)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [float(v) for v in compute(sigma)]
+        except ValueError as exc:
+            assert f"sigma={sigma!r} is too" in str(exc)
+            assert not _in_range(reference, powers, sigma)
+            return
+        _check_scaled(reference, got, powers, sigma)
+
+    @pytest.mark.parametrize("sigma", SIGMA_CORNERS)
+    @pytest.mark.parametrize("case", list(CLI_SCALE_CASES))
+    def test_command(self, case, sigma, capsys):
+        argv = CLI_SCALE_CASES[case]
+        assert main([*argv(1.0), "--format", "json"]) == 0
+        reference = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv(sigma), "--sigma", repr(sigma), "--format", "json"])
+        out, err = capsys.readouterr()
+        keys = [k for k in _FIELD_POWERS if reference[0].get(k) is not None]
+        want = [record[k] for record in reference for k in keys]
+        powers = [_FIELD_POWERS[k] for _ in reference for k in keys]
+        if code == 2:
+            assert out == ""
+            assert err.startswith(f"normrisk: usage error: sigma={sigma!r} is too")
+            assert not _in_range(want, powers, sigma)
+            return
+        assert code == 0, err
+        got = [json.loads(line) for line in out.splitlines()]
+        assert len(got) == len(reference)
+        _check_scaled(want, [record[k] for record in got for k in keys], powers, sigma)
+
+    def test_figure_names_sigma_not_the_rule_bandwidth(self, capsys):
+        # the rule's bandwidth, m sigma, overflows at sigma = 1e308 too; the
+        # error is about sigma, which the user gave
+        assert main(["figure", "--which", "1", "--sigma", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("normrisk: usage error: sigma=1e+308 is too large")
+        assert "h/sigma" not in err and "h must" not in err
 
 
 class TestOtherCommands:

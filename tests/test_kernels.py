@@ -306,7 +306,7 @@ class TestExactMseKernel:
             for d in (0.4, 1.7):
                 left = exact_mse_kernel(kernel, p.mu - d, p, 12, 1.1)
                 right = exact_mse_kernel(kernel, p.mu + d, p, 12, 1.1)
-                assert left.mse == pytest.approx(right.mse, rel=1e-12)
+                assert left.rmse**2 == pytest.approx(right.rmse**2, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_array_matches_pointwise(self, kernel):
@@ -315,7 +315,7 @@ class TestExactMseKernel:
         for n, h in ((3, 1.9), (14, 0.8), (1000, 0.35)):
             arr = exact_mse_kernel(kernel, xs, p, n, h)
             each = np.array([exact_mse_kernel(kernel, float(x), p, n, h) for x in xs])
-            assert arr.mse.shape == arr.sd.shape == xs.shape
+            assert arr.rmse.shape == arr.sd.shape == xs.shape
             assert np.abs(np.array(arr).T - each).max() < 1e-13
 
     @pytest.mark.parametrize("n", [3, 14, 100, 1000])
@@ -331,7 +331,7 @@ class TestExactMseKernel:
 
     def test_rmse_decomposition(self):
         r = exact_mse_kernel(EPANECHNIKOV_KERNEL, 0.6, STD_NORMAL, 14, 2.96)
-        assert r.mse == pytest.approx(r.bias**2 + r.sd**2, rel=1e-12)
+        assert r.rmse**2 == pytest.approx(r.bias**2 + r.sd**2, rel=1e-12)
 
     def test_against_simulation(self):
         # one million replicates, normal kernel, off-center evaluation point
@@ -349,7 +349,7 @@ class TestExactMseKernel:
             err_sq_sum += (e2**2).sum()
         mc_mse = err_sum / B
         mc_se = math.sqrt((err_sq_sum / B - mc_mse**2) / B)
-        exact = exact_mse_kernel(NORMAL_KERNEL, x, STD_NORMAL, n, h).mse
+        exact = exact_mse_kernel(NORMAL_KERNEL, x, STD_NORMAL, n, h).rmse**2
         assert abs(exact - mc_mse) < 3.0 * mc_se
 
 

@@ -90,6 +90,11 @@ class TestAsymptoticRisk:
         val = asymptotic_mse_plugin(1.0, STD_NORMAL, 25)
         assert val == pytest.approx(phi(1.0) ** 2 / 25.0, rel=1e-13)
 
+    def test_far_tail_is_zero(self):
+        # y^4 overflows from |y| = 1.2e77, where the MSE raised a bare OverflowError
+        for x in (40.0, -1e100, 1e200, 1e308):
+            assert asymptotic_mse_plugin(x, STD_NORMAL, 10) == 0.0
+
     def test_scale_structure(self):
         p = NormalParams(2.0, 3.0)
         y = 0.8
@@ -150,14 +155,14 @@ class TestExactMse:
         for d in (0.3, 1.1, 2.4):
             left = exact_mse_plugin(p.mu - d, p, 9)
             right = exact_mse_plugin(p.mu + d, p, 9)
-            assert left.mse == pytest.approx(right.mse, rel=1e-11)
+            assert left.rmse**2 == pytest.approx(right.rmse**2, rel=1e-11)
 
     def test_scale_equivariance(self):
         y = 0.6
         p = NormalParams(-2.0, 3.5)
         std = exact_mse_plugin(y, STD_NORMAL, 11)
         gen = exact_mse_plugin(p.mu + y * p.sigma, p, 11)
-        assert gen.mse == pytest.approx(std.mse / p.sigma**2, rel=1e-10)
+        assert gen.rmse**2 == pytest.approx(std.rmse**2 / p.sigma**2, rel=1e-10)
         assert gen.bias == pytest.approx(std.bias / p.sigma, rel=1e-10)
 
     def test_minimum_sample_size(self):
@@ -182,7 +187,7 @@ class TestExactMse:
             sq_err_sq_sum += (err2**2).sum()
         mc_mse = sq_err_sum / B
         mc_se = math.sqrt((sq_err_sq_sum / B - mc_mse**2) / B)
-        exact = exact_mse_plugin(0.0, STD_NORMAL, n).mse
+        exact = exact_mse_plugin(0.0, STD_NORMAL, n).rmse**2
         assert abs(exact - mc_mse) < 3.0 * mc_se
 
     @pytest.mark.parametrize("n", [3, 14, 1000])
@@ -191,9 +196,9 @@ class TestExactMse:
         xs = np.linspace(-5.0, 5.0, 41)
         arr = exact_mse_plugin(xs, p, n)
         each = np.array([exact_mse_plugin(float(x), p, n) for x in xs])
-        assert arr.mse.shape == arr.bias.shape == xs.shape
+        assert arr.rmse.shape == arr.bias.shape == xs.shape
         assert np.abs(np.array(arr).T - each).max() < 1e-13
-        assert isinstance(exact_mse_plugin(0.3, p, n).mse, float)
+        assert isinstance(exact_mse_plugin(0.3, p, n).rmse, float)
 
     @pytest.mark.parametrize("x", [0.0, 1.5, 3.0])
     @pytest.mark.parametrize("n", [3, 4])
@@ -209,7 +214,7 @@ class TestExactMse:
             limit=200,
         )
         parts = exact_mse_plugin(x, STD_NORMAL, n)
-        second = parts.variance + (parts.bias + phi(x)) ** 2
+        second = parts.sd**2 + (parts.bias + phi(x)) ** 2
         assert abs(second - reference) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -222,14 +227,14 @@ class TestExactMse:
         # the variance is the difference of two moments near 0.16 and 0.0016:
         # a second moment summed in log space with the whole O(n) scaled-chi
         # constant was 4.6e-11 relative off at x = 0
-        variance = exact_mse_plugin(x, STD_NORMAL, 1000).variance
+        variance = exact_mse_plugin(x, STD_NORMAL, 1000).sd**2
         assert abs(variance / float(reference) - 1.0) <= 2.5e-11
 
     def test_fubini_consistency(self):
         for n in (5, 10, 20):
             mise = exact_mise_plugin(STD_NORMAL, n).value
             total = integrate(
-                lambda x: exact_mse_plugin(x, STD_NORMAL, n).mse, -9.0, 9.0,
+                lambda x: exact_mse_plugin(x, STD_NORMAL, n).rmse**2, -9.0, 9.0,
             )
             assert total == pytest.approx(mise, abs=2e-6)
 
