@@ -115,7 +115,8 @@ def risk_curve(
     if kernel is None:
         label, risk = "parametric_plugin", exact_mse_plugin(xs, p, n)
     else:
-        # the rule's multiplier is its bandwidth at the standard scale
+        # the rule's multiplier is its bandwidth at the standard scale; in data
+        # units it is m sigma, which exact_mse_kernel divides by sigma again
         h = p.rescale(rule_of_thumb(kernel, n).multiplier, -1) if h is None else h
         label, risk = f"{kernel.name}_kernel", exact_mse_kernel(kernel, xs, p, n, h)
     return RiskCurve(label, tuple(zip(xs.tolist(), *(c.tolist() for c in risk))))

@@ -151,7 +151,7 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
     _check_kernel(kernel)
     _check_sample_size(n, 1)
     y = p.standardize(x)
-    hs = p.rescale(h, 1)
+    hs = p.standard_bandwidth(h)
     if not 0 < hs < math.inf:
         raise ValueError(f"h must be positive and finite, got {hs!r}")
     if kernel.name == "epan" and hs > EPAN_VARIANCE_MAX_H:
@@ -266,7 +266,7 @@ def mise_fixed_bandwidth(kernel: Kernel, p: NormalParams, n: int, h: float) -> M
     """
     _check_kernel(kernel)
     closed = mise_closed_normal_kernel if kernel.name == "normal" else mise_closed_epan_kernel
-    hs = p.rescale(h, 1)
+    hs = p.standard_bandwidth(h)
     standard = closed(n, hs)
     if standard == math.inf:
         raise ValueError(f"h/sigma={hs!r} is too small: the MISE overflows a double")

@@ -59,22 +59,25 @@ class NormalParams:
         y = np.clip(np.asarray(x, dtype=float) - self.mu, -1e150 * self.sigma, 1e150 * self.sigma)
         return float(y / self.sigma) if y.ndim == 0 else y / self.sigma
 
-    def rescale(self, value, power: int):
-        """value / sigma^power, elementwise, by |power| divisions (or
-        multiplications, for a bandwidth's power -1), never forming sigma^power.
+    def standard_bandwidth(self, h: float) -> float:
+        """h/sigma, unchecked: the kernel's own checks name a bandwidth out of range."""
+        return h / self.sigma
 
-        ValueError where a value that is a normal double leaves the normal
-        range.  Every risk scales as a negative power of sigma, so the risk
-        overflows for a sigma below 1 and underflows for one above.
-        """
-        scaled = value
+    def rescale(self, value, power: int, *, pointwise: bool = False):
+        """value / sigma^power, elementwise, for a risk (power 1 or 2) or a
+        bandwidth (power -1).  ValueError where a finite value overflows and,
+        unless it is `pointwise`, whose far tail goes to its correct limit 0,
+        where a normal double falls below the normal range."""
         with np.errstate(over="ignore", under="ignore"):
-            for _ in range(abs(power)):
-                scaled = scaled / self.sigma if power > 0 else scaled * self.sigma
-        was, now = (np.isfinite(v) & (np.abs(v) >= sys.float_info.min) for v in (value, scaled))
-        if (was & ~now).any():
-            size, flow = ("small", "overflows") if self.sigma < 1.0 else ("large", "underflows")
-            raise ValueError(f"sigma={self.sigma!r} is too {size}: the risk {flow} a double")
+            scaled = value * self.sigma if power < 0 else value / self.sigma
+            scaled = scaled / self.sigma if power == 2 else scaled
+        lost = np.isfinite(value) & np.isinf(scaled)
+        if not pointwise:
+            lost |= (np.abs(value) >= sys.float_info.min) & (np.abs(scaled) < sys.float_info.min)
+        if np.any(lost):
+            size, what = "small" if self.sigma < 1.0 else "large", "risk" if power > 0 else "bandwidth"
+            flow = "overflows" if (self.sigma < 1.0) == (power > 0) else "underflows"
+            raise ValueError(f"sigma={self.sigma!r} is too {size}: the {what} {flow} a double")
         return scaled
 
 
@@ -110,7 +113,7 @@ class PointRisk(NamedTuple):
 def _point_risk(p: NormalParams, bias, variance) -> PointRisk:
     """The PointRisk at the scale of p, from the standard-scale bias and variance."""
     sd = np.sqrt(np.maximum(variance, 0.0))
-    fields = p.rescale(np.stack((bias, sd, np.sqrt(bias * bias + variance))), 1)
+    fields = p.rescale(np.stack((bias, sd, np.sqrt(bias * bias + variance))), 1, pointwise=True)
     return PointRisk(*(fields.tolist() if fields.ndim == 1 else fields))
 
 
@@ -124,7 +127,7 @@ def asymptotic_mse_plugin(x: float, p: NormalParams, n: int) -> float:
     y = p.standardize(x)
     phi = std_normal_pdf(y)
     # phi y and phi (y^2 - 1) are 0 far out, where y^4 would overflow
-    return p.rescale(((phi * y) ** 2 + 0.5 * (phi * (y * y - 1.0)) ** 2) / n, 2)
+    return p.rescale(((phi * y) ** 2 + 0.5 * (phi * (y * y - 1.0)) ** 2) / n, 2, pointwise=True)
 
 
 def asymptotic_mise_plugin(p: NormalParams, n: int) -> float:

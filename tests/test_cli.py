@@ -652,13 +652,20 @@ _FIELD_POWERS = {
 }
 
 
-def _check_scaled(reference, got, powers, sigma):
-    """got is the reference at sigma = 1 divided by sigma**power, to 1e-12."""
-    for want, value, power in zip(reference, got, powers):
-        assert value == 0 or sys.float_info.min <= abs(value) < math.inf, value
-        assert float(mpmath.mpf(value) * mpmath.mpf(sigma) ** power) == pytest.approx(
-            want, rel=1e-12, abs=0
-        )
+#: the spacing of the subnormal doubles
+_SUBNORMAL_STEP = mpmath.mpf(2) ** -1074
+
+
+def _check_scaled(reference, got, powers, sigma, pointwise):
+    """got is the reference at sigma = 1 divided by sigma**power, to 1e-12,
+    and a normal double or 0; a pointwise risk's far tail may go on below the
+    normal doubles, within the subnormals' spacing of the scaled reference."""
+    for want, value, power, tail in zip(reference, got, powers, pointwise):
+        assert math.isfinite(value)
+        assert tail or value == 0 or abs(value) >= sys.float_info.min, value
+        scale = mpmath.mpf(sigma) ** power
+        error = abs(mpmath.mpf(value) * scale - want)
+        assert error <= 1e-12 * abs(want) + (_SUBNORMAL_STEP * scale if tail else 0), (value, want)
 
 
 def _in_range(reference, powers, sigma):
@@ -674,7 +681,8 @@ def _in_range(reference, powers, sigma):
 class TestScaleCorners:
     """At every sigma corner, each risk is the sigma = 1 risk rescaled, to
     1e-12, or the package's ValueError (exit 2) without a warning; inside
-    the double range it must be the first."""
+    the double range it must be the first.  A pointwise risk raises only
+    where it overflows: its far tail goes to its correct limit, 0."""
 
     @pytest.mark.parametrize("sigma", SIGMA_CORNERS)
     @pytest.mark.parametrize("case", list(LIBRARY_SCALE_CASES))
@@ -690,7 +698,8 @@ class TestScaleCorners:
             assert f"sigma={sigma!r} is too" in str(exc)
             assert not _in_range(reference, powers, sigma)
             return
-        _check_scaled(reference, got, powers, sigma)
+        pointwise = [case.startswith(("exact_mse", "asymptotic_mse"))] * len(reference)
+        _check_scaled(reference, got, powers, sigma, pointwise)
 
     @pytest.mark.parametrize("sigma", SIGMA_CORNERS)
     @pytest.mark.parametrize("case", list(CLI_SCALE_CASES))
@@ -713,15 +722,46 @@ class TestScaleCorners:
         assert code == 0, err
         got = [json.loads(line) for line in out.splitlines()]
         assert len(got) == len(reference)
-        _check_scaled(want, [record[k] for record in got for k in keys], powers, sigma)
+        pointwise = [k in ("bias", "sd", "rmse") for _ in reference for k in keys]
+        _check_scaled(want, [record[k] for record in got for k in keys], powers, sigma, pointwise)
 
     def test_figure_names_sigma_not_the_rule_bandwidth(self, capsys):
-        # the rule's bandwidth, m sigma, overflows at sigma = 1e308 too; the
-        # error is about sigma, which the user gave
+        # the parabolic rule's bandwidth, m sigma, overflows at sigma = 1e308;
+        # the error is about sigma, which the user gave
         assert main(["figure", "--which", "1", "--sigma", "1e308"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("normrisk: usage error: sigma=1e+308 is too large")
-        assert "h/sigma" not in err and "h must" not in err
+        assert err == "normrisk: usage error: sigma=1e+308 is too large: the bandwidth overflows a double\n"
+
+    def test_a_far_tail_goes_to_zero(self, capsys):
+        # at sigma = 2 the whole curve is the standard one at x/2 halved,
+        # exactly, down to the tail, whose halving rounds among the subnormals
+        argv = ["mse-curve", "--estimator", "kernel", "--kernel", "normal", "--n", "10", "--h", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--sigma", "2", "--x-min", "0", "--x-max", "120", "--format", "json"])
+        assert code == 0, capsys.readouterr().err
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        xs = np.array([r["x"] for r in records])
+        standard = exact_mse_kernel(NORMAL_KERNEL, xs / 2.0, STD_NORMAL, 10, 1.0)
+        for key, field in zip(("bias", "sd", "rmse"), standard):
+            got = np.array([r[key] for r in records])
+            assert np.all(np.abs(got - field / 2.0) <= 2.0**-1075)
+        assert any(0 < abs(r["bias"]) < sys.float_info.min for r in records)
+
+    @pytest.mark.parametrize("command", [["mse-curve", "--estimator", "kernel"], ["mise", "--estimator", "kernel"]])
+    @pytest.mark.parametrize(
+        "h, sigma, message",
+        [
+            ("1e-300", "1e10", "h/sigma=1e-310 is too small: the {} overflows a double"),
+            ("1e300", "1e-10", "h must be positive and finite, got inf"),
+        ],
+    )
+    def test_a_bandwidth_out_of_range_is_named(self, command, h, sigma, message, capsys):
+        # h/sigma leaves the double range: the bandwidth the user gave is at fault, not sigma
+        argv = [*command, "--kernel", "epan", "--n", "10", "--h", h, "--sigma", sigma]
+        assert main(argv) == 2
+        quantity = "variance" if command[0] == "mse-curve" else "MISE"
+        assert capsys.readouterr().err == f"normrisk: usage error: {message.format(quantity)}\n"
 
 
 class TestOtherCommands:
