@@ -74,7 +74,7 @@ class NormalParams:
         lost = np.isfinite(value) & np.isinf(scaled)
         if not pointwise:
             lost |= (np.abs(value) >= sys.float_info.min) & (np.abs(scaled) < sys.float_info.min)
-        if np.any(lost):
+        if lost.any():
             size, what = "small" if self.sigma < 1.0 else "large", "risk" if power > 0 else "bandwidth"
             flow = "overflows" if (self.sigma < 1.0) == (power > 0) else "underflows"
             raise ValueError(f"sigma={self.sigma!r} is too {size}: the {what} {flow} a double")
