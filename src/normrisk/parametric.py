@@ -65,9 +65,9 @@ class NormalParams:
 
     def rescale(self, value, power: int, *, pointwise: bool = False):
         """value / sigma^power, elementwise, for a risk (power 1 or 2) or a
-        bandwidth (power -1).  ValueError where a finite value overflows and,
-        unless it is `pointwise`, whose far tail goes to its correct limit 0,
-        where a normal double falls below the normal range."""
+        bandwidth (power -1).  ValueError where a finite value overflows, and
+        where a normal double falls below the normal range unless the value is
+        `pointwise`: a pointwise risk's far tail goes to its correct limit, 0."""
         with np.errstate(over="ignore", under="ignore"):
             scaled = value * self.sigma if power < 0 else value / self.sigma
             scaled = scaled / self.sigma if power == 2 else scaled
