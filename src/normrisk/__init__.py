@@ -17,7 +17,6 @@ from .bandwidth import (
     optimal_bandwidth_constant,
     real_mise_exact,
     real_mise_mc,
-    real_mise_nested,
     rule_of_thumb,
 )
 from .case_studies import (
@@ -57,7 +56,7 @@ __all__ = [
     "asymptotic_mse_plugin", "asymptotic_mise_plugin", "asymptotic_kernel_risk",
     # bandwidth rules and their real MISE
     "optimal_bandwidth_constant", "rule_of_thumb", "BandwidthRule",
-    "real_mise_exact", "real_mise_nested", "real_mise_mc", "McConfig",
+    "real_mise_exact", "real_mise_mc", "McConfig",
     # side studies
     "LognormalParams", "lognormal_mse_nonparametric", "lognormal_mse_parametric",
     "lognormal_crossover", "skew_normal_asymptotic_mise",

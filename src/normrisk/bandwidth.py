@@ -11,13 +11,14 @@ independently by seeded Monte Carlo.
 For the normal kernel both expectations over these laws are Kummer
 functions M(1/2, (n-1)/2, -x): the pair term is closed, and the
 estimate-truth term is one integral over the scaled-chi law of sigma_hat
-(the fixed-bandwidth analogue is Marron & Wand 1992).  For other kernels,
-and as the cross-check of that route, `real_mise_nested` integrates against
-the two ancillary densities directly.  Both are polynomial on a bounded
-support; substituting t = edge * sin(theta) turns them into smooth
-trigonometric integrands that adaptive quadrature resolves quickly even for
-large n, where they concentrate sharply.  Under that map both densities
-carry the same weight, so both terms are one adaptive integral over theta.
+(the fixed-bandwidth analogue is Marron & Wand 1992).  For the parabolic
+kernel, and as the cross-check of that route, `_real_mise_nested`
+integrates against the two ancillary densities directly.  Both are
+polynomial on a bounded support; substituting t = edge * sin(theta) turns
+them into smooth trigonometric integrands that adaptive quadrature resolves
+quickly even for large n, where they concentrate sharply.  Under that map
+both densities carry the same weight, so both terms are one adaptive
+integral over theta.
 """
 
 from __future__ import annotations
@@ -155,8 +156,6 @@ def optimal_bandwidth_constant(kernel: Kernel, n: int) -> float:
     per-kernel bracket for every n; were it not, MinimizationError would be
     raised rather than an edge returned.
     """
-    if kernel.name not in CONSTANT_BRACKETS:
-        raise ValueError(f"unknown kernel {kernel.name!r}")
     _check_sample_size(n, 2)
     return _optimal_constant(kernel.name, n)
 
@@ -257,14 +256,14 @@ def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
       Z = sigma_hat of M(1/2, b, -z^2 e^2/(2 s^2)) / sqrt(2 pi s^2), with
       s^2 = 1 + 1/n + a^2 z^2, because R^2/e^2 is Beta(1/2, b - 1/2) too.
 
-    Other kernels, and the normal kernel at n = 3, take the nested route of
-    `real_mise_nested`.  At n = 3 (b = 1) the scaled-chi integral takes 10
-    panels even for a constant integrand, the whole nested route 6, and
-    that route is within 2.0e-12 of 30-digit mpmath there.
+    The parabolic kernel, and the normal kernel at n = 3, take the nested
+    route of `_real_mise_nested`.  At n = 3 (b = 1) the scaled-chi integral
+    takes 10 panels even for a constant integrand, the whole nested route 6,
+    and that route is within 2.0e-12 of 30-digit mpmath there.
     """
     _check_sample_size(n, 3)
     if rule.kernel.name != "normal" or n == 3:
-        return real_mise_nested(rule, n)
+        return _real_mise_nested(rule, n)
     a = rule.multiplier
     b = 0.5 * (n - 1)
     e2 = (n - 1) ** 2 / n
@@ -278,8 +277,8 @@ def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
     return _real_mise(rule, n, pair_overlap, truth)
 
 
-def real_mise_nested(rule: BandwidthRule, n: int) -> MiseReport:
-    """The real MISE of any kernel by quadrature against the ancillary densities.
+def _real_mise_nested(rule: BandwidthRule, n: int) -> MiseReport:
+    """The real MISE of either kernel by quadrature against the ancillary densities.
 
     The pair overlap E_S K*K(S/a)/a over the pair difference S and the
     estimate-truth overlap E_R int K(u) f(R + a u) du over the residual R

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,28 +34,29 @@ from .numerics import (
 from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, PointRisk, TWO_SQRT_PI, _point_risk
 
 
+#: the only kernels: name, integral of K(u)^2, integral of u^2 K(u), support half-width
+_KERNEL_TABLE = (("normal", NORMAL_ROUGHNESS, 1.0, math.inf), ("epan", 1.2, 0.05, 0.5))
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """A symmetric probability-density kernel and its risk constants."""
+    """The normal or the parabolic kernel and its risk constants; any other raises ValueError."""
 
     name: str
-    roughness: float      # integral of K(u)^2
-    second_moment: float  # integral of u^2 K(u)
-    halfwidth: float      # support half-width; inf for the normal kernel
+    roughness: float
+    second_moment: float
+    halfwidth: float
+
+    def __post_init__(self) -> None:
+        if astuple(self) not in _KERNEL_TABLE:
+            raise ValueError(f"{self!r} is not the normal or the parabolic kernel")
 
 
-NORMAL_KERNEL = Kernel("normal", NORMAL_ROUGHNESS, 1.0, math.inf)
-EPANECHNIKOV_KERNEL = Kernel("epan", 1.2, 0.05, 0.5)
-
+NORMAL_KERNEL, EPANECHNIKOV_KERNEL = (Kernel(*row) for row in _KERNEL_TABLE)
 KERNELS = {k.name: k for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)}
 
 #: standardized bandwidth below which the Epanechnikov MISE is summed as a series
 MISE_SERIES_H = 4.0
-
-
-def _check_kernel(kernel: Kernel) -> None:
-    if kernel.name not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel.name!r}")
 
 
 def kernel_eval(kernel: Kernel, u, out: np.ndarray | None = None):
@@ -65,7 +66,6 @@ def kernel_eval(kernel: Kernel, u, out: np.ndarray | None = None):
     are written there in place and `out` is returned.  The arithmetic is
     the same either way, so the two results agree bit for bit.
     """
-    _check_kernel(kernel)
     u = np.asarray(u, dtype=float)
     if kernel.name == "normal":
         return std_normal_pdf(u, out)
@@ -94,11 +94,8 @@ def gk_epanechnikov(u):
 
 def kernel_self_convolution(kernel: Kernel, u):
     """Density of the difference of two independent kernel draws."""
-    _check_kernel(kernel)
     if kernel.name == "normal":
-        u = np.asarray(u, dtype=float)
-        out = std_normal_pdf(u / math.sqrt(2.0)) / math.sqrt(2.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return std_normal_pdf(np.asarray(u, dtype=float) / math.sqrt(2.0)) / math.sqrt(2.0)
     return gk_epanechnikov(u)
 
 
@@ -148,7 +145,6 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
     ValueError, and so does an h/sigma so small (subnormal, for one) that
     the variance overflows a double at some point of x.
     """
-    _check_kernel(kernel)
     _check_sample_size(n, 1)
     y = p.standardize(x)
     hs = p.standard_bandwidth(h)
@@ -159,6 +155,11 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
             f"the parabolic kernel's pointwise variance is defined up to "
             f"h/sigma = {EPAN_VARIANCE_MAX_H:g}, got {hs!r}"
         )
+    if kernel.name == "normal" and hs > 2.5e148:
+        # phi(1e150/h) is not 0 from here, so y's clip would cut e0, and h^2 overflows
+        # from 1.34e154: e0 is phi(t)/h at t = (x - mu)/h, and the variance, below 1/h^4, is 0
+        e0 = std_normal_pdf(NormalParams(p.mu, h).standardize(x)) / hs
+        return _point_risk(p, e0 - std_normal_pdf(y), 0.0 * e0)
     # a0/(n h) overflows where h is tiny; the check below says so
     with np.errstate(over="ignore"):
         if kernel.name == "normal":
@@ -264,7 +265,6 @@ def mise_fixed_bandwidth(kernel: Kernel, p: NormalParams, n: int, h: float) -> M
     h/sigma, divided by sigma.  ValueError where the standard one overflows
     a double: its term 1/(n h) does so for a tiny (subnormal, say) h/sigma.
     """
-    _check_kernel(kernel)
     closed = mise_closed_normal_kernel if kernel.name == "normal" else mise_closed_epan_kernel
     hs = p.standard_bandwidth(h)
     standard = closed(n, hs)
@@ -286,7 +286,6 @@ def asymptotic_kernel_risk(kernel: Kernel, p: NormalParams, n: int) -> KernelAsy
     1.0592 (normal kernel) and 4.6898 (parabolic kernel).  The bandwidth
     scales as sigma and the AMISE as 1/sigma.
     """
-    _check_kernel(kernel)
     _check_sample_size(n, 1)
     curvature_roughness = 3.0 / (8.0 * math.sqrt(math.pi))
     rk, k2 = kernel.roughness, kernel.second_moment

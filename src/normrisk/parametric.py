@@ -148,8 +148,9 @@ def conditional_moments(x, n: int, z):
     if np.any(z <= 0):
         raise ValueError("z must be positive")
     nz2 = n * z * z
-    mean = math.sqrt(n) / (SQRT_2PI * np.sqrt(1.0 + nz2)) * np.exp(-0.5 * x * x * n / (1.0 + nz2))
-    second = math.sqrt(n) / (2.0 * math.pi * z * np.sqrt(2.0 + nz2)) * np.exp(-x * x * n / (2.0 + nz2))
+    with np.errstate(over="ignore"):  # x x n overflows past n = 1.8e8 at the x clip; exp(-inf) = 0
+        mean = math.sqrt(n) / (SQRT_2PI * np.sqrt(1.0 + nz2)) * np.exp(-0.5 * x * x * n / (1.0 + nz2))
+        second = math.sqrt(n) / (2.0 * math.pi * z * np.sqrt(2.0 + nz2)) * np.exp(-x * x * n / (2.0 + nz2))
     if mean.ndim == 0:
         return float(mean), float(second)
     return mean, second

@@ -4,7 +4,7 @@ The standardized residual R = (X1 - mean_hat)/sigma_hat and the standardized
 pair difference (X1 - X2)/sigma_hat have parameter-free densities: even
 polynomials of degree (n-4)/2 in the squared argument, supported on bounded
 intervals.  Their constants and edges come from `bandwidth._ancillary_shape`,
-the same ones `real_mise_nested` integrates against, so tests of these pdfs
+the same ones `_real_mise_nested` integrates against, so tests of these pdfs
 check that route's constants.
 """
 

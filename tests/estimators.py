@@ -19,7 +19,7 @@ import numpy as np
 
 from normrisk import numerics
 from normrisk.bandwidth import _ancillary_shape
-from normrisk.kernels import Kernel, _check_kernel, kernel_eval, kernel_self_convolution
+from normrisk.kernels import Kernel, kernel_eval, kernel_self_convolution
 from normrisk.numerics import _check_sample_size, std_normal_pdf
 from normrisk.parametric import MiseReport, NormalParams
 
@@ -93,7 +93,6 @@ def mise_exact_generic(kernel: Kernel, p: NormalParams, n: int, h: float) -> Mis
     adaptive quadrature (through `numerics.integrate`, so that tests which
     count its calls see this one).
     """
-    _check_kernel(kernel)
     _check_sample_size(n, 1)
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h!r}")

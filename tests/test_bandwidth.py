@@ -18,7 +18,7 @@ from normrisk.bandwidth import (
     expected_density_at,
     real_mise_exact,
     real_mise_mc,
-    real_mise_nested,
+    _real_mise_nested,
     rule_of_thumb,
 )
 from normrisk.cli import TABLE_SAMPLE_SIZES
@@ -350,7 +350,7 @@ class TestRealMiseExact:
         for a in (0.3, rule_of_thumb(NORMAL_KERNEL, n).multiplier, 2.0, 10.0, 30.0, 100.0):
             rule = BandwidthRule(NORMAL_KERNEL, a)
             closed = real_mise_exact(rule, n).value
-            nested = real_mise_nested(rule, n).value
+            nested = _real_mise_nested(rule, n).value
             assert abs(closed / nested - 1) <= 1e-11, a
 
     @pytest.mark.parametrize("n", sorted(REAL_MISE_MPMATH))
@@ -375,7 +375,7 @@ class TestRealMiseExact:
     def test_parabolic_kernel_large_multiplier_against_mpmath(self, n, a):
         # f(R + a u) narrows like 1/a: on one panel in u, (3, 10) was 6.5e-10
         # off and (10, 100) 3.5%
-        value = real_mise_nested(BandwidthRule(EPANECHNIKOV_KERNEL, float(a)), n).value
+        value = _real_mise_nested(BandwidthRule(EPANECHNIKOV_KERNEL, float(a)), n).value
         assert abs(value / float(EPAN_LARGE_MULTIPLIER_MPMATH[n, a]) - 1) <= 1e-11
 
     def test_integrands_take_arrays(self, monkeypatch):
@@ -398,11 +398,11 @@ class TestRealMiseExact:
 
     def test_other_kernels_take_the_nested_route(self):
         rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 7)
-        assert real_mise_exact(rule, 7) == real_mise_nested(rule, 7)
+        assert real_mise_exact(rule, 7) == _real_mise_nested(rule, 7)
         # and so does the normal kernel at n = 3, where b = 1 is below the
         # Kummer rule's domain
         rule = rule_of_thumb(NORMAL_KERNEL, 3)
-        assert real_mise_exact(rule, 3) == real_mise_nested(rule, 3)
+        assert real_mise_exact(rule, 3) == _real_mise_nested(rule, 3)
 
     def test_report_method(self):
         report = real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 6), 6)
@@ -456,7 +456,7 @@ ONE_INTEGRAL_CASES = {
         for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
         for n in (3, 20, 1000)
     },
-    "real_mise_nested-normal": lambda: real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), 20),
+    "real_mise_nested-normal": lambda: _real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), 20),
     "mise_exact_generic-normal": lambda: mise_exact_generic(NORMAL_KERNEL, STD_NORMAL, 10, 0.5),
     "mise_exact_generic-epan": lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 10, 2.0),
 }

@@ -496,6 +496,35 @@ class TestCurveCommands:
         sds = [json.loads(line)["sd"] for line in text.splitlines()]
         assert sds == pytest.approx([3.8884081107986e-13, 8.920620446954e-14, 3.8884081107986e-13], rel=1e-12)
 
+    def test_normal_kernel_curve_at_a_huge_bandwidth(self, capsys):
+        # the clip of y at 1e150 printed bias 3.989e-153, phi(1e150/h)/h, at
+        # both x = 5e151 and 1e152; the closed form phi(x/s)/s - phi(x), with
+        # s^2 = 1 + h^2, is 30-digit mpmath's
+        argv = ["mse-curve", "--estimator", "kernel", "--kernel", "normal", "--n", "10", "--h", "1e152",
+                "--x-min", "0", "--x-max", "1e152", "--x-step", "5e151", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["x"] for row in rows] == [0.0, 5e151, 1e152]
+        with mpmath.workdps(30):
+            s = mpmath.sqrt(1 + mpmath.mpf(1e152) ** 2)
+            want = [float(mpmath.npdf(row["x"] / s) / s - mpmath.npdf(row["x"])) for row in rows]
+        assert [row["bias"] for row in rows] == pytest.approx(want, rel=1e-15, abs=0)
+        assert want[1:] == pytest.approx([3.5206532676e-153, 2.4197072452e-153], rel=1e-10)
+
+    def test_plugin_curve_at_a_huge_sample_size(self, capsys):
+        # at sigma = 1e-160 every x but 0 is at the clip of y, 1e150, where
+        # x x n overflowed past n = 1.8e8: numpy warned, and under -W error
+        # the command exited 1
+        argv = ["mse-curve", "--estimator", "plugin", "--n", "1000000000", "--sigma", "1e-160", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["x"] for row in rows if row["rmse"] != 0.0] == [0.0]
+        assert all(math.isfinite(row[key]) for row in rows for key in ("bias", "sd", "rmse"))
+
     def test_parabolic_curve_rejects_a_wide_bandwidth(self, capsys):
         argv = ["mse-curve", "--estimator", "kernel", "--kernel", "epan", "--n", "10"]
         assert main([*argv, "--h", "100"]) == 2

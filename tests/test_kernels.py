@@ -1,5 +1,6 @@
 """Kernel estimator risk: moments, pointwise MSE, closed and generic MISE."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -18,9 +19,11 @@ from substreams import substream
 from normrisk.bandwidth import rule_of_thumb
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
+    KERNELS,
     MISE_SERIES_H,
     NORMAL_KERNEL,
     EPAN_VARIANCE_MAX_H,
+    Kernel,
     _epan_moments,
     asymptotic_kernel_risk,
     exact_mse_kernel,
@@ -71,6 +74,29 @@ def phi(x):
 def _minimize(f, lo, hi):
     # scipy's bounded Brent search: an independent reference for the minima
     return minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+
+
+class TestKernelType:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Kernel("epan", 1.0, 0.05, 0.5),
+            lambda: Kernel("box", 0.5, 1 / 12, 0.5),
+            lambda: dataclasses.replace(NORMAL_KERNEL, second_moment=2.0),
+        ],
+        ids=["wrong-roughness", "unknown-name", "replaced-constant"],
+    )
+    def test_any_other_kernel_raises_when_made(self, make):
+        # every formula is written for the two kernels alone: with the first,
+        # the real MISE at n = 10 and a = 0.8 was 0.10970 for the parabolic
+        # kernel's 0.13705, and the fixed-bandwidth MISE ignored the roughness
+        with pytest.raises(ValueError, match="is not the normal or the parabolic kernel"):
+            make()
+
+    def test_the_two_kernels(self):
+        assert KERNELS == {"normal": NORMAL_KERNEL, "epan": EPANECHNIKOV_KERNEL}
+        assert NORMAL_KERNEL == Kernel("normal", RF, 1.0, math.inf)
+        assert dataclasses.replace(EPANECHNIKOV_KERNEL) == Kernel("epan", 1.2, 0.05, 0.5)
 
 
 class TestKernelEval:
@@ -170,6 +196,19 @@ def _normal_kernel_sd_mpmath(x: float, h: float, n: int) -> float:
         return float(mpmath.sqrt((a0 / h - e0 * e0) / n))
 
 
+def _normal_kernel_bias_rmse_mpmath(x: float, p: NormalParams, n: int, h: float) -> tuple[float, float]:
+    """Bias and root MSE of the normal kernel from the closed forms of
+    `_normal_kernel_sd_mpmath`, with digits enough for a0/h - e0^2, whose
+    terms agree to about 1/h^2 relative."""
+    with mpmath.workdps(40 + 2 * max(0, int(math.log10(h / p.sigma)))):
+        y, h = (mpmath.mpf(x) - p.mu) / p.sigma, mpmath.mpf(h) / p.sigma
+        s1, s2 = mpmath.sqrt(1 + h * h), mpmath.sqrt(1 + h * h / 2)
+        e0 = mpmath.npdf(y / s1) / s1
+        a0 = mpmath.npdf(y / s2) / (s2 * 2 * mpmath.sqrt(mpmath.pi))
+        bias = e0 - mpmath.npdf(y)
+        return float(bias / p.sigma), float(mpmath.sqrt(bias * bias + (a0 / h - e0 * e0) / n) / p.sigma)
+
+
 class TestExactMoments:
     def test_normal_kernel_center(self):
         mean, _, _ = _moments(NORMAL_KERNEL, 0.0, STD_NORMAL, 5, 1.0)
@@ -267,6 +306,32 @@ class TestExactMoments:
         # below h = 1e-100 the variance is a0/(n h), with a0 = R(K) phi(x)
         tiny = exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, 10, 1e-200)
         assert tiny.sd == pytest.approx(math.sqrt(RF * PHI0 / (10 * 1e-200)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "p, h",
+        [
+            (STD_NORMAL, 2.5e148),
+            (STD_NORMAL, math.nextafter(2.5e148, math.inf)),
+            (STD_NORMAL, 1e152),
+            (STD_NORMAL, 1e300),
+            (NormalParams(3.0, 1e-100), 1e52),
+            (NormalParams(-1.0, 1e100), 1e300),
+        ],
+    )
+    def test_normal_kernel_at_huge_bandwidths(self, p, h):
+        # the clip of y at 1e150 gave bias phi(1e150/h)/h at every x past
+        # 1e150 sigma from h/sigma = 2.5e148 up, and once h^2 overflowed, at
+        # 1.34e154, bias -phi(y) everywhere; the points are x - mu = t h
+        ts = np.array([0.0, 2.5e-148, 0.5, 1.0, 3.0, 8.0, 40.0])
+        xs = p.mu + ts * h
+        got = exact_mse_kernel(NORMAL_KERNEL, xs, p, 10, h)
+        want = np.array([_normal_kernel_bias_rmse_mpmath(x, p, 10, h) for x in xs.tolist()])
+        np.testing.assert_allclose(got.bias, want[:, 0], rtol=1e-14, atol=0)
+        # rmse and sd are square roots of standard-scale sums that underflow
+        # below about 1e-308, as the variance does everywhere here: rmse is
+        # checked where its square does not
+        squared = (want[:, 1] * p.sigma) ** 2 >= 1e-300
+        np.testing.assert_allclose(got.rmse[squared], want[squared, 1], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_overflowing_variance_names_the_bandwidth(self, kernel):

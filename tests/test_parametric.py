@@ -15,7 +15,7 @@ from substreams import substream
 from normrisk.bandwidth import (
     optimal_bandwidth_constant,
     real_mise_exact,
-    real_mise_nested,
+    _real_mise_nested,
     rule_of_thumb,
 )
 from normrisk.case_studies import LognormalParams, _skew_normal_information, lognormal_mse_parametric
@@ -124,6 +124,14 @@ class TestConditionalMoments:
         assert mean == pytest.approx(math.sqrt(10.0 / 11.0) / math.sqrt(2.0 * math.pi), rel=1e-13)
         assert second == pytest.approx(math.sqrt(10.0 / 12.0) / (2.0 * math.pi), rel=1e-13)
 
+    def test_overflowing_exponent_is_zero(self):
+        # x x n overflowed past n = 1.8e8 at the x clip, 1e150, with numpy's
+        # warning, an error in this suite; exp(-inf) = 0 is the exact limit
+        assert conditional_moments(1e150, 10**9, 1.0) == (0.0, 0.0)
+        mean, second = conditional_moments(np.array([0.0, -1e150]), 10**9, np.array([0.5, 2.0]))
+        assert mean[1] == second[1] == 0.0
+        assert (mean[0], second[0]) == conditional_moments(0.0, 10**9, 0.5)
+
     def test_second_moment_dominates(self):
         for x in (-1.5, 0.0, 2.0):
             for z in (0.5, 1.0, 2.0):
@@ -168,6 +176,14 @@ class TestExactMse:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             exact_mse_plugin(0.0, STD_NORMAL, 2)
+
+    def test_huge_n_out_to_the_x_clip(self):
+        # at n = 10^9 the point at the clip overflowed x x n with a warning;
+        # its risk is 0, and the centre's is that of the centre alone
+        risk = exact_mse_plugin(np.array([0.0, 1e150]), STD_NORMAL, 10**9)
+        assert [field[1] for field in risk] == [0.0, 0.0, 0.0]
+        centre = exact_mse_plugin(0.0, STD_NORMAL, 10**9)
+        assert [field[0] for field in risk] == pytest.approx(list(centre), rel=1e-13)
 
     def test_against_simulation(self):
         # one million replicates of the estimator value at the center
@@ -447,7 +463,7 @@ class TestSampleSizeBoundary:
             lambda n: asymptotic_mise_plugin(STD_NORMAL, n),
             lambda n: umvu_density(0.0, PluginEstimate(0.0, 1.0), n),
             lambda n: real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 10), n),
-            lambda n: real_mise_nested(rule_of_thumb(EPANECHNIKOV_KERNEL, 10), n),
+            lambda n: _real_mise_nested(rule_of_thumb(EPANECHNIKOV_KERNEL, 10), n),
             lambda n: optimal_bandwidth_constant(NORMAL_KERNEL, n),
             lambda n: mise_closed_epan_kernel(n, 1.0),
             lambda n: exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, n, 0.5),
