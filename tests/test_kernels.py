@@ -19,7 +19,6 @@ from substreams import substream
 from normrisk.bandwidth import rule_of_thumb
 from normrisk.kernels import (
     EPANECHNIKOV_KERNEL,
-    KERNELS,
     MISE_SERIES_H,
     NORMAL_KERNEL,
     EPAN_VARIANCE_MAX_H,
@@ -92,11 +91,6 @@ class TestKernelType:
         # kernel's 0.13705, and the fixed-bandwidth MISE ignored the roughness
         with pytest.raises(ValueError, match="is not the normal or the parabolic kernel"):
             make()
-
-    def test_the_two_kernels(self):
-        assert KERNELS == {"normal": NORMAL_KERNEL, "epan": EPANECHNIKOV_KERNEL}
-        assert NORMAL_KERNEL == Kernel("normal", RF, 1.0, math.inf)
-        assert dataclasses.replace(EPANECHNIKOV_KERNEL) == Kernel("epan", 1.2, 0.05, 0.5)
 
 
 class TestKernelEval:
