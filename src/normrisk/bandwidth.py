@@ -51,7 +51,7 @@ from .numerics import (
     scaled_chi_inverse_mean,
     std_normal_pdf,
 )
-from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI
+from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI, NormalParams
 
 #: search brackets for the bandwidth constant, per kernel
 CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
@@ -70,6 +70,10 @@ class BandwidthRule:
     def __post_init__(self) -> None:
         if not self.multiplier > 0:
             raise ValueError(f"multiplier must be positive, got {self.multiplier!r}")
+
+    def bandwidth(self, p: NormalParams) -> float:
+        """The rule's bandwidth in the units of p where sigma_hat is sigma: multiplier * sigma."""
+        return p.rescale(self.multiplier, -1)
 
 
 @dataclass(frozen=True)
@@ -229,9 +233,10 @@ def expected_density_at(n: int, w):
 
 
 def _real_mise(
-    rule: BandwidthRule, n: int, pair_overlap: float, truth_overlap: float
+    rule: BandwidthRule, p: NormalParams, n: int, pair_overlap: float, truth_overlap: float
 ) -> MiseReport:
-    """Assemble the real MISE from the two overlap expectations.
+    """Assemble the real MISE at the scale of p from the two standard-scale
+    overlap expectations.
 
     E int f_hat^2 is the roughness term plus (1 - 1/n) E(1/Z) times the
     pair overlap; the estimate-truth overlap enters twice; the truth adds
@@ -241,14 +246,16 @@ def _real_mise(
     term_rough = rule.kernel.roughness / (n * rule.multiplier) * mean_inv_scale
     term_pair = (1.0 - 1.0 / n) * mean_inv_scale * pair_overlap
     value = term_rough + term_pair - 2.0 * truth_overlap + NORMAL_ROUGHNESS
-    return MiseReport(value=value, method="quadrature")
+    return MiseReport(value=p.rescale(value, 1), method="quadrature")
 
 
-def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
+def real_mise_exact(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
     """Exact MISE actually incurred by the bandwidth rule h = a * sigma_hat.
 
-    Standard normal estimand, defined from n = 3 on.  For the normal kernel,
-    with b = (n-1)/2 and e^2 = (n-1)^2/n:
+    Defined from n = 3 on.  The risk at a normal of scale sigma is the
+    standard one divided by sigma (ValueError where that leaves the normal
+    doubles).  At the standard scale, for the normal kernel, with
+    b = (n-1)/2 and e^2 = (n-1)^2/n:
 
     * the pair overlap is M(1/2, b, -(n-1)/(2a^2)) / (2a sqrt(pi)), because
       the squared pair difference over 2(n-1) sigma_hat^2 is Beta(1/2, b - 1/2);
@@ -263,7 +270,7 @@ def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
     """
     _check_sample_size(n, 3)
     if rule.kernel.name != "normal" or n == 3:
-        return _real_mise_nested(rule, n)
+        return _real_mise_nested(rule, p, n)
     a = rule.multiplier
     b = 0.5 * (n - 1)
     e2 = (n - 1) ** 2 / n
@@ -274,10 +281,10 @@ def real_mise_exact(rule: BandwidthRule, n: int) -> MiseReport:
         return kummer_m_half(b, z * z * e2 / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
 
     truth = scaled_chi_expectation(truth_overlap, n, REAL_MISE_TOL)
-    return _real_mise(rule, n, pair_overlap, truth)
+    return _real_mise(rule, p, n, pair_overlap, truth)
 
 
-def _real_mise_nested(rule: BandwidthRule, n: int) -> MiseReport:
+def _real_mise_nested(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
     """The real MISE of either kernel by quadrature against the ancillary densities.
 
     The pair overlap E_S K*K(S/a)/a over the pair difference S and the
@@ -319,11 +326,12 @@ def _real_mise_nested(rule: BandwidthRule, n: int) -> MiseReport:
     pair_overlap, truth = _support_expectation(
         overlaps, k_const, r_edge, n, points=(-edge, 0.0, edge)
     ).tolist()
-    return _real_mise(rule, n, pair_overlap, truth)
+    return _real_mise(rule, p, n, pair_overlap, truth)
 
 
-def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
-    """Monte Carlo estimate of the same real MISE, with standard error.
+def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> MiseReport:
+    """Monte Carlo estimate of the same real MISE, with standard error, both
+    drawn at the standard scale and divided by sigma.
 
     Replicate i draws n + m standard normals (m = `eval_points`) from the
     stream of `Philox(key=seed).jumped(i)`, whose counter starts at
@@ -371,6 +379,6 @@ def real_mise_mc(rule: BandwidthRule, n: int, mc: McConfig) -> MiseReport:
         estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2) / (n * h)[:, None]
         root_truth = np.sqrt(std_normal_pdf(fresh))
         scores[start : start + count] = np.mean((estimate / root_truth - root_truth) ** 2, axis=1)
-    value = float(scores.mean())
+    value = p.rescale(float(scores.mean()), 1)
     std_error = float(scores.std(ddof=1) / math.sqrt(mc.replicates)) if mc.replicates > 1 else math.inf
-    return MiseReport(value=value, method="monte_carlo", std_error=std_error)
+    return MiseReport(value=value, method="monte_carlo", std_error=p.rescale(std_error, 1))

@@ -16,7 +16,7 @@ import locale  # noqa: F401 -- argparse's gettext imports it for the first parse
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .kernels import (
 )
 from .numerics import NumericsError, _check_sample_size
 from .parametric import (
-    MiseReport,
     NormalParams,
     PLUGIN_AMISE_CONSTANT,
     STD_NORMAL,
@@ -76,14 +75,6 @@ class ComparisonRow:
     epan_ratio2: float
 
 
-@dataclass(frozen=True)
-class RiskCurve:
-    """Pointwise risk summary of one estimator over an x grid."""
-
-    estimator_label: str
-    points: tuple[tuple[float, float, float, float], ...]  # (x, bias, sd, rmse)
-
-
 def comparison_row(n: int, plugin_mise: float) -> ComparisonRow:
     """Compute one table row, given its plug-in MISE, the benchmark that
     every ratio is taken against (`plugin_mise_column` gives a table's).
@@ -99,31 +90,34 @@ def comparison_row(n: int, plugin_mise: float) -> ComparisonRow:
         umvu_ratio=exact_mise_umvu(STD_NORMAL, n).value / plugin_mise,
         b_n=optimal_bandwidth_constant(NORMAL_KERNEL, n),
         normal_ratio1=mise_closed_normal_kernel(n, normal.multiplier) / plugin_mise,
-        normal_ratio2=real_mise_exact(normal, n).value / plugin_mise,
+        normal_ratio2=real_mise_exact(normal, STD_NORMAL, n).value / plugin_mise,
         c_n=optimal_bandwidth_constant(EPANECHNIKOV_KERNEL, n),
         epan_ratio1=mise_closed_epan_kernel(n, epan.multiplier) / plugin_mise,
-        epan_ratio2=real_mise_exact(epan, n).value / plugin_mise,
+        epan_ratio2=real_mise_exact(epan, STD_NORMAL, n).value / plugin_mise,
     )
 
 
 def risk_curve(
     n: int, xs: Sequence[float], p: NormalParams, kernel: Optional[Kernel] = None, h: Optional[float] = None
-) -> RiskCurve:
+) -> list[dict]:
     """Bias, sd and rmse over xs of the plug-in estimator, or of `kernel` at
-    bandwidth h, in the units of xs, or by default at its rule of thumb."""
+    bandwidth h, in the units of xs, or by default at its rule of thumb: one
+    record {estimator, x, bias, sd, rmse} per point of xs, in order."""
     xs = np.asarray(xs, dtype=float)
     if kernel is None:
         label, risk = "parametric_plugin", exact_mse_plugin(xs, p, n)
     else:
-        # the rule's multiplier is its bandwidth at the standard scale; in data
-        # units it is m sigma, which exact_mse_kernel divides by sigma again
-        h = p.rescale(rule_of_thumb(kernel, n).multiplier, -1) if h is None else h
+        # the rule's bandwidth in data units, m sigma, which exact_mse_kernel divides by sigma again
+        h = rule_of_thumb(kernel, n).bandwidth(p) if h is None else h
         label, risk = f"{kernel.name}_kernel", exact_mse_kernel(kernel, xs, p, n, h)
-    return RiskCurve(label, tuple(zip(xs.tolist(), *(c.tolist() for c in risk))))
+    return [
+        {"estimator": label, "x": x, "bias": bias, "sd": sd, "rmse": rmse}
+        for x, bias, sd, rmse in zip(xs.tolist(), *(c.tolist() for c in risk))
+    ]
 
 
-def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -> list[RiskCurve]:
-    """Risk curves behind the two figures.
+def figure_curves(which: int, n: int, xs: Sequence[float], sigma: float = 1.0) -> list[list[dict]]:
+    """Risk curves behind the two figures, as `risk_curve` records.
 
     Figure 1 contrasts the parametric plug-in with the parabolic kernel at
     its best deterministic bandwidth; figure 2 contrasts the two kernels,
@@ -191,12 +185,6 @@ def _emit(args: argparse.Namespace, columns: dict[str, str], records: Iterable[d
     args.stream.write("".join(line + "\n" for line in lines))
 
 
-def _curve_records(curves: Sequence[RiskCurve]) -> Iterator[dict]:
-    for c in curves:
-        for x, bias, sd, rmse in c.points:
-            yield {"estimator": c.estimator_label, "x": x, "bias": bias, "sd": sd, "rmse": rmse}
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -227,8 +215,8 @@ def _x_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
-    curves = figure_curves(args.which, args.n, _x_grid(args), args.sigma)
-    _emit(args, _CURVE_COLUMNS, _curve_records(curves))
+    first, second = figure_curves(args.which, args.n, _x_grid(args), args.sigma)
+    _emit(args, _CURVE_COLUMNS, first + second)
 
 
 def _reject_kernel_flags(args: argparse.Namespace) -> None:
@@ -254,7 +242,7 @@ def _cmd_mse_curve(args: argparse.Namespace) -> None:
     else:
         # --h is the bandwidth itself, as in `mise`; without it, the rule of thumb's
         curve = risk_curve(args.n, xs, p, _kernel(args), args.h)
-    _emit(args, _CURVE_COLUMNS, _curve_records([curve]))
+    _emit(args, _CURVE_COLUMNS, curve)
 
 
 def _cmd_mise(args: argparse.Namespace) -> None:
@@ -281,12 +269,9 @@ def _cmd_mise(args: argparse.Namespace) -> None:
             rule = rule_of_thumb(kernel, args.n)
             if args.method == "mc":
                 mc = McConfig(replicates=args.replicates, eval_points=args.eval_points, seed=args.seed)
-                std = real_mise_mc(rule, args.n, mc)
+                report = real_mise_mc(rule, p, args.n, mc)
             else:
-                std = real_mise_exact(rule, args.n)
-            # the risk of the rule at a normal of scale sigma is the standard one over sigma
-            std_error = None if std.std_error is None else p.rescale(std.std_error, 1)
-            report = MiseReport(value=p.rescale(std.value, 1), method=std.method, std_error=std_error)
+                report = real_mise_exact(rule, p, args.n)
     columns.update(value=".10g", method="", std_error=".6g")
     record.update(
         value=report.value,

@@ -111,9 +111,12 @@ class PointRisk(NamedTuple):
 
 
 def _point_risk(p: NormalParams, bias, variance) -> PointRisk:
-    """The PointRisk at the scale of p, from the standard-scale bias and variance."""
+    """The PointRisk at the scale of p, from the standard-scale bias and variance.
+    rmse is hypot(bias, sd) where bias^2 + variance underflows, its root elsewhere."""
     sd = np.sqrt(np.maximum(variance, 0.0))
-    fields = p.rescale(np.stack((bias, sd, np.sqrt(bias * bias + variance))), 1, pointwise=True)
+    square = bias * bias + variance
+    rmse = np.where(square < sys.float_info.min, np.hypot(bias, sd), np.sqrt(square))
+    fields = p.rescale(np.stack((bias, sd, rmse)), 1, pointwise=True)
     return PointRisk(*(fields.tolist() if fields.ndim == 1 else fields))
 
 

@@ -241,7 +241,7 @@ def test_c08b_expansion_remainder_verified(mise_coefficients):
 def test_c09_pointwise_crossings_at_fourteen():
     xs = np.arange(0.0, 3.0001, 0.02)
     parametric, kernel = figure_curves(1, 14, xs)
-    diff = np.array([k[3] ** 2 - p[3] ** 2 for p, k in zip(parametric.points, kernel.points)])
+    diff = np.array([k["rmse"] ** 2 - p["rmse"] ** 2 for p, k in zip(parametric, kernel)])
     crossings = [
         float(0.5 * (xs[i] + xs[i + 1])) for i in range(len(xs) - 1) if diff[i] * diff[i + 1] < 0
     ]
@@ -267,8 +267,8 @@ def test_c11_monte_carlo_consistency(table_rows):
     for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL):
         for n in (5, 10):
             rule = rule_of_thumb(kernel, n)
-            exact = real_mise_exact(rule, n).value
-            mc = real_mise_mc(rule, n, McConfig(replicates=10**4, eval_points=10, seed=2718))
+            exact = real_mise_exact(rule, STD_NORMAL, n).value
+            mc = real_mise_mc(rule, STD_NORMAL, n, McConfig(replicates=10**4, eval_points=10, seed=2718))
             if abs(mc.value - exact) > 3.0 * mc.std_error:
                 failures.append((kernel.name, n, mc.value, exact, mc.std_error))
     report(11, not failures, f"Monte Carlo within 3 standard errors of exact ({failures or 'none'})")
@@ -350,7 +350,9 @@ def test_c14_property_suite_spot_checks():
     )
     rule = rule_of_thumb(NORMAL_KERNEL, 5)
     mc_cfg = McConfig(replicates=200, eval_points=3, seed=11)
-    checks["mc_deterministic"] = real_mise_mc(rule, 5, mc_cfg) == real_mise_mc(rule, 5, mc_cfg)
+    checks["mc_deterministic"] = (
+        real_mise_mc(rule, STD_NORMAL, 5, mc_cfg) == real_mise_mc(rule, STD_NORMAL, 5, mc_cfg)
+    )
 
     failed = sorted(name for name, ok in checks.items() if not ok)
     report(14, not failed, f"invariant spot checks ({failed or 'all pass'})")

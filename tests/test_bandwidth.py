@@ -321,7 +321,7 @@ class TestRealMiseExact:
         kernel_name, n = key
         kernel = NORMAL_KERNEL if kernel_name == "normal" else EPANECHNIKOV_KERNEL
         rule = rule_of_thumb(kernel, n)
-        ratio = real_mise_exact(rule, n).value / exact_mise_plugin(STD_NORMAL, n).value
+        ratio = real_mise_exact(rule, STD_NORMAL, n).value / exact_mise_plugin(STD_NORMAL, n).value
         assert ratio == pytest.approx(REAL_RATIO_EXACT[key], abs=2e-4)
 
     def test_estimated_bandwidth_never_beats_oracle(self):
@@ -334,12 +334,12 @@ class TestRealMiseExact:
             for n in (5, 12):
                 rule = rule_of_thumb(kernel, n)
                 fixed = closed(n, rule.multiplier)
-                random_h = real_mise_exact(rule, n).value
+                random_h = real_mise_exact(rule, STD_NORMAL, n).value
                 assert random_h >= fixed
 
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
-            real_mise_exact(BandwidthRule(NORMAL_KERNEL, 0.7), 2)
+            real_mise_exact(BandwidthRule(NORMAL_KERNEL, 0.7), STD_NORMAL, 2)
 
     @pytest.mark.parametrize("n", [4, 5, 10, 14, 20, 50, 100])
     def test_kummer_route_matches_nested(self, n):
@@ -349,33 +349,33 @@ class TestRealMiseExact:
         # a = 100 was 1.2e-4 off at n = 3
         for a in (0.3, rule_of_thumb(NORMAL_KERNEL, n).multiplier, 2.0, 10.0, 30.0, 100.0):
             rule = BandwidthRule(NORMAL_KERNEL, a)
-            closed = real_mise_exact(rule, n).value
-            nested = _real_mise_nested(rule, n).value
+            closed = real_mise_exact(rule, STD_NORMAL, n).value
+            nested = _real_mise_nested(rule, STD_NORMAL, n).value
             assert abs(closed / nested - 1) <= 1e-11, a
 
     @pytest.mark.parametrize("n", sorted(REAL_MISE_MPMATH))
     def test_against_mpmath(self, n):
         a, reference, bound = REAL_MISE_MPMATH[n]
-        value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), n).value
+        value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), STD_NORMAL, n).value
         assert abs(value / float(reference) - 1) <= bound
 
     @pytest.mark.parametrize("a", sorted(REAL_MISE_N3_MPMATH))
     def test_n3_against_mpmath(self, a):
         # n = 3 takes the nested route: 2.0e-12 off at a = 2, the largest
-        value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), 3).value
+        value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), STD_NORMAL, 3).value
         assert abs(value / float(REAL_MISE_N3_MPMATH[a]) - 1) <= 1e-11
 
     @pytest.mark.parametrize("n", sorted(EPAN_REAL_MISE_MPMATH))
     def test_parabolic_kernel_against_mpmath(self, n):
         a, reference = EPAN_REAL_MISE_MPMATH[n]
-        value = real_mise_exact(BandwidthRule(EPANECHNIKOV_KERNEL, a), n).value
+        value = real_mise_exact(BandwidthRule(EPANECHNIKOV_KERNEL, a), STD_NORMAL, n).value
         assert abs(value / float(reference) - 1) <= 1e-11
 
     @pytest.mark.parametrize("n,a", sorted(EPAN_LARGE_MULTIPLIER_MPMATH))
     def test_parabolic_kernel_large_multiplier_against_mpmath(self, n, a):
         # f(R + a u) narrows like 1/a: on one panel in u, (3, 10) was 6.5e-10
         # off and (10, 100) 3.5%
-        value = _real_mise_nested(BandwidthRule(EPANECHNIKOV_KERNEL, float(a)), n).value
+        value = _real_mise_nested(BandwidthRule(EPANECHNIKOV_KERNEL, float(a)), STD_NORMAL, n).value
         assert abs(value / float(EPAN_LARGE_MULTIPLIER_MPMATH[n, a]) - 1) <= 1e-11
 
     def test_integrands_take_arrays(self, monkeypatch):
@@ -393,19 +393,19 @@ class TestRealMiseExact:
         monkeypatch.setattr(bandwidth, "integrate", recording_integrate)
         for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL):
             for n in (3, 20, 1000):
-                real_mise_exact(rule_of_thumb(kernel, n), n)
+                real_mise_exact(rule_of_thumb(kernel, n), STD_NORMAL, n)
         assert ndims and 0 not in ndims
 
     def test_other_kernels_take_the_nested_route(self):
         rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 7)
-        assert real_mise_exact(rule, 7) == _real_mise_nested(rule, 7)
+        assert real_mise_exact(rule, STD_NORMAL, 7) == _real_mise_nested(rule, STD_NORMAL, 7)
         # and so does the normal kernel at n = 3, where b = 1 is below the
         # Kummer rule's domain
         rule = rule_of_thumb(NORMAL_KERNEL, 3)
-        assert real_mise_exact(rule, 3) == _real_mise_nested(rule, 3)
+        assert real_mise_exact(rule, STD_NORMAL, 3) == _real_mise_nested(rule, STD_NORMAL, 3)
 
     def test_report_method(self):
-        report = real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 6), 6)
+        report = real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 6), STD_NORMAL, 6)
         assert report.method == "quadrature"
         assert report.std_error is None
 
@@ -451,12 +451,12 @@ ONE_INTEGRAL_CASES = {
     "exact_mse_plugin": lambda: exact_mse_plugin(np.linspace(-3.0, 3.0, 13), STD_NORMAL, 14),
     **{
         f"real_mise_exact-{kernel.name}-{n}": (
-            lambda kernel=kernel, n=n: real_mise_exact(rule_of_thumb(kernel, n), n)
+            lambda kernel=kernel, n=n: real_mise_exact(rule_of_thumb(kernel, n), STD_NORMAL, n)
         )
         for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
         for n in (3, 20, 1000)
     },
-    "real_mise_nested-normal": lambda: _real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), 20),
+    "real_mise_nested-normal": lambda: _real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), STD_NORMAL, 20),
     "mise_exact_generic-normal": lambda: mise_exact_generic(NORMAL_KERNEL, STD_NORMAL, 10, 0.5),
     "mise_exact_generic-epan": lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 10, 2.0),
 }
@@ -482,15 +482,15 @@ class TestRealMiseMc:
     def test_deterministic(self):
         rule = rule_of_thumb(NORMAL_KERNEL, 5)
         mc = McConfig(replicates=500, eval_points=4, seed=99)
-        first = real_mise_mc(rule, 5, mc)
-        second = real_mise_mc(rule, 5, mc)
+        first = real_mise_mc(rule, STD_NORMAL, 5, mc)
+        second = real_mise_mc(rule, STD_NORMAL, 5, mc)
         assert first == second
 
     def test_matches_exact_within_error(self):
         rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 8)
         mc = McConfig(replicates=4000, eval_points=8, seed=31337)
-        report = real_mise_mc(rule, 8, mc)
-        exact = real_mise_exact(rule, 8).value
+        report = real_mise_mc(rule, STD_NORMAL, 8, mc)
+        exact = real_mise_exact(rule, STD_NORMAL, 8).value
         assert report.method == "monte_carlo"
         assert abs(report.value - exact) < 3.5 * report.std_error
 
@@ -500,8 +500,8 @@ class TestRealMiseMc:
         rule = rule_of_thumb(NORMAL_KERNEL, 6)
         ratios = []
         for seed in range(10):
-            small = real_mise_mc(rule, 6, McConfig(replicates=2000, eval_points=5, seed=seed))
-            large = real_mise_mc(rule, 6, McConfig(replicates=4000, eval_points=5, seed=seed))
+            small = real_mise_mc(rule, STD_NORMAL, 6, McConfig(replicates=2000, eval_points=5, seed=seed))
+            large = real_mise_mc(rule, STD_NORMAL, 6, McConfig(replicates=4000, eval_points=5, seed=seed))
             ratios.append(large.std_error / small.std_error)
         assert np.median(ratios) == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
@@ -517,7 +517,7 @@ class TestRealMiseMc:
             root_truth = np.sqrt(std_normal_pdf(fresh))
             scores.append(np.mean((estimate / root_truth - root_truth) ** 2))
         scores = np.array(scores)
-        report = real_mise_mc(rule, n, mc)
+        report = real_mise_mc(rule, STD_NORMAL, n, mc)
         assert report.value == scores.mean()
         assert report.std_error == scores.std(ddof=1) / math.sqrt(mc.replicates)
 
@@ -544,7 +544,7 @@ class TestRealMiseMc:
         rule = rule_of_thumb(NORMAL_KERNEL, 1000)
         tracemalloc.start()
         try:
-            real_mise_mc(rule, 1000, McConfig(replicates=300, eval_points=10, seed=5))
+            real_mise_mc(rule, STD_NORMAL, 1000, McConfig(replicates=300, eval_points=10, seed=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -18,7 +18,13 @@ import pytest
 
 import normrisk
 from normrisk import bandwidth, cli, numerics
-from normrisk.bandwidth import optimal_bandwidth_constant
+from normrisk.bandwidth import (
+    McConfig,
+    optimal_bandwidth_constant,
+    real_mise_exact,
+    real_mise_mc,
+    rule_of_thumb,
+)
 from normrisk.case_studies import skew_normal_asymptotic_mise
 from normrisk.cli import main
 from normrisk.kernels import (
@@ -322,6 +328,13 @@ class TestMiseCommand:
     def test_invalid_combinations(self, args):
         assert main(args) == 2
 
+    @pytest.mark.parametrize("estimator", ["plugin", "umvu"])
+    def test_exact_only_estimators_reject_monte_carlo(self, estimator, capsys):
+        assert main(["mise", "--estimator", estimator, "--n", "10", "--method", "mc"]) == 2
+        assert capsys.readouterr().err == (
+            f"normrisk: usage error: the {estimator} estimator is exact-only; --method mc needs a kernel\n"
+        )
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -555,6 +568,15 @@ class TestCurveCommands:
     def test_bad_grid(self):
         assert main(["figure", "--which", "1", "--x-min", "2", "--x-max", "-2"]) == 2
 
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_step_must_be_positive(self, step, capsys):
+        assert main(["figure", "--which", "1", "--x-step", step]) == 2
+        assert capsys.readouterr().err == "normrisk: usage error: x-step must be positive\n"
+
+    def test_figure_number_is_one_or_two(self):
+        with pytest.raises(ValueError, match="figure number must be 1 or 2"):
+            cli.figure_curves(3, 14, np.array([0.0, 1.0]))
+
     def test_grid_is_bounded_before_it_is_allocated(self, capsys):
         # a span of 2e308 exited 1 with a bare OverflowError, and a step of
         # 1e-300 exited 2 with numpy's "Maximum allowed size exceeded"
@@ -580,12 +602,12 @@ class TestCurveCommands:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         xs = np.array([r["x"] for r in records[: len(records) // 2]])
         standard = cli.figure_curves(which, 3, xs / sigma, 1.0)
-        points = [point for curve in standard for point in curve.points]
+        points = [point for curve in standard for point in curve]
         assert len(points) == len(records)
-        for record, (_, *fields) in zip(records, points):
-            for key, field in zip(("bias", "sd", "rmse"), fields):
+        for record, point in zip(records, points):
+            for key in ("bias", "sd", "rmse"):
                 assert math.isfinite(record[key])
-                assert record[key] == pytest.approx(field / sigma, rel=1e-12, abs=0)
+                assert record[key] == pytest.approx(point[key] / sigma, rel=1e-12, abs=0)
         assert any(record["sd"] > 0 for record in records)
 
     @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e200])
@@ -607,6 +629,12 @@ SIGMA_CORNERS = [1e-310, 1e-160, 1e-70, 1.0, 1e70, 1e160, 1e308]
 def _at(sigma):
     """A point x and an estimand of scale sigma, its mean off 0, with (x - mu)/sigma = 0.3."""
     return 0.8 * sigma, NormalParams(0.5 * sigma, sigma)
+
+
+def _real_mise_mc_at(kernel, sigma):
+    """The Monte Carlo real MISE and its standard error at scale sigma, from 200 replicates."""
+    report = real_mise_mc(rule_of_thumb(kernel, 10), _at(sigma)[1], 10, McConfig(200, 5, seed=1))
+    return [report.value, report.std_error]
 
 
 # every public function that takes sigma: name -> (its values at scale sigma,
@@ -636,6 +664,17 @@ LIBRARY_SCALE_CASES = {
         for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
     },
     "skew_normal_asymptotic_mise": (lambda s: [skew_normal_asymptotic_mise(s)], 1),
+    # the rule h = a sigma_hat is scale-free; its risk and standard error scale as 1/sigma
+    **{
+        f"real_mise_exact-{k.name}": (
+            lambda s, k=k: [real_mise_exact(rule_of_thumb(k, 10), _at(s)[1], 10).value], 1
+        )
+        for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+    },
+    **{
+        f"real_mise_mc-{k.name}": (lambda s, k=k: _real_mise_mc_at(k, s), 1)
+        for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
+    },
 }
 
 

@@ -132,6 +132,11 @@ class TestConditionalMoments:
         assert mean[1] == second[1] == 0.0
         assert (mean[0], second[0]) == conditional_moments(0.0, 10**9, 0.5)
 
+    @pytest.mark.parametrize("z", [0.0, -0.5])
+    def test_scale_ratio_must_be_positive(self, z):
+        with pytest.raises(ValueError, match="z must be positive"):
+            conditional_moments(0.0, 10, z)
+
     def test_second_moment_dominates(self):
         for x in (-1.5, 0.0, 2.0):
             for z in (0.5, 1.0, 2.0):
@@ -462,8 +467,8 @@ class TestSampleSizeBoundary:
             lambda n: exact_mse_plugin(0.5, STD_NORMAL, n),
             lambda n: asymptotic_mise_plugin(STD_NORMAL, n),
             lambda n: umvu_density(0.0, PluginEstimate(0.0, 1.0), n),
-            lambda n: real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 10), n),
-            lambda n: _real_mise_nested(rule_of_thumb(EPANECHNIKOV_KERNEL, 10), n),
+            lambda n: real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 10), STD_NORMAL, n),
+            lambda n: _real_mise_nested(rule_of_thumb(EPANECHNIKOV_KERNEL, 10), STD_NORMAL, n),
             lambda n: optimal_bandwidth_constant(NORMAL_KERNEL, n),
             lambda n: mise_closed_epan_kernel(n, 1.0),
             lambda n: exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, n, 0.5),
