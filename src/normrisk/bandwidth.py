@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import numpy.random  # noqa: F401 -- loaded with the package, not lazily on the first draw
 
 from .kernels import (
     EPANECHNIKOV_KERNEL,
@@ -339,15 +338,16 @@ def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> 
     So its draws depend only on (seed, i), and results are bit-identical
     however replicates are grouped.  It scores the estimator at its m fresh
     observations through the importance-weighted squared-error average.
-    Replicates are drawn and scored in blocks of about 2**14 / (m n), each
+    Replicates are drawn and scored in blocks of about 2**16 / (m n), each
     block in place in one (block, m, n) buffer of scaled differences and
     one of kernel values, so the draw and scoring buffers stay flat in the
     replicate count and the sample size; only the scores, one float per
-    replicate, grow with the count.
+    replicate, grow with the count.  numpy loads `np.random` on its first
+    use here, so no other command pays for it.
     """
     _check_sample_size(n, 2)
     m = mc.eval_points
-    block = min(max(1, 2**14 // (m * n)), mc.replicates)
+    block = min(max(1, 2**16 // (m * n)), mc.replicates)
     bits = np.random.Philox(key=mc.seed)
     draw = np.random.Generator(bits).standard_normal
     # a fresh Philox state as plain ints, which the state setter reads
@@ -362,13 +362,12 @@ def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> 
         "uinteger": 0,
     }
     draws = np.empty((block, n + m))
-    rows = list(draws)
     diffs = np.empty((block, m, n))
     kernel_values = np.empty_like(diffs)
     scores = np.empty(mc.replicates)
     for start in range(0, mc.replicates, block):
         count = min(block, mc.replicates - start)
-        for i, row in enumerate(rows[:count], start):
+        for i, row in zip(range(start, start + count), draws):
             counter[2], counter[3] = i % 2**64, i >> 64
             bits.state = state
             draw(out=row)
@@ -376,9 +375,14 @@ def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> 
         h = rule.multiplier * sample.std(axis=1, ddof=1)
         u = np.subtract(sample[:, None, :], fresh[:, :, None], out=diffs[:count])
         u /= h[:, None, None]
-        estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2) / (n * h)[:, None]
+        estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2)
+        estimate /= (n * h)[:, None]
         root_truth = np.sqrt(std_normal_pdf(fresh))
-        scores[start : start + count] = np.mean((estimate / root_truth - root_truth) ** 2, axis=1)
+        # (estimate/root - root)^2 averaged over the m points, in place: np.mean's own sum and division
+        estimate /= root_truth
+        estimate -= root_truth
+        np.square(estimate, out=estimate)
+        np.divide(np.add.reduce(estimate, axis=1), m, out=scores[start : start + count])
     value = p.rescale(float(scores.mean()), 1)
     std_error = float(scores.std(ddof=1) / math.sqrt(mc.replicates)) if mc.replicates > 1 else math.inf
     return MiseReport(value=value, method="monte_carlo", std_error=p.rescale(std_error, 1))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
@@ -126,6 +127,10 @@ def _epan_moments(y, h: float):
     return (float(e0), float(a0)) if y.ndim == 0 else (e0, a0)
 
 
+#: the normal kernel's sqrt(a0) is this times phi(y/(sqrt(2) s2))/sqrt(s2), as
+#: a0 = NORMAL_ROUGHNESS phi(y/s2)/s2 and sqrt(phi(z)) = (2 pi)^(1/4) phi(z/sqrt(2))
+_ROOT_A0_FACTOR = math.sqrt(NORMAL_ROUGHNESS) * (2.0 * math.pi) ** 0.25
+
 #: standardized bandwidth above which the parabolic kernel's pointwise
 #: variance is rejected: its a0/h - e0^2 cancels, 7.8e-11 relative at 32
 EPAN_VARIANCE_MAX_H = 32.0
@@ -140,8 +145,9 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
     and `_epan_moments` for the parabolic one; n times the variance is
     a0/h - e0^2.  For the normal kernel that is (a0/h) (-expm1(-E)), with
     E = log(a0/(h e0^2)) = y^2/((1+h^2)(2+h^2)) + log1p(1/(h^2 (2+h^2)))/2,
-    free of the cancellation that gave sd = 0 at h = 10^4.  The parabolic
-    difference still cancels, so h/sigma > EPAN_VARIANCE_MAX_H raises
+    free of the cancellation that gave sd = 0 at h = 10^4; where the
+    variance underflows, sd is the product of its factors' roots.  The
+    parabolic difference still cancels, so h/sigma > EPAN_VARIANCE_MAX_H raises
     ValueError, and so does an h/sigma so small (subnormal, for one) that
     the variance overflows a double at some point of x.
     """
@@ -157,10 +163,15 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
         )
     if kernel.name == "normal" and hs > 2.5e148:
         # phi(1e150/h) is not 0 from here, so y's clip would cut e0, and h^2 overflows
-        # from 1.34e154: e0 is phi(t)/h at t = (x - mu)/h, and the variance, below 1/h^4, is 0
-        e0 = std_normal_pdf(NormalParams(p.mu, h).standardize(x)) / hs
-        return _point_risk(p, e0 - std_normal_pdf(y), 0.0 * e0)
+        # from 1.34e154: e0 is phi(t)/h at t = (x - mu)/h, the variance, below 1/h^4, is 0,
+        # and sd is the product of the roots of its factors below, sqrt(a0/(n h)) and
+        # sqrt(E) = hypot(t, 1/(sqrt(2) h))/h, written in t
+        t = NormalParams(p.mu, h).standardize(x)
+        e0 = std_normal_pdf(t) / hs
+        sd = _ROOT_A0_FACTOR * math.sqrt(math.sqrt(2.0) / n) * e0 * np.hypot(t, math.sqrt(0.5) / hs) / hs
+        return _point_risk(p, e0 - std_normal_pdf(y), 0.0 * e0, sd)
     # a0/(n h) overflows where h is tiny; the check below says so
+    sd = None
     with np.errstate(over="ignore"):
         if kernel.name == "normal":
             h2, r = hs * hs, 1.0 / hs
@@ -171,12 +182,25 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
             # and log1p(inf) = inf sends the variance to a0/(n h) without an error
             exponent = y * y / ((1.0 + h2) * (2.0 + h2)) + 0.5 * math.log1p(r * r / (2.0 + h2))
             variance = a0 / (n * hs) * -np.expm1(-exponent)
+            underflow = variance < sys.float_info.min
+            if underflow.any():
+                # there sd is the product of the roots of the factors: sqrt(a0/(n h)),
+                # from phi(z/sqrt(2)), and sqrt(-expm1(-E)), which below E = 1e-16 is
+                # sqrt(E), the hypot of its two terms' roots; neither underflows where
+                # a0, E or (1 + h^2)(2 + h^2) does
+                root_a0 = _ROOT_A0_FACTOR * std_normal_pdf(y / (math.sqrt(2.0) * s2))
+                root = np.where(
+                    exponent < 1e-16,
+                    np.hypot(y / (math.sqrt(2.0) * s1 * s2), r / (2.0 * s2)),
+                    np.sqrt(-np.expm1(-exponent)),
+                )
+                sd = np.where(underflow, root_a0 / math.sqrt(n * hs * s2) * root, np.sqrt(variance))
         else:
             e0, a0 = _epan_moments(y, hs)
             variance = a0 / (n * hs) - e0 * e0 / n
     if not np.isfinite(variance).all():
         raise ValueError(f"h/sigma={hs!r} is too small: the variance overflows a double")
-    return _point_risk(p, e0 - std_normal_pdf(y), variance)
+    return _point_risk(p, e0 - std_normal_pdf(y), variance, sd)
 
 
 def _overlap_term(h: float) -> float:

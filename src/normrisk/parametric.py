@@ -110,10 +110,12 @@ class PointRisk(NamedTuple):
     rmse: float
 
 
-def _point_risk(p: NormalParams, bias, variance) -> PointRisk:
-    """The PointRisk at the scale of p, from the standard-scale bias and variance.
+def _point_risk(p: NormalParams, bias, variance, sd=None) -> PointRisk:
+    """The PointRisk at the scale of p, from the standard-scale bias and variance,
+    and sd where the caller forms it without the variance's underflow.
     rmse is hypot(bias, sd) where bias^2 + variance underflows, its root elsewhere."""
-    sd = np.sqrt(np.maximum(variance, 0.0))
+    if sd is None:
+        sd = np.sqrt(np.maximum(variance, 0.0))
     square = bias * bias + variance
     rmse = np.where(square < sys.float_info.min, np.hypot(bias, sd), np.sqrt(square))
     fields = p.rescale(np.stack((bias, sd, rmse)), 1, pointwise=True)

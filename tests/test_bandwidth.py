@@ -523,10 +523,18 @@ class TestRealMiseMc:
 
     @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
     def test_blocks_match_one_replicate_at_a_time(self, kernel):
-        # n = 50, m = 3 gives blocks of 109 replicates, so the last of 300 is
-        # partial; a seed of 2**64 and up fills the second word of the Philox key
-        mc = McConfig(replicates=300, eval_points=3, seed=2**64 + 9)
+        # n = 50, m = 3 gives blocks of 436 replicates, so the last of 1000
+        # (436 + 436 + 128) is partial; a seed of 2**64 and up fills the second
+        # word of the Philox key
+        mc = McConfig(replicates=1000, eval_points=3, seed=2**64 + 9)
         self._check_blocks_match_one_replicate_at_a_time(kernel, 50, mc)
+
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
+    def test_one_replicate_a_block_above_the_budget(self, kernel):
+        # m n = 70000 is above the block budget of 2**16 values, so each block
+        # holds one replicate
+        mc = McConfig(replicates=3, eval_points=70, seed=11)
+        self._check_blocks_match_one_replicate_at_a_time(kernel, 1000, mc)
 
     @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
     @pytest.mark.parametrize(

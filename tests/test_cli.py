@@ -1103,14 +1103,54 @@ def run_probe(probe):
     return result.stdout
 
 
-def test_import_loads_no_scipy_and_loads_numpy_random():
-    # scipy is needed by the tests only; numpy loads numpy.random lazily, and
-    # the package imports it up front so that no command pays for it mid-run
+#: numpy.random, and OpenSSL's _hashlib through secrets, load on the first draw only
+DRAW_MODULES = ("numpy.random", "_hashlib")
+
+
+def test_import_loads_no_scipy_nor_numpy_random():
+    # scipy is needed by the tests only, and numpy.random by the Monte Carlo alone
     run_probe(
         "import sys, normrisk.cli\n"
         "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy'], 'scipy imported'\n"
-        "assert 'numpy.random' in sys.modules, 'numpy.random not imported'\n"
+        f"assert not [m for m in {DRAW_MODULES!r} if m in sys.modules], 'numpy.random imported'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "3", "4"],
+        ["figure", "--which", "1", "--n", "3"],
+        ["mse-curve", "--estimator", "plugin", "--n", "10"],
+        ["bandwidth-constants", "--n", "10"],
+        ["lognormal", "--b", "0.2"],
+        ["skew-mise"],
+        ["mise", "--estimator", "kernel", "--kernel", "epan", "--n", "10", "--rule", "thumb"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(argv):
+    # in a fresh interpreter: the in-process tests cannot see this, as
+    # tests/substreams.py imports numpy.random
+    run_probe(
+        "import sys\n"
+        "from normrisk.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"assert not [m for m in {DRAW_MODULES!r} if m in sys.modules], 'numpy.random imported'\n"
+    )
+
+
+def test_monte_carlo_loads_numpy_random_on_its_first_draw():
+    argv = ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "10", "--rule", "thumb",
+            "--method", "mc", "--seed", "7", "--format", "json"]
+    out = run_probe(
+        "import sys\n"
+        "from normrisk.cli import main\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        f"assert main({argv!r}) == 0\n"
+        f"assert all(m in sys.modules for m in {DRAW_MODULES!r}), 'numpy.random not imported'\n"
+    )
+    assert out == MC_GOLDEN[("normal", "10")]
 
 
 def test_import_loads_no_numpy_polynomial():

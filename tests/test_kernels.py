@@ -325,6 +325,26 @@ class TestExactMoments:
         # |bias| < 1.5e-154, far out in t, where rmse must still be |bias|, not 0
         np.testing.assert_allclose(got.rmse, want[:, 1], rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("sigma", [1.0, 1e-100])
+    @pytest.mark.parametrize(
+        "y, h, want",
+        [
+            (0.0, 1e70, 8.9206205807638536e-212),
+            (1.16e77, 1.16e77, 5.6865236070276757e-156),
+            (1e78, 1e78, 7.6517861656164411e-158),
+            (0.0, 1e100, 8.9206205807638551e-302),
+            (2e71, 1e70, 3.4917543337202466e-227),
+            (1e152, 1e152, 7.6517861656164406e-306),
+        ],
+    )
+    def test_normal_kernel_sd_where_the_variance_underflows(self, sigma, y, h, want):
+        # 60-digit mpmath of sqrt(a0/(n h) (-expm1(-E))) at the standard scale:
+        # the variance underflows at each point, and from h = 1.16e77 up
+        # (1 + h^2)(2 + h^2) overflows too, but sd is a normal double; it read
+        # 0 at every one
+        got = exact_mse_kernel(NORMAL_KERNEL, y * sigma, NormalParams(0.0, sigma), 10, h * sigma).sd
+        assert got == pytest.approx(want / sigma, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_overflowing_variance_names_the_bandwidth(self, kernel):
         # a0/(n h) leaves the double range at h = 5e-324, where the variance
@@ -332,8 +352,13 @@ class TestExactMoments:
         for x in (0.0, np.array([40.0, 0.0])):
             with pytest.raises(ValueError, match=r"h/sigma=5e-324 is too small: the variance overflows"):
                 exact_mse_kernel(kernel, x, STD_NORMAL, 10, 5e-324)
-        # far out, where a0 underflows to 0, nothing overflows
-        assert exact_mse_kernel(kernel, 40.0, STD_NORMAL, 10, 5e-324).sd == 0.0
+        # far out, where a0 underflows to 0, nothing overflows; the normal
+        # kernel's sd is the root of its factors there, 9.14e-14, not 0
+        far = exact_mse_kernel(kernel, 40.0, STD_NORMAL, 10, 5e-324).sd
+        if kernel is NORMAL_KERNEL:
+            assert far == pytest.approx(_normal_kernel_sd_mpmath(40.0, 5e-324, 10), rel=1e-12, abs=0)
+        else:
+            assert far == 0.0
 
     def test_parabolic_variance_domain(self):
         # a0/h - e0^2 cancels as h grows: sd is 3.8e-11 relative off at
