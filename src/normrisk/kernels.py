@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ import numpy as np
 from .numerics import (
     _LEGENDRE_NODES,
     _LEGENDRE_WEIGHTS,
+    _LOG_SQRT_2PI,
     _check_sample_size,
     _check_out,
     std_normal_pdf,
@@ -101,35 +101,38 @@ def kernel_self_convolution(kernel: Kernel, u):
 
 
 def _epan_moments(y, h: float):
-    """e0 = int K(u) phi(y + h u) du and a0 = int K(u)^2 phi(y + h u) du over
-    |u| <= 1/2 for the parabolic kernel, elementwise in y.
+    """The window's nearest approach to 0, c = max(|y| - h/2, 0), and
+    e0 = int K(u) phi(y + h u) du and a0 = int K(u)^2 phi(y + h u) du over
+    |u| <= 1/2 for the parabolic kernel with phi's factor e^(-c^2/2) taken
+    out, so that neither underflows far out in y; elementwise in y.
 
     Each is a fixed 32-point Gauss-Legendre sum of positive terms, so
     nothing cancels; the closed forms add terms up to 16/h^4 times the
     window's normal mass.  The window is clipped to |y + h u| <= reach =
-    sqrt(c^2 + 80), with c = max(|y| - h/2, 0) its nearest approach to 0:
-    beyond, phi is below e^-40 of its largest value on the window.  The
-    span of phi left is at most 8 wide for h <= 8, one panel, and at most
-    18 wide above, two equal panels.  The panel count depends on h alone,
-    so a point's value does not depend on the other points of y.
+    sqrt(c^2 + 80): beyond, phi is below e^-40 of its largest value on the
+    window.  The span of phi left is at most 8 wide for h <= 8, one panel,
+    and at most 18 wide above, two equal panels.  The panel count depends
+    on h alone, so a point's value does not depend on the other points of
+    y.  At c = 0 the sums are those of phi itself, bit for bit.
     """
     y = np.asarray(y, dtype=float)
-    reach = np.sqrt(np.maximum(np.abs(y) - 0.5 * h, 0.0) ** 2 + 80.0)
+    c = np.maximum(np.abs(y) - 0.5 * h, 0.0)
+    reach = np.sqrt(c**2 + 80.0)
     panels = 1 if h <= 8.0 else 2
     lo = np.maximum(-0.5, (-reach - y) / h)[..., None]
     half = (np.minimum(0.5, (reach - y) / h)[..., None] - lo) / (2 * panels)
     offsets = (2.0 * np.arange(panels)[:, None] + 1.0 + _LEGENDRE_NODES).ravel()
     u = lo + half * offsets
     k = kernel_eval(EPANECHNIKOV_KERNEL, u)
-    weighted = half * np.tile(_LEGENDRE_WEIGHTS, panels) * k * std_normal_pdf(y[..., None] + h * u)
+    # phi(z) e^(c^2/2), from z^2 - c^2 = (|z| - c)(|z| + c), which at c = 0 is
+    # std_normal_pdf's own arithmetic
+    z, c_ = np.abs(y[..., None] + h * u), c[..., None]
+    phi = np.exp((z - c_) * -0.5 * (z + c_) - _LOG_SQRT_2PI)
+    weighted = half * np.tile(_LEGENDRE_WEIGHTS, panels) * k * phi
     e0 = np.sum(weighted, axis=-1)
     a0 = np.sum(weighted * k, axis=-1)
-    return (float(e0), float(a0)) if y.ndim == 0 else (e0, a0)
+    return (float(c), float(e0), float(a0)) if y.ndim == 0 else (c, e0, a0)
 
-
-#: the normal kernel's sqrt(a0) is this times phi(y/(sqrt(2) s2))/sqrt(s2), as
-#: a0 = NORMAL_ROUGHNESS phi(y/s2)/s2 and sqrt(phi(z)) = (2 pi)^(1/4) phi(z/sqrt(2))
-_ROOT_A0_FACTOR = math.sqrt(NORMAL_ROUGHNESS) * (2.0 * math.pi) ** 0.25
 
 #: standardized bandwidth above which the parabolic kernel's pointwise
 #: variance is rejected: its a0/h - e0^2 cancels, 7.8e-11 relative at 32
@@ -140,16 +143,18 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
     """Exact pointwise bias, sd and root MSE of the estimator at bandwidth h.
 
     Elementwise in x: an array of points gives arrays of its shape.  At
-    y = (x - mu)/sigma and h/sigma, e0 = int K(u) phi(y + h u) du and
-    a0 = int K(u)^2 phi(y + h u) du are closed forms for the normal kernel
-    and `_epan_moments` for the parabolic one; n times the variance is
-    a0/h - e0^2.  For the normal kernel that is (a0/h) (-expm1(-E)), with
-    E = log(a0/(h e0^2)) = y^2/((1+h^2)(2+h^2)) + log1p(1/(h^2 (2+h^2)))/2,
-    free of the cancellation that gave sd = 0 at h = 10^4; where the
-    variance underflows, sd is the product of its factors' roots.  The
-    parabolic difference still cancels, so h/sigma > EPAN_VARIANCE_MAX_H raises
-    ValueError, and so does an h/sigma so small (subnormal, for one) that
-    the variance overflows a double at some point of x.
+    y = (x - mu)/sigma and h/sigma, with e0 = int K(u) phi(y + h u) du and
+    a0 = int K(u)^2 phi(y + h u) du, the mean is e0 and n times the variance
+    is a0/h - e0^2.  Both kernels form sd = e^(-t^2/4) spread/sqrt(h), with
+    phi's factor e^(-t^2/2) at a distance t taken out of spread^2 =
+    e^(t^2/2) (a0 - h e0^2)/n, so no factor leaves the doubles where sd
+    does not.  The normal kernel's t is y/s2, with e0 = phi(y/s1)/s1,
+    a0 = phi(t)/(2 sqrt(pi) s2), s1 = hypot(1, h) and s2 = hypot(1, h/sqrt(2));
+    a0/h - e0^2 is (a0/h) (-expm1(-E)) with E = log(a0/(h e0^2)), free of
+    cancellation.  The parabolic kernel's t is the window's nearest approach
+    to 0 (`_epan_moments`), and its a0/h - e0^2 still cancels as h grows, so
+    h/sigma > EPAN_VARIANCE_MAX_H raises ValueError; so does an h/sigma so
+    small (subnormal, for one) that sd^2 overflows a double at some point of x.
     """
     _check_sample_size(n, 1)
     y = p.standardize(x)
@@ -161,53 +166,43 @@ def exact_mse_kernel(kernel: Kernel, x, p: NormalParams, n: int, h: float) -> Po
             f"the parabolic kernel's pointwise variance is defined up to "
             f"h/sigma = {EPAN_VARIANCE_MAX_H:g}, got {hs!r}"
         )
-    if kernel.name == "normal" and hs > 2.5e148:
-        # phi(1e150/h) is not 0 from here, so y's clip would cut e0, and h^2 overflows
-        # from 1.34e154: e0 is phi(t)/h at t = (x - mu)/h, the variance, below 1/h^4, is 0,
-        # and sd is the product of the roots of its factors below, sqrt(a0/(n h)) and
-        # sqrt(E) = hypot(t, 1/(sqrt(2) h))/h, written in t
-        t = NormalParams(p.mu, h).standardize(x)
-        e0 = std_normal_pdf(t) / hs
-        sd = _ROOT_A0_FACTOR * math.sqrt(math.sqrt(2.0) / n) * e0 * np.hypot(t, math.sqrt(0.5) / hs) / hs
-        return _point_risk(p, e0 - std_normal_pdf(y), 0.0 * e0, sd)
-    # a0/(n h) overflows where h is tiny; the check below says so
-    sd = None
+    # where h is tiny sd^2 overflows, and (-reach - y)/h in `_epan_moments`;
+    # the check below says so
     with np.errstate(over="ignore"):
         if kernel.name == "normal":
-            h2, r = hs * hs, 1.0 / hs
-            s1, s2 = math.sqrt(1.0 + h2), math.sqrt(1.0 + 0.5 * h2)
-            e0 = std_normal_pdf(y / s1) / s1
-            a0 = NORMAL_ROUGHNESS * std_normal_pdf(y / s2) / s2
-            # r r, not 1/h2: where h2 underflows to 0 (h = 1e-300) r r is inf,
-            # and log1p(inf) = inf sends the variance to a0/(n h) without an error
-            exponent = y * y / ((1.0 + h2) * (2.0 + h2)) + 0.5 * math.log1p(r * r / (2.0 + h2))
-            variance = a0 / (n * hs) * -np.expm1(-exponent)
-            underflow = variance < sys.float_info.min
-            if underflow.any():
-                # there sd is the product of the roots of the factors: sqrt(a0/(n h)),
-                # from phi(z/sqrt(2)), and sqrt(-expm1(-E)), which below E = 1e-16 is
-                # sqrt(E), the hypot of its two terms' roots; neither underflows where
-                # a0, E or (1 + h^2)(2 + h^2) does
-                root_a0 = _ROOT_A0_FACTOR * std_normal_pdf(y / (math.sqrt(2.0) * s2))
-                root = np.where(
-                    exponent < 1e-16,
-                    np.hypot(y / (math.sqrt(2.0) * s1 * s2), r / (2.0 * s2)),
-                    np.sqrt(-np.expm1(-exponent)),
-                )
-                sd = np.where(underflow, root_a0 / math.sqrt(n * hs * s2) * root, np.sqrt(variance))
+            s1, s2, r = math.hypot(1.0, hs), math.hypot(1.0, hs / math.sqrt(2.0)), 1.0 / hs
+            # y/s1 and y/s2 from x itself, (x - mu)/hypot(sigma, h) and (x - mu)/hypot(sigma,
+            # h/sqrt(2)) divided by s before sigma: y's clip at 1e150 never cuts them
+            d = np.asarray(x, dtype=float) - p.mu
+            t1, t = (NormalParams(0.0, p.sigma).standardize(d / s) for s in (s1, s2))
+            e0 = std_normal_pdf(t1) / s1
+            # E = (y/(s1 s2))^2/2 + log1p(r^2/(2 s2^2))/2, and below 1e-16 sqrt(E) is the
+            # hypot of its terms' roots; r r is inf where h is tiny (1e-300), and -expm1(-E) = 1
+            exponent = 0.5 * (t1 / s2) ** 2 + 0.5 * math.log1p(0.5 * (r / s2) * (r / s2))
+            root = np.where(
+                exponent < 1e-16,
+                np.hypot(t1 / (math.sqrt(2.0) * s2), 0.5 * r / s2),
+                np.sqrt(-np.expm1(-exponent)),
+            )
+            spread = root * math.sqrt(NORMAL_ROUGHNESS * std_normal_pdf(0.0) / n) / math.sqrt(s2)
         else:
-            e0, a0 = _epan_moments(y, hs)
-            variance = a0 / (n * hs) - e0 * e0 / n
-    if not np.isfinite(variance).all():
-        raise ValueError(f"h/sigma={hs!r} is too small: the variance overflows a double")
-    return _point_risk(p, e0 - std_normal_pdf(y), variance, sd)
+            t, e0, a0 = _epan_moments(y, hs)
+            factor = np.exp(-0.5 * t * t)
+            spread = np.sqrt((a0 - hs * factor * e0 * e0) / n)
+            e0 = factor * e0
+        # spread/sqrt(h) first: every factor after it is at most 1, so no product
+        # underflows before sd does
+        sd = spread / math.sqrt(hs) * np.exp(-0.25 * t * t)
+        if not np.isfinite(sd * sd).all():
+            raise ValueError(f"h/sigma={hs!r} is too small: the variance overflows a double")
+    return _point_risk(p, e0 - std_normal_pdf(y), sd)
 
 
 def _overlap_term(h: float) -> float:
     """int K(u) g(h u) du for the parabolic kernel and standard normal
     difference density g: the estimator's mean at 0 and bandwidth h/sqrt(2),
     divided by sqrt(2)."""
-    return _epan_moments(0.0, h / math.sqrt(2.0))[0] / math.sqrt(2.0)
+    return _epan_moments(0.0, h / math.sqrt(2.0))[1] / math.sqrt(2.0)
 
 
 def _pair_term(h: float) -> float:

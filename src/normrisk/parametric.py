@@ -103,22 +103,19 @@ class MiseReport:
 
 class PointRisk(NamedTuple):
     """Pointwise bias, standard deviation and root MSE of an estimator:
-    floats, or arrays of the shape of x.  Each scales as 1/sigma."""
+    floats, or arrays of the shape of x.  Each scales as 1/sigma, and rmse
+    is hypot(bias, sd); `_point_risk` builds every one."""
 
     bias: float
     sd: float
     rmse: float
 
 
-def _point_risk(p: NormalParams, bias, variance, sd=None) -> PointRisk:
-    """The PointRisk at the scale of p, from the standard-scale bias and variance,
-    and sd where the caller forms it without the variance's underflow.
-    rmse is hypot(bias, sd) where bias^2 + variance underflows, its root elsewhere."""
-    if sd is None:
-        sd = np.sqrt(np.maximum(variance, 0.0))
-    square = bias * bias + variance
-    rmse = np.where(square < sys.float_info.min, np.hypot(bias, sd), np.sqrt(square))
-    fields = p.rescale(np.stack((bias, sd, rmse)), 1, pointwise=True)
+def _point_risk(p: NormalParams, bias, sd) -> PointRisk:
+    """The PointRisk at the scale of p, from the standard-scale bias and sd:
+    rmse is hypot(bias, sd), which underflows only where the larger of the
+    two is below the smallest double, and every field is divided by sigma."""
+    fields = p.rescale(np.stack((bias, sd, np.hypot(bias, sd))), 1, pointwise=True)
     return PointRisk(*(fields.tolist() if fields.ndim == 1 else fields))
 
 
@@ -177,7 +174,8 @@ def exact_mse_plugin(x, p: NormalParams, n: int) -> PointRisk:
     mean0, second0 = scaled_chi_expectation(
         lambda z: np.stack(conditional_moments(y_nodes, n, z)), n
     )
-    return _point_risk(p, mean0 - std_normal_pdf(y), second0 - mean0 * mean0)
+    sd = np.sqrt(np.maximum(second0 - mean0 * mean0, 0.0))
+    return _point_risk(p, mean0 - std_normal_pdf(y), sd)
 
 
 def _mise_integrand(n, z, d):

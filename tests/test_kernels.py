@@ -168,6 +168,12 @@ def _parabolic_moments_mpmath(x: float, h: float) -> tuple[float, float]:
         return float(e0), float(a0)
 
 
+def _full_epan_moments(x: float, h: float) -> tuple[float, float]:
+    """`_epan_moments`' e0 and a0 with phi's factor e^(-c^2/2) put back."""
+    c, e0, a0 = _epan_moments(x, h)
+    return math.exp(-0.5 * c * c) * e0, math.exp(-0.5 * c * c) * a0
+
+
 def _moments(kernel, x, p, n, h):
     """The estimator's mean, int K(u)^2 f(x + h u) du and variance at x,
     recovered from `exact_mse_kernel`: the mean is bias + f(x), the variance
@@ -219,7 +225,7 @@ class TestExactMoments:
     @pytest.mark.parametrize("x", [0.0, 0.7, 1.9])
     @pytest.mark.parametrize("h", [0.05, 0.4, 1.0, 2.9])
     def test_parabolic_closed_forms_vs_quadrature(self, x, h):
-        e0, a0 = _epan_moments(x, h)
+        e0, a0 = _full_epan_moments(x, h)
         e_oracle, _ = scipy_quad(
             lambda u: 1.5 * (1.0 - 4.0 * u * u) * phi(x + h * u), -0.5, 0.5, epsabs=1e-14
         )
@@ -234,7 +240,7 @@ class TestExactMoments:
         # the closed forms cancelled: up to 8e6 relative off on this grid at
         # h = 0.2 and 350 at h = 1, both at x = 8
         for x in (0.0, 1.1, -1.1, 2.7, 4.5, 6.0, 8.0):
-            e0, a0 = _epan_moments(x, h)
+            e0, a0 = _full_epan_moments(x, h)
             e0_oracle, a0_oracle = _parabolic_moments_mpmath(x, h)
             assert e0 == pytest.approx(e0_oracle, rel=1e-14, abs=0), x
             assert a0 == pytest.approx(a0_oracle, rel=1e-14, abs=0), x
@@ -345,6 +351,25 @@ class TestExactMoments:
         got = exact_mse_kernel(NORMAL_KERNEL, y * sigma, NormalParams(0.0, sigma), 10, h * sigma).sd
         assert got == pytest.approx(want / sigma, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("sigma", [1.0, 1e-100])
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            (37.0, 5.9213660426738214e-149),
+            (38.0, 4.6590862969608761e-157),
+            (39.0, 2.2252382714300943e-165),
+            (40.0, 6.4511139546487117e-174),
+        ],
+    )
+    def test_parabolic_sd_where_the_variance_underflows(self, sigma, y, want):
+        # sqrt((a0/h - e0^2)/n) at h = 0.5, n = 10 from the truncated-moment
+        # recursion of `_parabolic_moments_mpmath` at 120 digits, which 80-digit
+        # Gauss-Legendre over 32 panels of u matches to 1e-19 (tanh-sinh over
+        # 128 panels was 4e-14 off); the variance underflows from y = 38, where
+        # sd was 7.5e-12 off, and read 0 from y = 39
+        got = exact_mse_kernel(EPANECHNIKOV_KERNEL, y * sigma, NormalParams(0.0, sigma), 10, 0.5 * sigma).sd
+        assert got == pytest.approx(want / sigma, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_overflowing_variance_names_the_bandwidth(self, kernel):
         # a0/(n h) leaves the double range at h = 5e-324, where the variance
@@ -352,13 +377,17 @@ class TestExactMoments:
         for x in (0.0, np.array([40.0, 0.0])):
             with pytest.raises(ValueError, match=r"h/sigma=5e-324 is too small: the variance overflows"):
                 exact_mse_kernel(kernel, x, STD_NORMAL, 10, 5e-324)
-        # far out, where a0 underflows to 0, nothing overflows; the normal
-        # kernel's sd is the root of its factors there, 9.14e-14, not 0
+        # far out, where a0 underflows to 0, nothing overflows; sd is formed
+        # from factors there, 9.14e-14 for the normal kernel and 1.885e-13
+        # for the parabolic one, which read 0
         far = exact_mse_kernel(kernel, 40.0, STD_NORMAL, 10, 5e-324).sd
         if kernel is NORMAL_KERNEL:
-            assert far == pytest.approx(_normal_kernel_sd_mpmath(40.0, 5e-324, 10), rel=1e-12, abs=0)
+            want = _normal_kernel_sd_mpmath(40.0, 5e-324, 10)
         else:
-            assert far == 0.0
+            # a0 = R(K) phi(40) and e0^2 is negligible beside a0/h at this h
+            with mpmath.workdps(40):
+                want = float(mpmath.sqrt(mpmath.mpf(6) / 5 * mpmath.npdf(40) / (10 * mpmath.mpf(5e-324))))
+        assert far == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_parabolic_variance_domain(self):
         # a0/h - e0^2 cancels as h grows: sd is 3.8e-11 relative off at
