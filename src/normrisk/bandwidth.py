@@ -46,7 +46,7 @@ from .numerics import (
     gamma_half_ratio,
     integrate,
     kummer_m_half,
-    scaled_chi_expectation,
+    scaled_chi_column,
     scaled_chi_inverse_mean,
     std_normal_pdf,
 )
@@ -260,11 +260,12 @@ def real_mise_exact(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
       the squared pair difference over 2(n-1) sigma_hat^2 is Beta(1/2, b - 1/2);
     * the estimate-truth overlap is the integral over the scaled-chi law of
       Z = sigma_hat of M(1/2, b, -z^2 e^2/(2 s^2)) / sqrt(2 pi s^2), with
-      s^2 = 1 + 1/n + a^2 z^2, because R^2/e^2 is Beta(1/2, b - 1/2) too.
+      s^2 = 1 + 1/n + a^2 z^2, because R^2/e^2 is Beta(1/2, b - 1/2) too:
+      a scaled-chi column of one n at `REAL_MISE_TOL`.
 
     The parabolic kernel, and the normal kernel at n = 3, take the nested
-    route of `_real_mise_nested`.  At n = 3 (b = 1) the scaled-chi integral
-    takes 10 panels even for a constant integrand, the whole nested route 6,
+    route of `_real_mise_nested`.  At n = 3 (b = 1) the scaled-chi column
+    takes 17 panels even for a constant integrand, the whole nested route 6,
     and that route is within 2.0e-12 of 30-digit mpmath there.
     """
     _check_sample_size(n, 3)
@@ -279,7 +280,7 @@ def real_mise_exact(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
         s2 = 1.0 + 1.0 / n + (a * z) ** 2
         return kummer_m_half(b, z * z * e2 / (2.0 * s2)) / np.sqrt(2.0 * math.pi * s2)
 
-    truth = scaled_chi_expectation(truth_overlap, n, REAL_MISE_TOL)
+    truth = scaled_chi_column(lambda col, z, d: truth_overlap(z), [n], REAL_MISE_TOL).item()
     return _real_mise(rule, p, n, pair_overlap, truth)
 
 

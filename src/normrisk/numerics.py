@@ -4,10 +4,10 @@ Provides adaptive Gauss-Kronrod quadrature over finite intervals, the
 one fixed 32-point Gauss-Legendre rule (`_LEGENDRE_NODES`,
 `_LEGENDRE_WEIGHTS`) that the kernel and bandwidth modules share, the
 standard normal density, the gamma-function ratio and the
-Kummer function the risk formulas need, the sampling density of the
-scaled sample standard deviation and every expectation over it: one
-adaptive integral each (`scaled_chi_expectation`), or one for a whole
-column of sample sizes (`scaled_chi_column`).
+Kummer function the risk formulas need, and every expectation over the
+law of the scaled sample standard deviation: one adaptive integral for a
+whole column of sample sizes (`scaled_chi_column`), a single n being a
+column of one.
 
 The one fixed rule, the 32-point Gauss-Legendre rule that `kummer_m_half`
 also sums over, is stored as float literals: the doubles that numpy
@@ -360,43 +360,6 @@ def _check_sample_size(n, minimum: int) -> None:
         raise ValueError(f"sample size n must be at least {minimum}, got {n}")
 
 
-@lru_cache(maxsize=None)
-def _scaled_chi_centered_log_const(n: int) -> float:
-    # log normalizing constant minus (n-1)/2: with the Stirling form of
-    # log Gamma((n-1)/2) the O(n) parts cancel analytically
-    y = 0.5 * (n - 1)
-    return 0.5 * math.log(2.0 * y / math.pi) - _lgamma_correction(y)
-
-
-def scaled_chi_pdf(n: int, z):
-    """Density of Z = sigma_hat/sigma for a normal sample of size n.
-
-    Z^2 follows chi-square with n-1 degrees of freedom divided by n-1; the
-    density concentrates at 1 as n grows.  Zero for z <= 0.  With d = z - 1
-    the exponent is c - d - (n-1) d^2/2 + (n-2) (log1p(d) - d), c the log
-    constant less its O(n) part.  For |d| <= 1/4, log1p(d) - d is summed as
-    -s d + 2 s^3 (1/3 + s^2/5 + ... + s^16/19) with s = d/(2 + d), from
-    log1p(d) = 2 atanh(s), the omitted terms below 1e-17 of it: the direct
-    difference would cancel and cost sqrt(n) ulps.
-
-    `scaled_chi_column` forms its weight from t instead: this density at a z
-    rounded from t carries sqrt(n) ulps of noise per node, and two panel
-    trees then gave plug-in MISE values 1.4e-13 apart at n = 10^8.
-    """
-    _check_sample_size(n, 2)
-    z = np.asarray(z, dtype=float)
-    d = np.where(z > 0, z, 1.0) - 1.0
-    s = d / (2.0 + d)
-    s2 = s * s
-    series = 1.0 / 19.0
-    for k in range(8, 0, -1):
-        series = series * s2 + 1.0 / (2 * k + 1)
-    excess = np.where(np.abs(d) <= 0.25, s * (2.0 * s2 * series - d), np.log1p(d) - d)
-    exponent = _scaled_chi_centered_log_const(n) - d - 0.5 * (n - 1) * d * d + (n - 2) * excess
-    out = np.where(z > 0, np.exp(exponent), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def scaled_chi_inverse_mean(n: int) -> float:
     """E(1/Z) for the scaled-chi variable: sqrt((n-1)/2) Gamma((n-2)/2) / Gamma((n-1)/2)."""
     _check_sample_size(n, 3)
@@ -431,25 +394,6 @@ def _scaled_chi_support(n: int) -> tuple[float, float, float]:
     return mode * math.exp(0.5 * u_lo), mode, mode * math.exp(0.5 * u_hi)
 
 
-def scaled_chi_expectation(
-    fn: Callable[[np.ndarray], np.ndarray], n: int, tol: float = DEFAULT_TOL
-) -> float | np.ndarray:
-    """E fn(Z) for Z = sigma_hat/sigma from a normal sample of size n >= 3.
-
-    fn maps a 1-D array of z to values of any leading shape with the z axis
-    last, as for `integrate`, and the result has that leading shape.  It is
-    one adaptive integral of fn times `scaled_chi_pdf` with the mode
-    sqrt((n-2)/(n-1)) as breakpoint, over the support where the density is
-    within e^-40 of its peak (found once per n and cached).  The tails
-    beyond are cut silently: each holds a probability below 3e-19 (40-digit
-    mpmath, n = 3 to 10^6).  At n = 3 the support starts at z = 1.8e-18, so
-    an fn that grows like 1/z at 0, as E(1/Z) does, loses under 4e-18 there.
-    """
-    _check_sample_size(n, 3)
-    lo, mode, hi = _scaled_chi_support(n)
-    return integrate(lambda z: fn(z) * scaled_chi_pdf(n, z), lo, hi, tol, points=(mode,))
-
-
 def _expm1_minus_identity(u: np.ndarray) -> np.ndarray:
     # e^u - 1 - u.  For |u| <= 1/4 it is summed as u^2 (1/2! + u/3! + ... +
     # u^11/13!), the omitted terms below 2e-18 of it: the direct difference
@@ -469,25 +413,36 @@ _COLUMN_BREAKS = (-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
 def scaled_chi_column(
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     ns: Sequence[int],
+    tol: float = DEFAULT_TOL,
+    points: Sequence[float] = _COLUMN_BREAKS,
 ) -> np.ndarray:
     """E fn(n, Z_n, Z_n - 1) for every n of ns, all as one adaptive integral.
 
-    ns is a non-empty 1-D sequence of integers n >= 3, in any order and with
-    repeats.  fn receives the column of ns as floats, shape (k, 1), then z
-    and d = z - 1, each of shape (k, nodes) with row i for ns[i], and
-    returns values of any leading shape followed by (k, nodes); the result
-    has that leading shape followed by (k,).  d is expm1(log z), so it is
-    off by about an ulp of log z, O(1/sqrt(n)), not by an ulp of 1.
+    Z_n = sigma_hat/sigma for a normal sample of size n: Z_n^2 is chi-square
+    with n-1 degrees of freedom divided by n-1.  ns is a non-empty 1-D
+    sequence of integers n >= 3, in any order and with repeats; a single n
+    is a column of one.  fn receives the column of ns as floats, shape
+    (k, 1), then z and d = z - 1, each of shape (k, nodes) with row i for
+    ns[i], and returns values of any leading shape followed by (k, nodes);
+    the result has that leading shape followed by (k,).  d is
+    expm1(log z), so it is off by about an ulp of log z, O(1/sqrt(n)), not
+    by an ulp of 1.
 
     Each n is integrated over t = u sqrt((n-2)/2), with z = mode e^(u/2) and
     mode = sqrt((n-2)/(n-1)).  The log density of t lies
     (n-2)/2 (e^u - 1 - u) - u/2 below its value at t = 0, about t^2/2 for
     every n, so all rows share one panel tree; the weight is formed in u and
     carries no rounding of z.  The range is the union of each n's support
-    (`scaled_chi_expectation`'s, within e^-40 of the peak) mapped to t, from
-    t = -58 at n = 3 to about +-9 for large n, with breakpoints at t = -16,
-    -8, -4, -2, -1, 0, 1, 2, 4, 8, at `DEFAULT_TOL`.  A single n is
-    a column of one.
+    mapped to t, from t = -58 at n = 3 to about +-9 for large n: the z where
+    the density is within e^-40 of its peak, found once per n and cached.
+    The tails beyond are cut silently: each holds a probability below 3e-19
+    (40-digit mpmath, n = 3 to 10^6).  At n = 3 the support starts at
+    z = 1.8e-18, so an fn that grows like 1/z at 0, as E(1/Z) does, loses
+    under 4e-18 there.
+
+    `tol` is `integrate`'s error target.  `points` are the breakpoints in t,
+    by default t = -16, -8, -4, -2, -1, 0, 1, 2, 4, 8; a wide fn passes
+    fewer, such as the mode t = 0 alone, so that its first call stays small.
     """
     ns = list(ns)
     if not ns:
@@ -513,4 +468,4 @@ def scaled_chi_column(
         weight = np.exp(log_peak + 0.5 * u - scale * scale * _expm1_minus_identity(u))
         return fn(column, np.exp(log_z), np.expm1(log_z)) * weight
 
-    return integrate(weighted, min(ends), max(ends), points=_COLUMN_BREAKS)
+    return integrate(weighted, min(ends), max(ends), tol, points)

@@ -24,7 +24,6 @@ from .numerics import (
     _check_sample_size,
     _gamma_half_excess,
     scaled_chi_column,
-    scaled_chi_expectation,
     std_normal_pdf,
 )
 
@@ -169,11 +168,12 @@ def exact_mse_plugin(x, p: NormalParams, n: int) -> PointRisk:
     """
     _check_sample_size(n, 3)
     y = np.asarray(p.standardize(x))
-    y_nodes = y[..., None]  # the quadrature nodes z on a last axis of their own
+    y_nodes = y[..., None, None]  # then the column's one row and the quadrature nodes
 
-    mean0, second0 = scaled_chi_expectation(
-        lambda z: np.stack(conditional_moments(y_nodes, n, z)), n
-    )
+    # t = 0, the mode, is the one breakpoint: a wide x grid's first call stays small
+    mean0, second0 = scaled_chi_column(
+        lambda col, z, d: np.stack(conditional_moments(y_nodes, n, z)), [n], points=(0.0,)
+    )[..., 0]
     sd = np.sqrt(np.maximum(second0 - mean0 * mean0, 0.0))
     return _point_risk(p, mean0 - std_normal_pdf(y), sd)
 

@@ -117,8 +117,8 @@ REAL_MISE_MPMATH = {
     10: (0.75846, "0.0307456622004733136067010553395", 1e-11),
     1000: (0.27234, "0.00104267686028007456319333246916", 1e-11),
     10**4: (0.16951, "0.000181317218591790896654990677715", 1e-11),
-    10**5: (0.10635, "0.0000304149258048189887612285805178", 1e-9),
-    10**6: (0.06694, "0.00000498973076511265317467223634291", 1e-8),
+    10**5: (0.10635, "0.0000304149258048189887612285805178", 1e-10),
+    10**6: (0.06694, "0.00000498973076511265317467223634291", 1e-9),
 }
 # n = 3 at multipliers off the rule of thumb, by the same script
 REAL_MISE_N3_MPMATH = {

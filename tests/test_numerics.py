@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.stats import chi
 
 from substreams import substream
 
@@ -23,9 +24,7 @@ from normrisk.numerics import (
     _gamma_half_excess,
     kummer_m_half,
     scaled_chi_column,
-    scaled_chi_expectation,
     scaled_chi_inverse_mean,
-    scaled_chi_pdf,
     std_normal_pdf,
 )
 
@@ -286,21 +285,15 @@ class TestStoredGaussRules:
 
 
 class TestScaledChi:
-    @pytest.mark.parametrize("n", [2, 5, 10, 30])
-    def test_normalization(self, n):
-        val, _ = scipy_quad(lambda z: scaled_chi_pdf(n, z), 0.0, np.inf, epsabs=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("n", [5, 10, 30])
-    def test_unit_second_moment(self, n):
-        val, _ = scipy_quad(lambda z: z * z * scaled_chi_pdf(n, z), 0.0, np.inf, epsabs=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
     def test_inverse_mean_gamma_ratio(self):
         # n = 5: sqrt(2) * Gamma(1.5) / Gamma(2)
         closed = math.sqrt(2.0) * math.gamma(1.5) / math.gamma(2.0)
         assert scaled_chi_inverse_mean(5) == pytest.approx(closed, rel=1e-14)
-        by_quad, _ = scipy_quad(lambda z: scaled_chi_pdf(5, z) / z, 0.0, np.inf, epsabs=1e-12)
+        # Z = chi(nu)/sqrt(nu), nu = n - 1, has density sqrt(nu) chi.pdf(z sqrt(nu), nu)
+        nu = 4
+        by_quad, _ = scipy_quad(
+            lambda z: math.sqrt(nu) * chi.pdf(z * math.sqrt(nu), nu) / z, 0.0, np.inf, epsabs=1e-12
+        )
         assert by_quad == pytest.approx(closed, abs=1e-9)
         assert closed == pytest.approx(1.2533141, abs=5e-8)
 
@@ -311,59 +304,21 @@ class TestScaledChi:
             ref = mpmath.sqrt(nu / 2) * mpmath.gamma((nu - 1) / 2) / mpmath.gamma(nu / 2)
             assert abs(scaled_chi_inverse_mean(n) / ref - 1) < 1e-15
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**4, 10**6, 10**8])
-    def test_pdf_against_mpmath(self, n):
-        # the exponent's O(n) parts cancel before rounding and log1p(d) - d
-        # is summed without cancellation, so the error is a few ulps of the
-        # exponent at every n, not sqrt(n) ulps
-        if n <= 10:
-            zs = [0.05, 0.5, 1.0, 2.0]
-        else:  # -5 to 5 standard deviations
-            zs = [1.0 + k / math.sqrt(2.0 * (n - 1)) for k in (-5, -1, 0, 2, 5)]
-        with mpmath.workdps(30):
-            nu = mpmath.mpf(n - 1)
-            log_c = mpmath.log(2) + nu / 2 * mpmath.log(nu / 2) - mpmath.loggamma(nu / 2)
-            for z in zs:
-                zm = mpmath.mpf(z)
-                ref = mpmath.exp(log_c + (nu - 1) * mpmath.log(zm) - nu * zm * zm / 2)
-                assert abs(scaled_chi_pdf(n, z) / ref - 1) < 1e-14, z
 
-    # at exactly n = 30 the mass is 0.978741 (chi-square cdf oracle); the
-    # 0.98 threshold holds from n = 31 on
-    @pytest.mark.parametrize(
-        "n",
-        [
-            pytest.param(
-                30,
-                marks=pytest.mark.xfail(
-                    strict=True, reason="mass at n=30 is 0.9787; threshold holds from n=31"
-                ),
-            ),
-            31,
-            50,
-            200,
-        ],
-    )
-    def test_concentration(self, n):
-        mass, _ = scipy_quad(lambda z: scaled_chi_pdf(n, z), 0.7, 1.3, epsabs=1e-12)
-        assert mass > 0.98
+class TestScaledChiColumn:
+    NS = [3, 4, 10, 1000, 10**6, 10**8]
 
-
-class TestScaledChiExpectation:
-    @pytest.mark.parametrize("n", [3, 4, 10, 1000, 10**6])
-    def test_known_moments(self, n):
-        one, second, inverse = scaled_chi_expectation(
-            lambda z: np.stack((np.ones_like(z), z * z, 1.0 / z)), n
+    def test_known_moments(self):
+        one, first, second, inverse = scaled_chi_column(
+            lambda n, z, d: np.stack((np.ones_like(z), z, z * z, 1.0 / z)), self.NS
         )
-        assert one == pytest.approx(1.0, rel=1e-12, abs=0)
-        assert second == pytest.approx(1.0, rel=1e-12, abs=0)
-        assert inverse == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-12, abs=0)
-
-    def test_scalar_integrand_gives_float(self):
-        value = scaled_chi_expectation(lambda z: z, 10)
-        assert type(value) is float
-        # E Z = Gamma(n/2) / (sqrt((n-1)/2) Gamma((n-1)/2))
-        assert value == pytest.approx(gamma_half_ratio(4.5) / math.sqrt(4.5), rel=1e-12)
+        for i, n in enumerate(self.NS):
+            assert one[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
+            # E Z = Gamma(n/2) / (sqrt((n-1)/2) Gamma((n-1)/2))
+            mean = gamma_half_ratio(0.5 * (n - 1)) / math.sqrt(0.5 * (n - 1))
+            assert first[i] == pytest.approx(mean, rel=1e-14, abs=0), n
+            assert second[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
+            assert inverse[i] == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-14, abs=0), n
 
     @pytest.mark.parametrize("n", [3, 4, 10, 1000, 10**6])
     def test_support_ends_lie_40_below_the_peak(self, n):
@@ -379,24 +334,6 @@ class TestScaledChiExpectation:
             for end in (lo, hi):
                 drop = log_density(peak) - log_density(mpmath.mpf(end))
                 assert abs(drop - 40) < 1e-9, end
-
-    @pytest.mark.parametrize("n", [2, 10.5, 10.0])
-    def test_rejects_bad_sample_size(self, n):
-        with pytest.raises(ValueError, match="sample size"):
-            scaled_chi_expectation(lambda z: z, n)
-
-
-class TestScaledChiColumn:
-    NS = [3, 4, 10, 1000, 10**6, 10**8]
-
-    def test_known_moments(self):
-        one, second, inverse = scaled_chi_column(
-            lambda n, z, d: np.stack((np.ones_like(z), z * z, 1.0 / z)), self.NS
-        )
-        for i, n in enumerate(self.NS):
-            assert one[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
-            assert second[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
-            assert inverse[i] == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-14, abs=0), n
 
     def test_d_is_exact_where_z_minus_1_is_not(self):
         # E Z - 1 = expm1(e((n-1)/2)) is about -1/(4n), and d is O(1/sqrt(n)):
@@ -416,11 +353,6 @@ class TestScaledChiColumn:
         for i, n in enumerate(ns):
             alone = scaled_chi_column(lambda n, z, d: np.stack((z * z, 1.0 / z)), [n])
             np.testing.assert_allclose(together[:, i], alone[:, 0], rtol=1e-14, atol=0)
-
-    def test_a_single_n_matches_the_scalar_route(self):
-        for n in (3, 14, 10**5):
-            column = scaled_chi_column(lambda m, z, d: np.sqrt(z), [n])[0]
-            assert column == pytest.approx(scaled_chi_expectation(np.sqrt, n), rel=1e-13), n
 
     @pytest.mark.parametrize(
         "ns, message",

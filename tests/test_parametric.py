@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.stats import chi
 
 from estimators import PluginEstimate, plugin_density, shrink_factor, shrunk_mise, umvu_density
 from substreams import substream
@@ -26,7 +27,7 @@ from normrisk.kernels import (
     mise_closed_epan_kernel,
 )
 from normrisk import parametric
-from normrisk.numerics import integrate, scaled_chi_column, scaled_chi_pdf
+from normrisk.numerics import integrate, scaled_chi_column
 from normrisk.parametric import (
     MiseReport,
     NormalParams,
@@ -226,8 +227,10 @@ class TestExactMse:
     def test_second_moment_against_scipy(self, n, x):
         # the merged integral starts the second moment at z_lo, not at 0,
         # where its integrand is O(1) at n = 3 and O(z) at n = 4
+        # Z = chi(nu)/sqrt(nu), nu = n - 1, has density sqrt(nu) chi.pdf(z sqrt(nu), nu)
+        nu = n - 1
         reference, _ = scipy_quad(
-            lambda z: conditional_moments(x, n, z)[1] * scaled_chi_pdf(n, z),
+            lambda z: conditional_moments(x, n, z)[1] * math.sqrt(nu) * chi.pdf(z * math.sqrt(nu), nu),
             0.0,
             np.inf,
             epsabs=1e-14,
@@ -251,12 +254,31 @@ class TestExactMse:
         variance = exact_mse_plugin(x, STD_NORMAL, 1000).sd**2
         assert abs(variance / float(reference) - 1.0) <= 2.5e-11
 
+    @pytest.mark.parametrize(
+        "x, bias, sd",
+        # by 50-digit mpmath quadrature of the two conditional moments against
+        # the scaled-chi density over 28 equal panels of z within 14 standard
+        # deviations of 1
+        [
+            (0.0, "9.973558256659069678394337e-8", "0.0002820951796548140816052815"),
+            (1.0, "-1.209854126690352887014291e-7", "0.0002419711479674600748847995"),
+            (3.0, "5.096611104104195453555639e-8", "0.00002837787929672526904574493"),
+        ],
+    )
+    def test_n_1e6_against_mpmath(self, x, bias, sd):
+        # the moments are integrated in t about the mode, the weight formed
+        # without rounding z: the bias at x = 0 was 2.2e-7 relative off when
+        # they were integrated in z against the density at a rounded z
+        risk = exact_mse_plugin(x, STD_NORMAL, 10**6)
+        assert risk.bias == pytest.approx(float(bias), rel=5e-8, abs=0)
+        assert risk.sd == pytest.approx(float(sd), rel=5e-8, abs=0)
+
     @pytest.mark.xfail(
         strict=True,
-        reason="scaled_chi_expectation cuts the scaled-chi support at e^-40 of the density's "
+        reason="scaled_chi_column cuts the scaled-chi support at e^-40 of the density's "
         "peak, though far out in x the integrand's mass moves to larger z, and its absolute "
-        "1e-10 target is loose for a second moment far below 1: sd is 5.5e-4 relative off "
-        "at (10, 12) and 1.1e-5 at (100, 8)",
+        "1e-10 target is loose for a second moment far below 1: sd is 1.5e-3 relative off "
+        "at (10, 12) and 2.3e-6 at (100, 8)",
     )
     @pytest.mark.parametrize(
         "n, x, reference",
@@ -491,7 +513,7 @@ class TestSampleSizeBoundary:
             lambda n: mise_closed_epan_kernel(n, 1.0),
             lambda n: exact_mse_kernel(NORMAL_KERNEL, 0.0, STD_NORMAL, n, 0.5),
             lambda n: lognormal_mse_parametric(LognormalParams(0.0, 0.5), n),
-            lambda n: scaled_chi_pdf(n, 1.0),
+            lambda n: scaled_chi_column(lambda m, z, d: z, [n]),
             lambda n: plugin_mise_coefficients([3, n]),
         ],
     )
