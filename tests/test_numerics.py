@@ -305,20 +305,17 @@ class TestScaledChi:
             assert abs(scaled_chi_inverse_mean(n) / ref - 1) < 1e-15
 
 
-class TestScaledChiColumn:
-    NS = [3, 4, 10, 1000, 10**6, 10**8]
+class TestScaledChiExpectation:
+    """Expectations over the scaled-chi law at one sample size: a column of one n."""
 
-    def test_known_moments(self):
-        one, first, second, inverse = scaled_chi_column(
-            lambda n, z, d: np.stack((np.ones_like(z), z, z * z, 1.0 / z)), self.NS
+    @pytest.mark.parametrize("n", [3, 4, 10, 1000, 10**6])
+    def test_known_moments(self, n):
+        (one,), (second,), (inverse,) = scaled_chi_column(
+            lambda n, z, d: np.stack((np.ones_like(z), z * z, 1.0 / z)), [n]
         )
-        for i, n in enumerate(self.NS):
-            assert one[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
-            # E Z = Gamma(n/2) / (sqrt((n-1)/2) Gamma((n-1)/2))
-            mean = gamma_half_ratio(0.5 * (n - 1)) / math.sqrt(0.5 * (n - 1))
-            assert first[i] == pytest.approx(mean, rel=1e-14, abs=0), n
-            assert second[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
-            assert inverse[i] == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-14, abs=0), n
+        assert one == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert second == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert inverse == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [3, 4, 10, 1000, 10**6])
     def test_support_ends_lie_40_below_the_peak(self, n):
@@ -334,6 +331,27 @@ class TestScaledChiColumn:
             for end in (lo, hi):
                 drop = log_density(peak) - log_density(mpmath.mpf(end))
                 assert abs(drop - 40) < 1e-9, end
+
+    @pytest.mark.parametrize("n", [2, 10.5, 10.0])
+    def test_rejects_bad_sample_size(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            scaled_chi_column(lambda n, z, d: z, [n])
+
+
+class TestScaledChiColumn:
+    NS = [3, 4, 10, 1000, 10**6, 10**8]
+
+    def test_known_moments(self):
+        one, first, second, inverse = scaled_chi_column(
+            lambda n, z, d: np.stack((np.ones_like(z), z, z * z, 1.0 / z)), self.NS
+        )
+        for i, n in enumerate(self.NS):
+            assert one[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
+            # E Z = Gamma(n/2) / (sqrt((n-1)/2) Gamma((n-1)/2))
+            mean = gamma_half_ratio(0.5 * (n - 1)) / math.sqrt(0.5 * (n - 1))
+            assert first[i] == pytest.approx(mean, rel=1e-14, abs=0), n
+            assert second[i] == pytest.approx(1.0, rel=1e-14, abs=0), n
+            assert inverse[i] == pytest.approx(scaled_chi_inverse_mean(n), rel=1e-14, abs=0), n
 
     def test_d_is_exact_where_z_minus_1_is_not(self):
         # E Z - 1 = expm1(e((n-1)/2)) is about -1/(4n), and d is O(1/sqrt(n)):
