@@ -58,6 +58,10 @@ CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
 #: the real MISE's own quadrature target, a digit below the package default
 REAL_MISE_TOL = 1e-11
 
+#: standard normals per Monte Carlo stream: the replicates each stream holds
+#: follow from it, so changing it changes every Monte Carlo result
+MC_STREAM_DRAWS = 2**16
+
 
 @dataclass(frozen=True)
 class BandwidthRule:
@@ -333,57 +337,48 @@ def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> 
     """Monte Carlo estimate of the same real MISE, with standard error, both
     drawn at the standard scale and divided by sigma.
 
-    Replicate i draws n + m standard normals (m = `eval_points`) from the
-    stream of `Philox(key=seed).jumped(i)`, whose counter starts at
-    [0, 0, i, 0]; the counter is set there directly rather than jumped to.
-    So its draws depend only on (seed, i), and results are bit-identical
-    however replicates are grouped.  It scores the estimator at its m fresh
+    Replicate i takes n + m standard normals (m = `eval_points`) from
+    stream k = i // c, with c = max(1, MC_STREAM_DRAWS // (n + m)): stream k
+    holds replicates k c ... k c + c - 1, each taking the next n + m normals.
+    Stream k is `Philox(key=seed).jumped(k)`, whose counter starts at
+    [0, 0, k, 0]; the counter is set there directly rather than jumped to,
+    and each stream is drawn in one fill call.  A shorter fill is a prefix of
+    a longer one, so a replicate's draws depend only on (seed, i, n + m),
+    not on the replicate count.  It scores the estimator at its m fresh
     observations through the importance-weighted squared-error average.
-    Replicates are drawn and scored in blocks of about 2**16 / (m n), each
-    block in place in one (block, m, n) buffer of scaled differences and
-    one of kernel values, so the draw and scoring buffers stay flat in the
-    replicate count and the sample size; only the scores, one float per
+    Replicates are scored in blocks of about 2**16 / (m n) within a stream,
+    each block in place in one (block, m, n) buffer of scaled differences
+    and one of kernel values, so the draw and scoring buffers stay flat in
+    the replicate count and the sample size; only the scores, one float per
     replicate, grow with the count.  numpy loads `np.random` on its first
     use here, so no other command pays for it.
     """
     _check_sample_size(n, 2)
     m = mc.eval_points
-    block = min(max(1, 2**16 // (m * n)), mc.replicates)
-    bits = np.random.Philox(key=mc.seed)
-    draw = np.random.Generator(bits).standard_normal
-    # a fresh Philox state as plain ints, which the state setter reads
-    # faster than numpy arrays; only the counter changes between replicates
-    counter = [0, 0, 0, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": [mc.seed % 2**64, mc.seed >> 64]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    draws = np.empty((block, n + m))
+    per_stream = min(max(1, MC_STREAM_DRAWS // (n + m)), mc.replicates)
+    block = min(max(1, 2**16 // (m * n)), per_stream)
+    draws = np.empty((per_stream, n + m))
     diffs = np.empty((block, m, n))
     kernel_values = np.empty_like(diffs)
     scores = np.empty(mc.replicates)
-    for start in range(0, mc.replicates, block):
-        count = min(block, mc.replicates - start)
-        for i, row in zip(range(start, start + count), draws):
-            counter[2], counter[3] = i % 2**64, i >> 64
-            bits.state = state
-            draw(out=row)
-        sample, fresh = draws[:count, :n], draws[:count, n:]
-        h = rule.multiplier * sample.std(axis=1, ddof=1)
-        u = np.subtract(sample[:, None, :], fresh[:, :, None], out=diffs[:count])
-        u /= h[:, None, None]
-        estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2)
-        estimate /= (n * h)[:, None]
-        root_truth = np.sqrt(std_normal_pdf(fresh))
-        # (estimate/root - root)^2 averaged over the m points, in place: np.mean's own sum and division
-        estimate /= root_truth
-        estimate -= root_truth
-        np.square(estimate, out=estimate)
-        np.divide(np.add.reduce(estimate, axis=1), m, out=scores[start : start + count])
+    for k, first in enumerate(range(0, mc.replicates, per_stream)):
+        rows = min(per_stream, mc.replicates - first)
+        bits = np.random.Philox(key=mc.seed, counter=[0, 0, k % 2**64, k >> 64])
+        np.random.Generator(bits).standard_normal(out=draws[:rows].reshape(-1))
+        for start in range(0, rows, block):
+            count = min(block, rows - start)
+            sample, fresh = draws[start : start + count, :n], draws[start : start + count, n:]
+            h = rule.multiplier * sample.std(axis=1, ddof=1)
+            u = np.subtract(sample[:, None, :], fresh[:, :, None], out=diffs[:count])
+            u /= h[:, None, None]
+            estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2)
+            estimate /= (n * h)[:, None]
+            root_truth = np.sqrt(std_normal_pdf(fresh))
+            # (estimate/root - root)^2 averaged over the m points, in place: np.mean's own sum and division
+            estimate /= root_truth
+            estimate -= root_truth
+            np.square(estimate, out=estimate)
+            np.divide(np.add.reduce(estimate, axis=1), m, out=scores[first + start : first + start + count])
     value = p.rescale(float(scores.mean()), 1)
     std_error = float(scores.std(ddof=1) / math.sqrt(mc.replicates)) if mc.replicates > 1 else math.inf
     return MiseReport(value=value, method="monte_carlo", std_error=p.rescale(std_error, 1))

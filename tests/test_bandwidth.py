@@ -9,10 +9,11 @@ from scipy.integrate import quad as scipy_quad
 
 from ancillary import ancillary_densities
 from estimators import mise_exact_generic
-from substreams import substream
+from substreams import replicate_draws, substream
 from normrisk import bandwidth, numerics
 from normrisk.bandwidth import (
     BandwidthRule,
+    MC_STREAM_DRAWS,
     McConfig,
     optimal_bandwidth_constant,
     expected_density_at,
@@ -510,7 +511,7 @@ class TestRealMiseMc:
         rule = rule_of_thumb(kernel, n)
         scores = []
         for i in range(mc.replicates):
-            draws = substream(mc.seed, i).standard_normal(n + mc.eval_points)
+            draws = replicate_draws(mc.seed, i, n + mc.eval_points)
             sample, fresh = draws[:n], draws[n:]
             h = rule.multiplier * sample.std(ddof=1)
             estimate = kernel_eval(kernel, (sample[None, :] - fresh[:, None]) / h).sum(axis=1) / (n * h)
@@ -539,24 +540,38 @@ class TestRealMiseMc:
     @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
     @pytest.mark.parametrize(
         "n,m,seed",
-        [(2, 1, 0), (2, 1, 2**64 + 9), (2, 1, 2**128 - 1), (50, 3, 0), (50, 3, 2**128 - 1)],
+        [
+            (2, 1, 0), (2, 1, 2**64 + 9), (2, 1, 2**128 - 1), (50, 3, 0), (50, 3, 2**128 - 1),
+            (10, 10, 2**64 + 9), (70000, 10, 2**128 - 1),
+        ],
     )
     def test_blocks_match_across_seeds_and_sizes(self, kernel, n, m, seed):
         # the smallest sample and a single evaluation point, and the seeds at
-        # both ends of the Philox key range
-        mc = McConfig(replicates=300, eval_points=m, seed=seed)
+        # both ends of the Philox key range.  At n + m = 20, 7000 replicates
+        # fill streams of 3276, the last partial, each scored in blocks of
+        # 655 with a partial last block; n + m = 70010 is above the stream
+        # budget, so each stream holds one replicate
+        replicates = {10: 7000, 70000: 3}.get(n, 300)
+        mc = McConfig(replicates=replicates, eval_points=m, seed=seed)
         self._check_blocks_match_one_replicate_at_a_time(kernel, n, mc)
+        if n + m > MC_STREAM_DRAWS:
+            # replicate i then draws stream i from its start
+            for i in range(replicates):
+                assert np.array_equal(replicate_draws(seed, i, n + m), substream(seed, i).standard_normal(n + m))
 
     def test_scratch_memory_is_flat_in_replicates(self):
-        # one unblocked (replicates, eval_points, n) array would be 24 MB here
-        rule = rule_of_thumb(NORMAL_KERNEL, 1000)
-        tracemalloc.start()
-        try:
-            real_mise_mc(rule, STD_NORMAL, 1000, McConfig(replicates=300, eval_points=10, seed=5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        # one unblocked (replicates, eval_points, n) array would be 24 MB at
+        # n = 1000 and 80 MB at n = 10; there the 10**5 scores take 0.8 MB
+        # and one stream's draws 0.5 MB
+        for n, replicates in [(1000, 300), (10, 10**5)]:
+            rule = rule_of_thumb(NORMAL_KERNEL, n)
+            tracemalloc.start()
+            try:
+                real_mise_mc(rule, STD_NORMAL, n, McConfig(replicates=replicates, eval_points=10, seed=5))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (n, peak)
 
     @pytest.mark.parametrize("field", ["replicates", "eval_points", "seed"])
     @pytest.mark.parametrize("value", [10.5, 10.0, True])

@@ -936,35 +936,34 @@ GOLDEN = {
 
 
 # Full-precision JSON of `mise --estimator kernel --rule thumb --method mc --seed 7`.
-# The blocked replicate loop reproduced the loop that drew and scored every
-# replicate on its own bit for bit, std_error included; the values moved in
-# their last digits only when the bandwidth constants became exact roots of
-# the MISE's slope.  The 1001 replicates at n = 50 and 3 evaluation points
-# end in a partial block.
+# A Philox stream holds 2**16 // (n + m) replicates, 3276 at n = 10 and 1092
+# at n = 50 with 10 evaluation points, so 10**4 replicates fill several
+# streams, the last partial.  The 1001 replicates at n = 50 and 3 evaluation
+# points fill one stream, scored in blocks that end in a partial one.
 MC_GOLDEN = {
     ("normal", "10"): (
-        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.0310071136710789, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.00033541536596070265}\n'
+        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.03141337453868058, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00034758809853838743}\n'
     ),
     ("normal", "50"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009254185957869449, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 7.826873174509269e-05}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009174755261440867, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 7.916043229748815e-05}\n'
     ),
     ("epan", "10"): (
-        '{"estimator": "kernel", "n": 10, "kernel": "epan", "value": 0.030648527418453888, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.0003382606317950383}\n'
+        '{"estimator": "kernel", "n": 10, "kernel": "epan", "value": 0.031128772874613624, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.00036622443561876215}\n'
     ),
     ("epan", "50"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.008945143973774558, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 7.765167081442035e-05}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.008851779288677855, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 7.80686242486003e-05}\n'
     ),
     ("normal", "50", "--replicates", "1001", "--eval-points", "3"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009420857417885897, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.00033087377274497443}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.00932642832985285, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.0003111595505820749}\n'
     ),
     ("epan", "50", "--replicates", "1001", "--eval-points", "3"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009132151570160984, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.00032227029231414965}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009034778393871047, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.0003124148101978715}\n'
     ),
     ("normal", "10", "--replicates", "1"): (
         '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.006519409904344108, "infinite": false, '
