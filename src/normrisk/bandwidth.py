@@ -36,6 +36,9 @@ from .kernels import (
     gk_epanechnikov,
     kernel_eval,
     kernel_self_convolution,
+    kernel_shape,
+    mise_fixed_bandwidth,
+    shape_in_place,
 )
 from .numerics import (
     _LEGENDRE_NODES,
@@ -50,7 +53,7 @@ from .numerics import (
     scaled_chi_inverse_mean,
     std_normal_pdf,
 )
-from .parametric import MiseReport, NORMAL_ROUGHNESS, TWO_SQRT_PI, NormalParams
+from .parametric import MiseReport, NORMAL_ROUGHNESS, STD_NORMAL, TWO_SQRT_PI, NormalParams
 
 #: search brackets for the bandwidth constant, per kernel
 CONSTANT_BRACKETS = {"normal": (0.5, 3.0), "epan": (2.0, 10.0)}
@@ -235,6 +238,18 @@ def expected_density_at(n: int, w):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_scale_first(rule: BandwidthRule, p: NormalParams, n: int) -> None:
+    """Raise `rescale`'s ValueError, before any work, where sigma puts the
+    real MISE far outside the normal doubles.  From n = 3 on (at n = 2 it is
+    infinite) that MISE lies between the closed-form MISE at h = a and 3.5
+    times it, so a sigma that puts the closed form 64 times past an end of
+    the doubles puts the real MISE past it too; nearer, the check on the
+    result decides.  At sigma = 1 nothing can leave the doubles."""
+    if n >= 3 and p.sigma != 1.0:
+        order = mise_fixed_bandwidth(rule.kernel, STD_NORMAL, n, rule.multiplier).value
+        p.rescale(order * 64.0 if p.sigma > 1.0 else order / 64.0, 1)
+
+
 def _real_mise(
     rule: BandwidthRule, p: NormalParams, n: int, pair_overlap: float, truth_overlap: float
 ) -> MiseReport:
@@ -273,6 +288,7 @@ def real_mise_exact(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
     and that route is within 2.0e-12 of 30-digit mpmath there.
     """
     _check_sample_size(n, 3)
+    _check_scale_first(rule, p, n)
     if rule.kernel.name != "normal" or n == 3:
         return _real_mise_nested(rule, p, n)
     a = rule.multiplier
@@ -333,52 +349,64 @@ def _real_mise_nested(rule: BandwidthRule, p: NormalParams, n: int) -> MiseRepor
     return _real_mise(rule, p, n, pair_overlap, truth)
 
 
-def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> MiseReport:
-    """Monte Carlo estimate of the same real MISE, with standard error, both
-    drawn at the standard scale and divided by sigma.
-
-    Replicate i takes n + m standard normals (m = `eval_points`) from
-    stream k = i // c, with c = max(1, MC_STREAM_DRAWS // (n + m)): stream k
-    holds replicates k c ... k c + c - 1, each taking the next n + m normals.
-    Stream k is `Philox(key=seed).jumped(k)`, whose counter starts at
-    [0, 0, k, 0]; the counter is set there directly rather than jumped to,
-    and each stream is drawn in one fill call.  A shorter fill is a prefix of
-    a longer one, so a replicate's draws depend only on (seed, i, n + m),
-    not on the replicate count.  It scores the estimator at its m fresh
-    observations through the importance-weighted squared-error average.
-    Replicates are scored in blocks of about 2**16 / (m n) within a stream,
-    each block in place in one (block, m, n) buffer of scaled differences
-    and one of kernel values, so the draw and scoring buffers stay flat in
-    the replicate count and the sample size; only the scores, one float per
-    replicate, grow with the count.  numpy loads `np.random` on its first
-    use here, so no other command pays for it.
-    """
-    _check_sample_size(n, 2)
+def _replicate_scores(rule: BandwidthRule, n: int, mc: McConfig) -> np.ndarray:
+    """The standard-scale score of each replicate of `real_mise_mc`."""
     m = mc.eval_points
+    scale, peak = kernel_shape(rule.kernel)
     per_stream = min(max(1, MC_STREAM_DRAWS // (n + m)), mc.replicates)
-    block = min(max(1, 2**16 // (m * n)), per_stream)
+    # numpy sums a block of one column along its other axes pairwise, not in
+    # order, so a block has two columns at least: a lone replicate takes both
+    block = max(2, min(2**16 // (m * n), per_stream))
     draws = np.empty((per_stream, n + m))
-    diffs = np.empty((block, m, n))
-    kernel_values = np.empty_like(diffs)
+    scaled, terms = np.empty((n + m) * block), np.empty(m * n * block)
     scores = np.empty(mc.replicates)
     for k, first in enumerate(range(0, mc.replicates, per_stream)):
         rows = min(per_stream, mc.replicates - first)
         bits = np.random.Philox(key=mc.seed, counter=[0, 0, k % 2**64, k >> 64])
         np.random.Generator(bits).standard_normal(out=draws[:rows].reshape(-1))
+        h_stream = rule.multiplier * draws[:rows, :n].std(axis=1, ddof=1)
         for start in range(0, rows, block):
             count = min(block, rows - start)
-            sample, fresh = draws[start : start + count, :n], draws[start : start + count, n:]
-            h = rule.multiplier * sample.std(axis=1, ddof=1)
-            u = np.subtract(sample[:, None, :], fresh[:, :, None], out=diffs[:count])
-            u /= h[:, None, None]
-            estimate = kernel_eval(rule.kernel, u, out=kernel_values[:count]).sum(axis=2)
-            estimate /= (n * h)[:, None]
-            root_truth = np.sqrt(std_normal_pdf(fresh))
-            # (estimate/root - root)^2 averaged over the m points, in place: np.mean's own sum and division
+            part, width = (slice(start, start + count), count) if count > 1 else ([start, start], 2)
+            h = h_stream[part]
+            x = np.multiply(draws[part].T, scale / h, out=scaled[: (n + m) * width].reshape(n + m, width))
+            v = np.subtract(x[None, :n], x[n:, None], out=terms[: m * n * width].reshape(m, n, width))
+            estimate = np.add.reduce(shape_in_place(rule.kernel, np.square(v, out=v)), axis=1)
+            estimate *= peak / (n * h)
+            root_truth = np.sqrt(std_normal_pdf(draws[part, n:].T))
+            # (estimate/root - root)^2 averaged over the m points, in place
             estimate /= root_truth
             estimate -= root_truth
             np.square(estimate, out=estimate)
-            np.divide(np.add.reduce(estimate, axis=1), m, out=scores[first + start : first + start + count])
+            np.divide(np.add.reduce(estimate, axis=0)[:count], m, out=scores[first + start : first + start + count])
+    return scores
+
+
+def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> MiseReport:
+    """Monte Carlo estimate of the same real MISE, with standard error, both
+    drawn at the standard scale and divided by sigma.
+
+    Replicate i takes n + m standard normals (m = `eval_points`): stream k
+    holds replicates k c ... k c + c - 1, c = max(1, MC_STREAM_DRAWS // (n + m)),
+    each taking the next n + m normals of one fill call.  Stream k is
+    `Philox(key=seed).jumped(k)`, its counter set to [0, 0, k, 0] directly.
+    A shorter fill is a prefix of a longer one, so a replicate's draws
+    depend only on (seed, i, n + m).  Each replicate scores the estimator at
+    its m fresh observations through the importance-weighted squared-error
+    average, with h = a sigma_hat from one `std` over the stream.  Blocks of
+    about 2**16 / (m n) replicates, two at least, are scored with the
+    replicate on the last, contiguous axis: the draws, transposed and times
+    the kernel's argument scale over h (`kernel_shape`), fill an
+    (n + m, block) array, and one (m, n, block) buffer holds their squared
+    differences, then g of them.  The sums over the n sample points, then
+    over the m points, add in order, so a score has the same bits in a block
+    of any width.  Only the scores grow with the replicate count.
+    `np.random` loads on the first draw, so no other command pays for it,
+    nor one whose sigma `_check_scale_first` rejects.
+    """
+    _check_sample_size(n, 2)
+    _check_scale_first(rule, p, n)
+    scores = _replicate_scores(rule, n, mc)
     value = p.rescale(float(scores.mean()), 1)
     std_error = float(scores.std(ddof=1) / math.sqrt(mc.replicates)) if mc.replicates > 1 else math.inf
     return MiseReport(value=value, method="monte_carlo", std_error=p.rescale(std_error, 1))

@@ -29,7 +29,6 @@ from .numerics import (
     _LEGENDRE_WEIGHTS,
     _LOG_SQRT_2PI,
     _check_sample_size,
-    _check_out,
     std_normal_pdf,
 )
 from .parametric import MiseReport, NormalParams, NORMAL_ROUGHNESS, PointRisk, TWO_SQRT_PI, _point_risk
@@ -60,25 +59,27 @@ KERNELS = {k.name: k for k in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)}
 MISE_SERIES_H = 4.0
 
 
-def kernel_eval(kernel: Kernel, u, out: np.ndarray | None = None):
-    """Kernel density K(u); elementwise on arrays.
-
-    With `out`, an array of u's shape that does not overlap u, the values
-    are written there in place and `out` is returned.  The arithmetic is
-    the same either way, so the two results agree bit for bit.
-    """
+def kernel_eval(kernel: Kernel, u):
+    """Kernel density K(u); elementwise on arrays."""
     u = np.asarray(u, dtype=float)
     if kernel.name == "normal":
-        return std_normal_pdf(u, out)
-    _check_out(u, out)
-    # 1.5 (1 - 4u^2) is negative exactly where |u| > 1/2, and fmax also
-    # sends NaN to 0
-    k = np.multiply(u, 4.0, out=out)
-    k = np.multiply(k, u, out=out)
-    k = np.subtract(1.0, k, out=out)
-    k = np.multiply(k, 1.5, out=out)
-    k = np.fmax(k, 0.0, out=out)
-    return float(k) if out is None and np.ndim(k) == 0 else k
+        return std_normal_pdf(u)
+    # 1.5 (1 - 4u^2) < 0 exactly where |u| > 1/2, and fmax sends NaN to 0
+    k = np.fmax(1.5 * (1.0 - u * 4.0 * u), 0.0)
+    return float(k) if k.ndim == 0 else k
+
+
+def kernel_shape(kernel: Kernel) -> tuple[float, float]:
+    """(scale, peak) with K(u) = peak g((scale u)^2): g(v) is exp(-v) for the
+    normal kernel and max(1 - v, 0) for the parabolic one (`shape_in_place`)."""
+    return (math.sqrt(0.5), 1.0 / math.sqrt(2.0 * math.pi)) if kernel.name == "normal" else (2.0, 1.5)
+
+
+def shape_in_place(kernel: Kernel, v: np.ndarray) -> np.ndarray:
+    """The g(v) of `kernel_shape`, written over the float array v, which is returned."""
+    if kernel.name == "normal":
+        return np.exp(np.negative(v, out=v), out=v)
+    return np.fmax(np.subtract(1.0, v, out=v), 0.0, out=v)
 
 
 def gk_epanechnikov(u):

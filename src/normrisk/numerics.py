@@ -243,30 +243,11 @@ _LEGENDRE_WEIGHTS = np.concatenate((_LEGENDRE_WEIGHTS_POS[::-1], _LEGENDRE_WEIGH
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _check_out(x: np.ndarray, out: np.ndarray | None) -> None:
-    """Reject an `out` array that an elementwise formula in x cannot write to."""
-    if out is None:
-        return
-    if out.shape != x.shape:
-        raise ValueError(f"out has shape {out.shape}, the input {x.shape}")
-    if np.may_share_memory(out, x):
-        raise ValueError("out must not overlap the input")
-
-
-def std_normal_pdf(x, out: np.ndarray | None = None):
-    """Standard normal density, elementwise on arrays.
-
-    With `out`, an array of x's shape that does not overlap x, the density
-    is written there in place and `out` is returned.  The arithmetic is the
-    same either way, so the two results agree bit for bit.
-    """
+def std_normal_pdf(x):
+    """Standard normal density, elementwise on arrays."""
     x = np.asarray(x, dtype=float)
-    _check_out(x, out)
-    pdf = np.multiply(x, -0.5, out=out)
-    pdf = np.multiply(pdf, x, out=out)
-    pdf = np.subtract(pdf, _LOG_SQRT_2PI, out=out)
-    pdf = np.exp(pdf, out=out)
-    return float(pdf) if out is None and np.ndim(pdf) == 0 else pdf
+    pdf = np.exp(x * -0.5 * x - _LOG_SQRT_2PI)
+    return float(pdf) if pdf.ndim == 0 else pdf
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma in 1/x

@@ -1,6 +1,8 @@
 """Bandwidth constants, ancillary densities, real MISE exact and MC."""
 
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,7 @@ from normrisk.bandwidth import (
     rule_of_thumb,
 )
 from normrisk.cli import TABLE_SAMPLE_SIZES
-from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_eval
+from normrisk.kernels import EPANECHNIKOV_KERNEL, NORMAL_KERNEL, kernel_shape, shape_in_place
 from normrisk.numerics import integrate, scaled_chi_inverse_mean, std_normal_pdf
 from normrisk.parametric import STD_NORMAL, exact_mise_plugin, exact_mse_plugin
 
@@ -508,15 +510,21 @@ class TestRealMiseMc:
 
     @staticmethod
     def _check_blocks_match_one_replicate_at_a_time(kernel, n, mc):
+        # the package's arithmetic one replicate at a time: differences of
+        # values scaled by the kernel's argument scale over h, then the sums
+        # over the n sample points and over the m points, each in order
         rule = rule_of_thumb(kernel, n)
+        scale, peak = kernel_shape(kernel)
         scores = []
         for i in range(mc.replicates):
             draws = replicate_draws(mc.seed, i, n + mc.eval_points)
-            sample, fresh = draws[:n], draws[n:]
-            h = rule.multiplier * sample.std(ddof=1)
-            estimate = kernel_eval(kernel, (sample[None, :] - fresh[:, None]) / h).sum(axis=1) / (n * h)
-            root_truth = np.sqrt(std_normal_pdf(fresh))
-            scores.append(np.mean((estimate / root_truth - root_truth) ** 2))
+            h = rule.multiplier * draws[:n].std(ddof=1)
+            x = draws * (scale / h)
+            values = shape_in_place(kernel, (x[None, :n] - x[n:, None]) ** 2)
+            estimate = functools.reduce(np.add, values.T) * (peak / (n * h))
+            root_truth = np.sqrt(std_normal_pdf(draws[n:]))
+            terms = (estimate / root_truth - root_truth) ** 2
+            scores.append(functools.reduce(operator.add, terms) / mc.eval_points)
         scores = np.array(scores)
         report = real_mise_mc(rule, STD_NORMAL, n, mc)
         assert report.value == scores.mean()
@@ -533,7 +541,7 @@ class TestRealMiseMc:
     @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
     def test_one_replicate_a_block_above_the_budget(self, kernel):
         # m n = 70000 is above the block budget of 2**16 values, so each block
-        # holds one replicate
+        # holds two replicates, the least it may, and the last a lone one
         mc = McConfig(replicates=3, eval_points=70, seed=11)
         self._check_blocks_match_one_replicate_at_a_time(kernel, 1000, mc)
 
@@ -558,6 +566,19 @@ class TestRealMiseMc:
             # replicate i then draws stream i from its start
             for i in range(replicates):
                 assert np.array_equal(replicate_draws(seed, i, n + m), substream(seed, i).standard_normal(n + m))
+
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
+    @pytest.mark.parametrize("m", [1, 10])
+    def test_score_bits_do_not_depend_on_the_block_width(self, kernel, m):
+        # runs of 1, 2 and 3 replicates score the first ones in blocks of 1,
+        # 2 and 3 replicates; numpy would sum a one-column block's n = 10
+        # values pairwise, not in order, which moves the last bit of some
+        # of these scores
+        rule = rule_of_thumb(kernel, 10)
+        for seed in range(12):
+            runs = [bandwidth._replicate_scores(rule, 10, McConfig(r, m, seed)) for r in (1, 2, 3)]
+            for shorter in runs[:2]:
+                assert runs[2][: shorter.size].tobytes() == shorter.tobytes(), seed
 
     def test_scratch_memory_is_flat_in_replicates(self):
         # one unblocked (replicates, eval_points, n) array would be 24 MB at

@@ -793,6 +793,44 @@ class TestScaleCorners:
         pointwise = [k in ("bias", "sd", "rmse") for _ in reference for k in keys]
         _check_scaled(want, [record[k] for record in got for k in keys], powers, sigma, pointwise)
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    @pytest.mark.parametrize("kernel", [NORMAL_KERNEL, EPANECHNIKOV_KERNEL])
+    @pytest.mark.parametrize("sigma, size", [(1e308, "large"), (5e-324, "small")])
+    def test_real_mise_rejects_a_far_sigma_before_any_work(self, method, kernel, sigma, size, monkeypatch):
+        # the real MISE at n = 50, 0.0090-0.0094, divided by 1e308 is about
+        # 250 times below the normal doubles, and divided by 5e-324 overflows
+        def no_work(*args):
+            raise AssertionError("the real MISE was computed")
+
+        for name in ("_replicate_scores", "_real_mise_nested", "scaled_chi_column"):
+            monkeypatch.setattr(bandwidth, name, no_work)
+        rule, p = rule_of_thumb(kernel, 50), NormalParams(0.0, sigma)
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r} is too {size}: the risk")):
+            if method == "mc":
+                real_mise_mc(rule, p, 50, McConfig(10**4, 10, seed=7))
+            else:
+                real_mise_exact(rule, p, 50)
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    @pytest.mark.parametrize("kernel", ["normal", "epan"])
+    def test_real_mise_just_inside_the_doubles(self, method, kernel, capsys):
+        # a sigma far below 1, and one that puts the smaller of the value and
+        # its standard error at twice the smallest normal double, pass the
+        # check made before any work: exit 0
+        argv = ["mise", "--estimator", "kernel", "--kernel", kernel, "--n", "50", "--rule", "thumb",
+                "--method", method, "--replicates", "200", "--format", "json"]
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        fields = [record[key] for key in ("value", "std_error") if record[key] is not None]
+        for sigma in (1e-200, min(fields) / (2.0 * sys.float_info.min)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--sigma", repr(sigma)]) == 0
+            scaled = json.loads(capsys.readouterr().out)
+            got = [scaled[key] for key in ("value", "std_error")[: len(fields)]]
+            assert got == pytest.approx([field / sigma for field in fields], rel=1e-15)
+        assert sys.float_info.min < min(got) < 4.0 * sys.float_info.min
+
     def test_figure_names_sigma_not_the_rule_bandwidth(self, capsys):
         # the parabolic rule's bandwidth, m sigma, overflows at sigma = 1e308;
         # the error is about sigma, which the user gave
@@ -943,7 +981,7 @@ GOLDEN = {
 MC_GOLDEN = {
     ("normal", "10"): (
         '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.03141337453868058, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.00034758809853838743}\n'
+        '"method": "monte_carlo", "std_error": 0.0003475880985383874}\n'
     ),
     ("normal", "50"): (
         '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009174755261440867, "infinite": false, '
@@ -958,15 +996,15 @@ MC_GOLDEN = {
         '"method": "monte_carlo", "std_error": 7.80686242486003e-05}\n'
     ),
     ("normal", "50", "--replicates", "1001", "--eval-points", "3"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.00932642832985285, "infinite": false, '
+        '{"estimator": "kernel", "n": 50, "kernel": "normal", "value": 0.009326428329852851, "infinite": false, '
         '"method": "monte_carlo", "std_error": 0.0003111595505820749}\n'
     ),
     ("epan", "50", "--replicates", "1001", "--eval-points", "3"): (
-        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009034778393871047, "infinite": false, '
-        '"method": "monte_carlo", "std_error": 0.0003124148101978715}\n'
+        '{"estimator": "kernel", "n": 50, "kernel": "epan", "value": 0.009034778393871049, "infinite": false, '
+        '"method": "monte_carlo", "std_error": 0.0003124148101978714}\n'
     ),
     ("normal", "10", "--replicates", "1"): (
-        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.006519409904344108, "infinite": false, '
+        '{"estimator": "kernel", "n": 10, "kernel": "normal", "value": 0.006519409904344109, "infinite": false, '
         '"method": "monte_carlo", "std_error": null}\n'
     ),
 }
@@ -1150,6 +1188,19 @@ def test_monte_carlo_loads_numpy_random_on_its_first_draw():
         f"assert all(m in sys.modules for m in {DRAW_MODULES!r}), 'numpy.random not imported'\n"
     )
     assert out == MC_GOLDEN[("normal", "10")]
+
+
+def test_monte_carlo_rejects_a_far_sigma_before_loading_numpy_random():
+    # the real MISE at n = 50 over sigma = 1e308 is about 250 times below the
+    # normal doubles: exit 2 before the first draw
+    argv = ["mise", "--estimator", "kernel", "--kernel", "normal", "--n", "50", "--rule", "thumb",
+            "--method", "mc", "--sigma", "1e308"]
+    run_probe(
+        "import sys\n"
+        "from normrisk.cli import main\n"
+        f"assert main({argv!r}) == 2\n"
+        f"assert not [m for m in {DRAW_MODULES!r} if m in sys.modules], 'numpy.random imported'\n"
+    )
 
 
 def test_import_loads_no_numpy_polynomial():

@@ -29,9 +29,11 @@ from normrisk.kernels import (
     gk_epanechnikov,
     kernel_eval,
     kernel_self_convolution,
+    kernel_shape,
     mise_closed_epan_kernel,
     mise_closed_normal_kernel,
     mise_fixed_bandwidth,
+    shape_in_place,
 )
 from normrisk.numerics import integrate, std_normal_pdf
 from normrisk.parametric import NormalParams, STD_NORMAL
@@ -57,9 +59,9 @@ def _parabolic_reference(u):
     return np.where(np.abs(u) <= 0.5, 1.5 * (1.0 - 4.0 * u * u), 0.0)
 
 
-# each function that can write in place, and the formula it had before it
-# could: with or without `out`, its values must match that bit for bit
-IN_PLACE_CASES = {
+# each elementwise kernel formula and a plain reference whose values it
+# must match bit for bit
+REFERENCE_CASES = {
     "std_normal_pdf": (std_normal_pdf, _normal_reference),
     "normal": (functools.partial(kernel_eval, NORMAL_KERNEL), _normal_reference),
     "epan": (functools.partial(kernel_eval, EPANECHNIKOV_KERNEL), _parabolic_reference),
@@ -103,7 +105,7 @@ class TestKernelEval:
     def test_normal_is_phi(self):
         assert kernel_eval(NORMAL_KERNEL, 1.3) == pytest.approx(phi(1.3), rel=1e-14)
 
-    @pytest.mark.parametrize("evaluate,reference", IN_PLACE_CASES.values(), ids=IN_PLACE_CASES)
+    @pytest.mark.parametrize("evaluate,reference", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
     @pytest.mark.parametrize("shape", [(), (EDGE_CASES.size,), (3, 1, EDGE_CASES.size)])
     def test_matches_reference_formula_bit_for_bit(self, evaluate, reference, shape):
         inputs = [np.array(v) for v in EDGE_CASES] if shape == () else [np.resize(EDGE_CASES, shape)]
@@ -112,19 +114,25 @@ class TestKernelEval:
             fresh = evaluate(u)
             assert type(fresh) is (float if shape == () else np.ndarray)
             assert np.asarray(fresh).tobytes() == expected
-            out = np.full(shape, 7.0)
-            assert evaluate(u, out=out) is out
-            assert out.tobytes() == expected
 
-    @pytest.mark.parametrize("evaluate", [f for f, _ in IN_PLACE_CASES.values()], ids=IN_PLACE_CASES)
-    def test_out_must_not_overlap_or_reshape_the_input(self, evaluate):
-        u = np.linspace(-1.0, 1.0, 6)
-        with pytest.raises(ValueError, match="overlap"):
-            evaluate(u, out=u)
-        with pytest.raises(ValueError, match="overlap"):
-            evaluate(u[:4], out=u[2:])
-        with pytest.raises(ValueError, match="shape"):
-            evaluate(u, out=np.empty(5))
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_shape_form_matches_kernel_eval(self, kernel):
+        # peak g((scale u)^2), as the Monte Carlo scores it, on a grid with the
+        # parabolic support's edges and their neighbours, and the normal
+        # kernel's far tail down to 1e-298.  g's argument v carries a rounding
+        # of a few ulps of v, which exp turns into a relative error of about
+        # v ulps: the bound is 4 ulps of 1 + v
+        u = np.concatenate((
+            np.linspace(-3.0, 3.0, 601),
+            [0.5, -0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), np.nextafter(-0.5, -1.0)],
+            np.linspace(8.0, 37.0, 59),
+        ))
+        scale, peak = kernel_shape(kernel)
+        v = (scale * u) ** 2
+        bound = 4.0 * np.finfo(float).eps * (1.0 + v)
+        expected = kernel_eval(kernel, u)
+        got = peak * shape_in_place(kernel, v)
+        assert np.all(np.abs(got - expected) <= bound * expected)
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_normalization(self, kernel):
