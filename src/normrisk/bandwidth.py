@@ -8,17 +8,17 @@ standardized residual R = (X1 - mean_hat)/sigma_hat and the standardized
 pair difference (X1 - X2)/sigma_hat, both independent of sigma_hat, and
 independently by seeded Monte Carlo.
 
-For the normal kernel both expectations over these laws are Kummer
-functions M(1/2, (n-1)/2, -x): the pair term is closed, and the
-estimate-truth term is one integral over the scaled-chi law of sigma_hat
-(the fixed-bandwidth analogue is Marron & Wand 1992).  For the parabolic
-kernel, and as the cross-check of that route, `_real_mise_nested`
-integrates against the two ancillary densities directly.  Both are
-polynomial on a bounded support; substituting t = edge * sin(theta) turns
-them into smooth trigonometric integrands that adaptive quadrature resolves
-quickly even for large n, where they concentrate sharply.  Under that map
-both densities carry the same weight, so both terms are one adaptive
-integral over theta.
+Each kernel has one exact route.  For the normal kernel both expectations
+over these laws are Kummer functions M(1/2, (n-1)/2, -x) at every n: the
+pair term is closed, and the estimate-truth term is one integral over the
+scaled-chi law of sigma_hat (the fixed-bandwidth analogue is Marron & Wand
+1992).  For the parabolic kernel `_real_mise_nested` integrates against
+the two ancillary densities directly.  Both are polynomial on a bounded
+support; substituting t = edge * sin(theta) turns them into smooth
+trigonometric integrands that adaptive quadrature resolves quickly even
+for large n, where they concentrate sharply.  Under that map both
+densities carry the same weight, so both terms are one adaptive integral
+over theta.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .kernels import (
     Kernel,
     gk_epanechnikov,
     kernel_eval,
-    kernel_self_convolution,
     kernel_shape,
     mise_fixed_bandwidth,
     shape_in_place,
@@ -192,33 +191,6 @@ def _ancillary_shape(n: int) -> tuple[float, float, float]:
     return math.exp(log_const), (n - 1) / math.sqrt(n), math.sqrt(2.0 * (n - 1))
 
 
-def _support_expectation(
-    fn: Callable[[np.ndarray], np.ndarray],
-    const: float,
-    edge: float,
-    n: int,
-    points: tuple[float, ...] = (),
-) -> float | np.ndarray:
-    """Integral of fn against a bounded-power density via the sine map.
-
-    The substitution t = edge*sin(theta) yields const*edge*cos(theta)^(n-3)
-    times fn, a smooth integrand; fn may return any leading shape.  For
-    large n the cosine power localizes near zero; the integration range is
-    clipped where the weight has fallen by e^-45 relative to its peak.
-    `points` are in theta.  The tolerance is the real MISE's own.
-    """
-    if n > 3:
-        theta_cap = math.acos(math.exp(-45.0 / (n - 3)))
-    else:
-        theta_cap = 0.5 * math.pi
-    theta_max = min(theta_cap, 0.5 * math.pi * (1.0 - 1e-12))
-
-    def integrand(theta):
-        return fn(edge * np.sin(theta)) * const * edge * np.cos(theta) ** (n - 3)
-
-    return integrate(integrand, -theta_max, theta_max, REAL_MISE_TOL, points=points)
-
-
 def expected_density_at(n: int, w):
     """Mean of the true standard normal density at mean_hat + w * sigma_hat,
     averaged over the sampling distribution of the two estimates.
@@ -240,12 +212,12 @@ def expected_density_at(n: int, w):
 
 def _check_scale_first(rule: BandwidthRule, p: NormalParams, n: int) -> None:
     """Raise `rescale`'s ValueError, before any work, where sigma puts the
-    real MISE far outside the normal doubles.  From n = 3 on (at n = 2 it is
-    infinite) that MISE lies between the closed-form MISE at h = a and 3.5
-    times it, so a sigma that puts the closed form 64 times past an end of
-    the doubles puts the real MISE past it too; nearer, the check on the
+    real MISE far outside the normal doubles.  From n = 3 on, the real
+    MISE's domain, that MISE lies between the closed-form MISE at h = a and
+    3.5 times it, so a sigma that puts the closed form 64 times past an end
+    of the doubles puts the real MISE past it too; nearer, the check on the
     result decides.  At sigma = 1 nothing can leave the doubles."""
-    if n >= 3 and p.sigma != 1.0:
+    if p.sigma != 1.0:
         order = mise_fixed_bandwidth(rule.kernel, STD_NORMAL, n, rule.multiplier).value
         p.rescale(order * 64.0 if p.sigma > 1.0 else order / 64.0, 1)
 
@@ -282,14 +254,12 @@ def real_mise_exact(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
       s^2 = 1 + 1/n + a^2 z^2, because R^2/e^2 is Beta(1/2, b - 1/2) too:
       a scaled-chi column of one n at `REAL_MISE_TOL`.
 
-    The parabolic kernel, and the normal kernel at n = 3, take the nested
-    route of `_real_mise_nested`.  At n = 3 (b = 1) the scaled-chi column
-    takes 17 panels even for a constant integrand, the whole nested route 6,
-    and that route is within 2.0e-12 of 30-digit mpmath there.
+    At n = 3 (b = 1) that beta law is the arcsine law.  The parabolic
+    kernel takes the quadrature of `_real_mise_nested`.
     """
     _check_sample_size(n, 3)
     _check_scale_first(rule, p, n)
-    if rule.kernel.name != "normal" or n == 3:
+    if rule.kernel.name != "normal":
         return _real_mise_nested(rule, p, n)
     a = rule.multiplier
     b = 0.5 * (n - 1)
@@ -305,47 +275,44 @@ def real_mise_exact(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
 
 
 def _real_mise_nested(rule: BandwidthRule, p: NormalParams, n: int) -> MiseReport:
-    """The real MISE of either kernel by quadrature against the ancillary densities.
+    """The parabolic kernel's real MISE by quadrature against the ancillary densities.
 
-    The pair overlap E_S K*K(S/a)/a over the pair difference S and the
-    estimate-truth overlap E_R int K(u) f(R + a u) du over the residual R
-    (f: `expected_density_at`) are one integral of shape (2,): under the
-    sine map both laws carry the same weight, and at each theta
-    S = R * pair_edge / residual_edge.  The inner integral over u is a fixed
-    32-point Gauss-Legendre sum on equal panels of the kernel's support, or
-    of |u| <= 8.5 for the normal kernel: ceil(a/4.5) panels for a bounded
-    kernel, 8 ceil(a/3) for the normal one, so that they resolve f(R + a u)
-    (checked for a from 0.001 to 1000).  Defined from n = 3 on: the
-    ancillary densities are then edge-singular but integrable, and the sine
-    substitution absorbs the singularity exactly.  The normal kernel's
-    `real_mise_exact` is checked against it.
+    The pair overlap E_S g_K(S/a)/a over the pair difference S (g_K:
+    `gk_epanechnikov`) and the estimate-truth overlap E_R int K(u) f(R + a u) du
+    over the residual R (f: `expected_density_at`) are one integral of shape
+    (2,).  Under the sine map R = residual_edge sin(theta), which absorbs the
+    densities' edge singularities down to n = 3, both laws carry the weight
+    const * residual_edge * cos(theta)^(n-3), and S = R * pair_edge /
+    residual_edge.  Both terms are even in theta, so the integral runs over
+    [0, theta_max] with the integrand doubled; theta_max is where the weight
+    has fallen by e^-45 relative to its peak.  The inner integral over u is a
+    fixed 32-point Gauss-Legendre sum on ceil(a/4.5) equal panels of the
+    kernel's support, so that they resolve f(R + a u) (checked for a from
+    0.001 to 1000).
     """
     _check_sample_size(n, 3)
-    kernel = rule.kernel
     a = rule.multiplier
     k_const, r_edge, s_edge = _ancillary_shape(n)
     pair_scale = s_edge / (r_edge * a)
+    theta_max = 0.5 * math.pi * (1.0 - 1e-12)
+    if n > 3:
+        theta_max = min(theta_max, math.acos(math.exp(-45.0 / (n - 3))))
 
-    # f(R + a u) narrows like 1/a in u, so past a = 4.5 (bounded kernel) or
-    # a = 3 (normal kernel) the panels multiply with a
-    if kernel.name == "normal":
-        span, panels = 8.5, 8 * math.ceil(a / 3.0)
-    else:
-        span, panels = kernel.halfwidth, math.ceil(a / 4.5)
-    half = span / panels
+    # f(R + a u) narrows like 1/a in u, so past a = 4.5 the panels multiply with a
+    panels = math.ceil(a / 4.5)
+    half = 0.5 / panels
     u = (half * (2 * np.arange(panels) + 1 - panels)[:, None] + half * _LEGENDRE_NODES).ravel()
-    wk = np.tile(half * _LEGENDRE_WEIGHTS, panels) * kernel_eval(kernel, u)
+    wk = np.tile(half * _LEGENDRE_WEIGHTS, panels) * kernel_eval(EPANECHNIKOV_KERNEL, u)
 
-    def overlaps(r):
-        pair = kernel_self_convolution(kernel, r * pair_scale) / a
+    def overlaps(theta):
+        r = r_edge * np.sin(theta)
+        pair = gk_epanechnikov(r * pair_scale) / a
         truth = expected_density_at(n, r[..., None] + a * u) @ wk
-        return np.stack((pair, truth))
+        return np.stack((pair, truth)) * (2.0 * k_const * r_edge * np.cos(theta) ** (n - 3))
 
-    # a bounded kernel's pair term leaves its support where |S| = 2 a halfwidth
-    edge = math.asin(min(1.0, 2.0 * kernel.halfwidth * a / s_edge))
-    pair_overlap, truth = _support_expectation(
-        overlaps, k_const, r_edge, n, points=(-edge, 0.0, edge)
-    ).tolist()
+    # the pair term leaves the support of g_K where |S| = a
+    edge = math.asin(min(1.0, a / s_edge))
+    pair_overlap, truth = integrate(overlaps, 0.0, theta_max, REAL_MISE_TOL, points=(edge,)).tolist()
     return _real_mise(rule, p, n, pair_overlap, truth)
 
 
@@ -401,10 +368,11 @@ def real_mise_mc(rule: BandwidthRule, p: NormalParams, n: int, mc: McConfig) -> 
     differences, then g of them.  The sums over the n sample points, then
     over the m points, add in order, so a score has the same bits in a block
     of any width.  Only the scores grow with the replicate count.
-    `np.random` loads on the first draw, so no other command pays for it,
-    nor one whose sigma `_check_scale_first` rejects.
+    Defined from n = 3 on, as `real_mise_exact` is: at n = 2 the real MISE
+    is infinite.  `np.random` loads on the first draw, so no other command
+    pays for it, nor one whose n or sigma is rejected.
     """
-    _check_sample_size(n, 2)
+    _check_sample_size(n, 3)
     _check_scale_first(rule, p, n)
     scores = _replicate_scores(rule, n, mc)
     value = p.rescale(float(scores.mean()), 1)

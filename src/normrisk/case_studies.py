@@ -143,10 +143,11 @@ def lognormal_crossover(log_sd: float) -> CrossoverResult:
     """
     p = LognormalParams(0.0, log_sd)  # log_sd checked
     b2 = p.log_sd * p.log_sd  # inf past b = 1e154, where `**` would raise
+    nonparametric = _nonparametric_exponent(b2)
 
     def parametric_wins(n: int) -> bool:
         exponent, rho = _parametric_parts(b2, n)
-        return exponent - _nonparametric_exponent(b2) + math.log1p(rho) < 0.0
+        return exponent - nonparametric + math.log1p(rho) < 0.0
 
     n = max(2, math.floor(min(2.0 * b2, _MAX_N + 1.0)))
     while n <= _MAX_N:

@@ -94,13 +94,6 @@ def gk_epanechnikov(u):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_self_convolution(kernel: Kernel, u):
-    """Density of the difference of two independent kernel draws."""
-    if kernel.name == "normal":
-        return std_normal_pdf(np.asarray(u, dtype=float) / math.sqrt(2.0)) / math.sqrt(2.0)
-    return gk_epanechnikov(u)
-
-
 def _epan_moments(y, h: float):
     """The window's nearest approach to 0, c = max(|y| - h/2, 0), and
     e0 = int K(u) phi(y + h u) du and a0 = int K(u)^2 phi(y + h u) du over

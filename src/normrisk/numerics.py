@@ -306,27 +306,26 @@ def gamma_half_ratio(x: float) -> float:
 
 
 def kummer_m_half(b: float, x):
-    """Kummer's function M(1/2, b, -x) for b >= 3/2 and x >= 0, elementwise in x.
+    """Kummer's function M(1/2, b, -x) for b >= 1 and x >= 0, elementwise in x.
 
-    It is E exp(-x B) for B ~ Beta(1/2, b - 1/2).  Under B = sin(theta)^2,
-    the sine map of `bandwidth._support_expectation`, the beta integral is
+    It is E exp(-x B) for B ~ Beta(1/2, b - 1/2), the arcsine law at b = 1.
+    Under B = sin(theta)^2 the beta integral is
 
         M = 2 Gamma(b) / (sqrt(pi) Gamma(b - 1/2))
             * int_0^theta_max exp(-x s^2 + (b - 1) log1p(-s^2)) dtheta,  s = sin(theta),
 
     a smooth bell in theta.  Its exponent is at most -(x + b - 1) s^2, so
-    the range stops where sin(theta_max)^2 = min(1, 40/(x + b - 1)), and the
-    integral is one 32-point Gauss-Legendre sum on [0, theta_max].  Against
-    30-digit mpmath the relative error is below 1e-14 for b = 3/2, 2, 5/2,
-    ... up to 5e7 and every x tried (up to 1e7).  b < 3/2 is rejected: at
-    b = 1 (n = 3) the real MISE takes its nested route instead.
+    the range stops where sin(theta_max)^2 = 40 / max(x + b - 1, 40), and
+    the integral is one 32-point Gauss-Legendre sum on [0, theta_max].
+    Against 30-digit mpmath the relative error is below 1e-14 for b = 1,
+    3/2, 2, 5/2, ... up to 5e7 and every x tried (up to 1e7).
     """
-    if not b >= 1.5:
-        raise ValueError(f"kummer_m_half requires b >= 3/2, got {b!r}")
+    if not b >= 1.0:
+        raise ValueError(f"kummer_m_half requires b >= 1, got {b!r}")
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise ValueError("kummer_m_half requires x >= 0")
-    half = 0.5 * np.arcsin(np.sqrt(np.minimum(1.0, 40.0 / (x + b - 1.0))))
+    half = 0.5 * np.arcsin(np.sqrt(40.0 / np.maximum(x + b - 1.0, 40.0)))
     s2 = np.sin(half[..., None] * (1.0 + _LEGENDRE_NODES)) ** 2
     bell = np.exp((b - 1.0) * np.log1p(-s2) - x[..., None] * s2)
     out = 2.0 * gamma_half_ratio(b - 0.5) / math.sqrt(math.pi) * half * (bell @ _LEGENDRE_WEIGHTS)

@@ -9,7 +9,8 @@ limit of the exact MSE formulas.  The unbiased density is the residual
 density of `bandwidth._ancillary_shape` rescaled, with the same constant
 and edge, so its tests check that constant too.  `mise_exact_generic`, the
 kernel MISE by quadrature through the difference-density identity, is the
-independent cross-check of the closed forms.
+independent cross-check of the closed forms; `kernel_self_convolution` is
+its difference density of two kernel draws.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from normrisk import numerics
 from normrisk.bandwidth import _ancillary_shape
-from normrisk.kernels import Kernel, kernel_eval, kernel_self_convolution
+from normrisk.kernels import Kernel, gk_epanechnikov, kernel_eval
 from normrisk.numerics import _check_sample_size, std_normal_pdf
 from normrisk.parametric import MiseReport, NormalParams
 
@@ -83,6 +84,13 @@ def lognormal_variance_ratio_limit(log_sd: float) -> float:
         raise ValueError("log_sd must be positive")
     b2 = log_sd**2
     return (math.exp(b2) - 1.0) / (b2 + 0.5 * b2 * b2)
+
+
+def kernel_self_convolution(kernel: Kernel, u):
+    """Density of the difference of two independent kernel draws."""
+    if kernel.name == "normal":
+        return std_normal_pdf(np.asarray(u, dtype=float) / math.sqrt(2.0)) / math.sqrt(2.0)
+    return gk_epanechnikov(u)
 
 
 def mise_exact_generic(kernel: Kernel, p: NormalParams, n: int, h: float) -> MiseReport:

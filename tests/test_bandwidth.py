@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from ancillary import ancillary_densities
+from ancillary import ancillary_densities, normal_real_mise_nested
 from estimators import mise_exact_generic
 from substreams import replicate_draws, substream
 from normrisk import bandwidth, numerics
@@ -344,16 +344,15 @@ class TestRealMiseExact:
         with pytest.raises(ValueError):
             real_mise_exact(BandwidthRule(NORMAL_KERNEL, 0.7), STD_NORMAL, 2)
 
-    @pytest.mark.parametrize("n", [4, 5, 10, 14, 20, 50, 100])
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 14, 20, 50, 100])
     def test_kummer_route_matches_nested(self, n):
         # two independent exact routes for the normal kernel: Kummer functions
         # with one integral over sigma_hat, and the nested ancillary quadrature
-        # the large multipliers need more panels in u: on a fixed eight,
-        # a = 100 was 1.2e-4 off at n = 3
+        # kept in the tests as its reference
         for a in (0.3, rule_of_thumb(NORMAL_KERNEL, n).multiplier, 2.0, 10.0, 30.0, 100.0):
             rule = BandwidthRule(NORMAL_KERNEL, a)
             closed = real_mise_exact(rule, STD_NORMAL, n).value
-            nested = _real_mise_nested(rule, STD_NORMAL, n).value
+            nested = normal_real_mise_nested(rule, STD_NORMAL, n).value
             assert abs(closed / nested - 1) <= 1e-11, a
 
     @pytest.mark.parametrize("n", sorted(REAL_MISE_MPMATH))
@@ -364,9 +363,10 @@ class TestRealMiseExact:
 
     @pytest.mark.parametrize("a", sorted(REAL_MISE_N3_MPMATH))
     def test_n3_against_mpmath(self, a):
-        # n = 3 takes the nested route: 2.0e-12 off at a = 2, the largest
+        # the Kummer route at b = 1, the arcsine law: 9.4e-15 off at worst,
+        # where the nested quadrature was 2.0e-12 off at a = 2
         value = real_mise_exact(BandwidthRule(NORMAL_KERNEL, a), STD_NORMAL, 3).value
-        assert abs(value / float(REAL_MISE_N3_MPMATH[a]) - 1) <= 1e-11
+        assert abs(value / float(REAL_MISE_N3_MPMATH[a]) - 1) <= 1e-13
 
     @pytest.mark.parametrize("n", sorted(EPAN_REAL_MISE_MPMATH))
     def test_parabolic_kernel_against_mpmath(self, n):
@@ -399,13 +399,25 @@ class TestRealMiseExact:
                 real_mise_exact(rule_of_thumb(kernel, n), STD_NORMAL, n)
         assert ndims and 0 not in ndims
 
-    def test_other_kernels_take_the_nested_route(self):
+    def test_other_kernels_take_the_nested_route(self, monkeypatch):
         rule = rule_of_thumb(EPANECHNIKOV_KERNEL, 7)
         assert real_mise_exact(rule, STD_NORMAL, 7) == _real_mise_nested(rule, STD_NORMAL, 7)
-        # and so does the normal kernel at n = 3, where b = 1 is below the
-        # Kummer rule's domain
+        # the normal kernel takes the Kummer route at every n, n = 3 (b = 1) too
         rule = rule_of_thumb(NORMAL_KERNEL, 3)
-        assert real_mise_exact(rule, STD_NORMAL, 3) == _real_mise_nested(rule, STD_NORMAL, 3)
+        kummer = real_mise_exact(rule, STD_NORMAL, 3)
+        b_values = []
+
+        def recording_kummer(b, x):
+            b_values.append(b)
+            return numerics.kummer_m_half(b, x)
+
+        def no_nested(*args):
+            raise AssertionError("the nested route was taken")
+
+        monkeypatch.setattr(bandwidth, "kummer_m_half", recording_kummer)
+        monkeypatch.setattr(bandwidth, "_real_mise_nested", no_nested)
+        assert real_mise_exact(rule, STD_NORMAL, 3) == kummer
+        assert b_values and set(b_values) == {1.0}
 
     def test_report_method(self):
         report = real_mise_exact(rule_of_thumb(NORMAL_KERNEL, 6), STD_NORMAL, 6)
@@ -459,7 +471,7 @@ ONE_INTEGRAL_CASES = {
         for kernel in (NORMAL_KERNEL, EPANECHNIKOV_KERNEL)
         for n in (3, 20, 1000)
     },
-    "real_mise_nested-normal": lambda: _real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), STD_NORMAL, 20),
+    "real_mise_nested-normal": lambda: normal_real_mise_nested(rule_of_thumb(NORMAL_KERNEL, 20), STD_NORMAL, 20),
     "mise_exact_generic-normal": lambda: mise_exact_generic(NORMAL_KERNEL, STD_NORMAL, 10, 0.5),
     "mise_exact_generic-epan": lambda: mise_exact_generic(EPANECHNIKOV_KERNEL, STD_NORMAL, 10, 2.0),
 }
@@ -549,7 +561,7 @@ class TestRealMiseMc:
     @pytest.mark.parametrize(
         "n,m,seed",
         [
-            (2, 1, 0), (2, 1, 2**64 + 9), (2, 1, 2**128 - 1), (50, 3, 0), (50, 3, 2**128 - 1),
+            (3, 1, 0), (3, 1, 2**64 + 9), (3, 1, 2**128 - 1), (50, 3, 0), (50, 3, 2**128 - 1),
             (10, 10, 2**64 + 9), (70000, 10, 2**128 - 1),
         ],
     )

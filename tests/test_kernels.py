@@ -13,7 +13,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import minimize_scalar
 
-from estimators import mise_exact_generic
+from estimators import kernel_self_convolution, mise_exact_generic
 from substreams import substream
 
 from normrisk.bandwidth import rule_of_thumb
@@ -28,7 +28,6 @@ from normrisk.kernels import (
     exact_mse_kernel,
     gk_epanechnikov,
     kernel_eval,
-    kernel_self_convolution,
     kernel_shape,
     mise_closed_epan_kernel,
     mise_closed_normal_kernel,

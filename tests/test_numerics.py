@@ -201,9 +201,9 @@ class TestSpecialFunctions:
             with pytest.raises(ValueError):
                 gamma_half_ratio(bad)
 
-    # b = (n-1)/2 for n = 4, 5, 10, 100, 10^4, 10^6, 10^7, 10^8, and one b between
+    # b = (n-1)/2 for n = 3, 4, 5, 10, 100, 10^4, 10^6, 10^7, 10^8, and one b between
     @pytest.mark.parametrize(
-        "b", [1.5, 2.0, 4.5, 7.25, 49.5, 4999.5, 499999.5, 4999999.5, 49999999.5]
+        "b", [1.0, 1.5, 2.0, 4.5, 7.25, 49.5, 4999.5, 499999.5, 4999999.5, 49999999.5]
     )
     def test_kummer_against_mpmath(self, b):
         # x spans arguments from below b to far beyond it, and straddles
@@ -219,10 +219,10 @@ class TestSpecialFunctions:
     def test_kummer_scalar_and_domain(self):
         assert kummer_m_half(3.0, 0.0) == pytest.approx(1.0, rel=1e-15)
         assert isinstance(kummer_m_half(3.0, 2.0), float)
-        # the domain starts at b = 3/2 (n = 4); n = 3 takes the nested route
-        for b in (0.75, 1.0):
-            with pytest.raises(ValueError, match="b >= 3/2"):
-                kummer_m_half(b, 1.0)
+        # the domain starts at b = 1 (n = 3), the arcsine law
+        with pytest.raises(ValueError, match="b >= 1"):
+            kummer_m_half(0.75, 1.0)
+        assert isinstance(kummer_m_half(1.0, 1.0), float)
         with pytest.raises(ValueError):
             kummer_m_half(2.0, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
